@@ -19,6 +19,15 @@ uniform at step 0. Convolution kernels are inherited by reshaping to
 (N, c*kh*kw), factorizing, and realizing the factors as a shared spatial
 convolution (r filters) followed by H gated 1x1 expansions; the gate reads
 the spatial mean of the r-channel code map.
+
+The H heads of an inherited layer are stored as one block, a stacked
+(H, r, n) array for dense layers and (H, N, r) for convolutions, of which
+each ``head_{h}`` parameter is a view (likewise the head biases, one
+(H, n) block). The gated sum is evaluated in code space: the
+gate-weighted codes ``g_h * z`` of all heads form one (B, H*r) matrix,
+and a single GEMM against the stacked heads sums over heads and code
+channels at once; the head biases add ``g @ head_bias``. Backward is two
+GEMMs, and no step loops over heads in Python.
 """
 
 from __future__ import annotations
@@ -43,6 +52,36 @@ def _check_mode(mode: str, gate_input: str) -> None:
         raise RangeError(f"unknown gate input {gate_input!r}; expected one of {GATE_INPUTS}")
 
 
+# The gated head sum  y = sum_h g_h * (z @ head_h)  in code space, with codes
+# z of shape (B, P, r): P = 1 for dense layers, one row per output pixel for
+# convolutions. Head biases add ``g @ head_bias`` outside this core.
+
+def _gated_codes(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows ``g_h * z`` for every head: (B*P, H*r)."""
+    b, p, _ = z.shape
+    return (g[:, None, :, None] * z[:, :, None, :]).reshape(b * p, -1)
+
+
+def _mix_backward(gy: np.ndarray, g: np.ndarray, zg: np.ndarray, experts: np.ndarray):
+    """Backward of ``y = zg @ experts`` for output gradient ``gy`` (B*P, n).
+
+    ``experts`` is the (H*r, n) stack of code-to-output maps. Returns
+    their gradient as (H, r, n), the code gradient (B, P, r), and
+    ``dzg`` (B, P, H, r), the gradient wrt every head's code row, from
+    which the layer forms its gate scores.
+    """
+    b, h = g.shape
+    d_experts = (zg.T @ gy).reshape(h, -1, gy.shape[1])
+    dzg = (gy @ experts.T).reshape(b, -1, h, d_experts.shape[1])
+    gz = np.matmul(g[:, None, None, :], dzg)[:, :, 0]
+    return d_experts, gz, dzg
+
+
+def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient wrt the gate logits, given the gate ``g`` and ``dL/dg = s``."""
+    return g * (s - np.sum(g * s, axis=1, keepdims=True))
+
+
 class InherNetLayer(Layer):
     """One shared down-projection, H gated expert up-projections.
 
@@ -50,8 +89,10 @@ class InherNetLayer(Layer):
     ``g = softmax(gate_in @ gate_weight + gate_bias)`` per sample, where
     ``gate_in`` is the code ``x @ w_down`` or the input ``x``. With
     ``gate_frozen`` the gate is pinned to exactly uniform weights and
-    carries no trainable parameters.
+    carries no trainable parameters. The heads are one (H, r, n) block.
     """
+
+    stacked = {"heads": "head", "head_bias": "head_bias"}
 
     def __init__(self, w_down: np.ndarray, heads: list[np.ndarray],
                  gate_weight: np.ndarray, gate_bias: np.ndarray,
@@ -70,22 +111,20 @@ class InherNetLayer(Layer):
         gdim = r if gate_input == "code" else m
         if not gate_frozen and gate_weight.shape != (gdim, len(heads)):
             raise ShapeError(f"gate weight shape {gate_weight.shape} != ({gdim}, {len(heads)})")
-        self.params["w_down"] = np.ascontiguousarray(w_down, dtype=np.float64)
-        for h, head in enumerate(heads):
-            self.params[f"head_{h}"] = np.ascontiguousarray(head, dtype=np.float64)
+        blocks = {"w_down": w_down, "heads": np.stack(heads)}
         if head_bias is not None:
             for h, bias in enumerate(head_bias):
                 if bias.shape != (n,):
                     raise ShapeError(f"head bias {h} shape {bias.shape} != ({n},)")
-                self.params[f"head_bias_{h}"] = np.ascontiguousarray(bias, dtype=np.float64)
-        self.gate_frozen = gate_frozen
+            blocks["head_bias"] = np.stack(head_bias)
         if not gate_frozen:
-            self.params["gate_weight"] = np.ascontiguousarray(gate_weight, dtype=np.float64)
-            self.params["gate_bias"] = np.ascontiguousarray(gate_bias, dtype=np.float64)
+            blocks["gate_weight"] = gate_weight
+            blocks["gate_bias"] = gate_bias
+        self._store(blocks)
+        self.gate_frozen = gate_frozen
         self.gate_input = gate_input
         self.n_heads = len(heads)
         self.has_head_bias = head_bias is not None
-        self.zero_grads()
         self._x = None
 
     @property
@@ -94,7 +133,7 @@ class InherNetLayer(Layer):
 
     @property
     def heads(self) -> list[np.ndarray]:
-        return [self.params[f"head_{h}"] for h in range(self.n_heads)]
+        return list(self.blocks["heads"])
 
     @property
     def in_dim(self) -> int:
@@ -102,7 +141,7 @@ class InherNetLayer(Layer):
 
     @property
     def out_dim(self) -> int:
-        return self.params["head_0"].shape[1]
+        return self.blocks["heads"].shape[2]
 
     @property
     def rank(self) -> int:
@@ -120,28 +159,30 @@ class InherNetLayer(Layer):
                              f"got batch shape {x.shape}")
         z = x @ self.w_down
         g = self.gate_values(x, z)
-        outs = np.stack([z @ self.params[f"head_{h}"] for h in range(self.n_heads)])
+        zg = _gated_codes(g, z[:, None, :])
+        y = zg @ self.blocks["heads"].reshape(zg.shape[1], -1)
         if self.has_head_bias:
-            for h in range(self.n_heads):
-                outs[h] += self.params[f"head_bias_{h}"]
-        y = np.einsum("bh,hbn->bn", g, outs)
-        self._x, self._z, self._g, self._outs = x, z, g, outs
+            y += g @ self.blocks["head_bias"]
+        self._x, self._z, self._g, self._zg = x, z, g, zg
         return y
 
     def backward(self, grad_out):
         self._require_forward()
-        x, z, g, outs = self._x, self._z, self._g, self._outs
-        gz = np.zeros_like(z)
-        for h in range(self.n_heads):
-            wgy = g[:, h, None] * grad_out
-            self.grads[f"head_{h}"] += z.T @ wgy
-            if self.has_head_bias:
-                self.grads[f"head_bias_{h}"] += wgy.sum(axis=0)
-            gz += wgy @ self.params[f"head_{h}"].T
+        x, z, g = self._x, self._z, self._g
+        heads = self.blocks["heads"]
+        d_heads, gz, dzg = _mix_backward(grad_out, g, self._zg,
+                                         heads.reshape(-1, heads.shape[2]))
+        gz = gz[:, 0]
+        self.grad_blocks["heads"] += d_heads
+        if self.has_head_bias:
+            self.grad_blocks["head_bias"] += g.T @ grad_out
         gx_extra = 0.0
         if not self.gate_frozen:
-            s = np.einsum("bn,hbn->bh", grad_out, outs)
-            dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
+            # gate score s_h = grad_out . (z @ head_h + head_bias_h)
+            s = np.einsum("br,bhr->bh", z, dzg[:, 0])
+            if self.has_head_bias:
+                s += grad_out @ self.blocks["head_bias"].T
+            dlogits = _softmax_backward(g, s)
             gate_in = z if self.gate_input == "code" else x
             self.grads["gate_weight"] += gate_in.T @ dlogits
             self.grads["gate_bias"] += dlogits.sum(axis=0)
@@ -174,15 +215,12 @@ class InverseLayer(Layer):
                 raise ShapeError(f"down {h} shape {d.shape} != ({m}, {r})")
         if w_up.shape[0] != r:
             raise ShapeError(f"up projection shape {w_up.shape} does not accept rank {r}")
-        for h, d in enumerate(downs):
-            self.params[f"down_{h}"] = np.ascontiguousarray(d, dtype=np.float64)
-        self.params["w_up"] = np.ascontiguousarray(w_up, dtype=np.float64)
-        self.params["gate_weight"] = np.ascontiguousarray(gate_weight, dtype=np.float64)
-        self.params["gate_bias"] = np.ascontiguousarray(gate_bias, dtype=np.float64)
+        blocks = {f"down_{h}": d for h, d in enumerate(downs)}
+        blocks.update(w_up=w_up, gate_weight=gate_weight, gate_bias=gate_bias)
         if bias is not None:
-            self.params["bias"] = np.ascontiguousarray(bias, dtype=np.float64)
+            blocks["bias"] = bias
+        self._store(blocks)
         self.n_heads = len(downs)
-        self.zero_grads()
         self._x = None
 
     @property
@@ -223,7 +261,7 @@ class InverseLayer(Layer):
             self.grads[f"down_{h}"] += x.T @ wz
             gx += wz @ self.params[f"down_{h}"].T
         s = np.einsum("br,hbr->bh", gz_agg, zs)
-        dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
+        dlogits = _softmax_backward(g, s)
         self.grads["gate_weight"] += x.T @ dlogits
         self.grads["gate_bias"] += dlogits.sum(axis=0)
         return gx + dlogits @ self.params["gate_weight"].T
@@ -244,16 +282,16 @@ class SymmetricLayer(Layer):
         super().__init__()
         if len(downs) != self.N_BRANCHES or len(ups) != self.N_BRANCHES:
             raise RangeError("symmetric layer takes exactly two branches")
+        blocks = {}
         for i, (d, u) in enumerate(zip(downs, ups)):
             if d.shape[1] != u.shape[0]:
                 raise ShapeError(f"branch {i}: down {d.shape} does not feed up {u.shape}")
-            self.params[f"down_{i}"] = np.ascontiguousarray(d, dtype=np.float64)
-            self.params[f"up_{i}"] = np.ascontiguousarray(u, dtype=np.float64)
-        self.params["gate_weight"] = np.ascontiguousarray(gate_weight, dtype=np.float64)
-        self.params["gate_bias"] = np.ascontiguousarray(gate_bias, dtype=np.float64)
+            blocks[f"down_{i}"] = d
+            blocks[f"up_{i}"] = u
+        blocks.update(gate_weight=gate_weight, gate_bias=gate_bias)
         if bias is not None:
-            self.params["bias"] = np.ascontiguousarray(bias, dtype=np.float64)
-        self.zero_grads()
+            blocks["bias"] = bias
+        self._store(blocks)
         self._x = None
 
     @property
@@ -294,7 +332,7 @@ class SymmetricLayer(Layer):
             self.grads[f"down_{i}"] += x.T @ gz
             gx += gz @ self.params[f"down_{i}"].T
         s = np.einsum("bn,hbn->bh", grad_out, outs)
-        dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
+        dlogits = _softmax_backward(g, s)
         self.grads["gate_weight"] += x.T @ dlogits
         self.grads["gate_bias"] += dlogits.sum(axis=0)
         return gx + dlogits @ self.params["gate_weight"].T
@@ -306,8 +344,10 @@ class InherConv2DLayer(Layer):
     The spatial kernel has shape (r, c, kh, kw) and produces the r-channel
     code map; each head is an (N, r) channel-mixing matrix applied as a 1x1
     convolution. Gating reads the spatial mean of the code map, one gate
-    vector per sample.
+    vector per sample. The heads are one (H, N, r) block.
     """
+
+    stacked = {"heads": "head", "head_bias": "head_bias"}
 
     def __init__(self, shared_kernel: np.ndarray, heads: list[np.ndarray],
                  gate_weight: np.ndarray, gate_bias: np.ndarray,
@@ -315,7 +355,7 @@ class InherConv2DLayer(Layer):
                  head_bias: list[np.ndarray] | None = None,
                  gate_frozen: bool = False):
         super().__init__()
-        shared_kernel = np.ascontiguousarray(shared_kernel, dtype=np.float64)
+        shared_kernel = np.asarray(shared_kernel, dtype=np.float64)
         if shared_kernel.ndim != 4:
             raise ShapeError(f"spatial kernel must be 4-D, got {shared_kernel.shape}")
         r = shared_kernel.shape[0]
@@ -325,26 +365,31 @@ class InherConv2DLayer(Layer):
         for h, head in enumerate(heads):
             if head.shape != (n, r):
                 raise ShapeError(f"head {h} shape {head.shape} != ({n}, {r})")
-        self.params["shared_kernel"] = shared_kernel
-        for h, head in enumerate(heads):
-            self.params[f"head_{h}"] = np.ascontiguousarray(head, dtype=np.float64)
+        blocks = {"shared_kernel": shared_kernel, "heads": np.stack(heads)}
         if head_bias is not None:
             for h, bias in enumerate(head_bias):
-                self.params[f"head_bias_{h}"] = np.ascontiguousarray(bias, dtype=np.float64)
-        self.gate_frozen = gate_frozen
+                if bias.shape != (n,):
+                    raise ShapeError(f"head bias {h} shape {bias.shape} != ({n},)")
+            blocks["head_bias"] = np.stack(head_bias)
         if not gate_frozen:
-            self.params["gate_weight"] = np.ascontiguousarray(gate_weight, dtype=np.float64)
-            self.params["gate_bias"] = np.ascontiguousarray(gate_bias, dtype=np.float64)
+            blocks["gate_weight"] = gate_weight
+            blocks["gate_bias"] = gate_bias
+        self._store(blocks)
+        self.gate_frozen = gate_frozen
         self.stride = stride
         self.padding = padding
         self.n_heads = len(heads)
         self.has_head_bias = head_bias is not None
-        self.zero_grads()
         self._x = None
 
     @property
     def rank(self) -> int:
         return self.params["shared_kernel"].shape[0]
+
+    def _experts(self) -> np.ndarray:
+        """The (N, r) heads as one (H*r, N) stack of code-to-output maps."""
+        heads = self.blocks["heads"]
+        return heads.transpose(0, 2, 1).reshape(-1, heads.shape[1])
 
     def forward(self, x):
         k = self.params["shared_kernel"]
@@ -354,47 +399,50 @@ class InherConv2DLayer(Layer):
         b = x.shape[0]
         oh = conv_output_size(x.shape[2], kh, self.stride, self.padding)
         ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
-        self._cols = im2col(x, kh, kw, self.stride, self.padding)
-        z = (self._cols @ k.reshape(r, -1).T).transpose(0, 2, 1).reshape(b, r, oh, ow)
-        pooled = z.mean(axis=(2, 3))
+        cols = im2col(x, kh, kw, self.stride, self.padding)
+        z = cols @ k.reshape(r, -1).T                        # (B, OH*OW, r)
+        pooled = z.mean(axis=1)
         if self.gate_frozen:
             g = np.full((b, self.n_heads), 1.0 / self.n_heads)
         else:
             g = softmax(pooled @ self.params["gate_weight"] + self.params["gate_bias"])
-        outs = np.stack([np.einsum("nc,bcij->bnij", self.params[f"head_{h}"], z)
-                         for h in range(self.n_heads)])
+        zg = _gated_codes(g, z)
+        y = (zg @ self._experts()).reshape(b, oh * ow, -1)
         if self.has_head_bias:
-            for h in range(self.n_heads):
-                outs[h] += self.params[f"head_bias_{h}"][:, None, None]
-        y = np.einsum("bh,hbnij->bnij", g, outs)
-        self._x, self._z, self._pooled, self._g, self._outs = x, z, pooled, g, outs
-        return y
+            y += (g @ self.blocks["head_bias"])[:, None, :]
+        self._x, self._cols, self._z, self._pooled, self._g, self._zg = \
+            x, cols, z, pooled, g, zg
+        return y.transpose(0, 2, 1).reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         self._require_forward()
-        x, z, pooled, g, outs = self._x, self._z, self._pooled, self._g, self._outs
+        x, cols, z, pooled, g = self._x, self._cols, self._z, self._pooled, self._g
         k = self.params["shared_kernel"]
-        r = k.shape[0]
-        gz = np.zeros_like(z)
-        for h in range(self.n_heads):
-            wgy = g[:, h, None, None, None] * grad_out
-            self.grads[f"head_{h}"] += np.einsum("bnij,bcij->nc", wgy, z, optimize=True)
-            if self.has_head_bias:
-                self.grads[f"head_bias_{h}"] += wgy.sum(axis=(0, 2, 3))
-            gz += np.einsum("nc,bnij->bcij", self.params[f"head_{h}"], wgy, optimize=True)
+        r, _, kh, kw = k.shape
+        b, p, _ = z.shape
+        gy = grad_out.reshape(b, -1, p).transpose(0, 2, 1)    # (B, OH*OW, N)
+        experts = self._experts()
+        d_heads, gz, _ = _mix_backward(gy.reshape(b * p, -1), g, self._zg, experts)
+        self.grad_blocks["heads"] += d_heads.transpose(0, 2, 1)
+        gy_sum = gy.sum(axis=1)
+        if self.has_head_bias:
+            self.grad_blocks["head_bias"] += g.T @ gy_sum
         if not self.gate_frozen:
-            s = np.einsum("bnij,hbnij->bh", grad_out, outs, optimize=True)
-            dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
+            # gate score s_h = sum over pixels of grad_out . (head_h z + head_bias_h),
+            # contracted through the per-sample (r, N) code-gradient products
+            codes_gy = z.transpose(0, 2, 1) @ gy
+            s = codes_gy.reshape(b, -1) @ experts.reshape(self.n_heads, -1).T
+            if self.has_head_bias:
+                s += gy_sum @ self.blocks["head_bias"].T
+            dlogits = _softmax_backward(g, s)
             self.grads["gate_weight"] += pooled.T @ dlogits
             self.grads["gate_bias"] += dlogits.sum(axis=0)
             dpooled = dlogits @ self.params["gate_weight"].T
-            gz += dpooled[:, :, None, None] / (z.shape[2] * z.shape[3])
-        gzflat = gz.reshape(gz.shape[0], r, -1).transpose(0, 2, 1)
-        self.grads["shared_kernel"] += np.einsum(
-            "bpr,bpk->rk", gzflat, self._cols, optimize=True).reshape(k.shape)
-        kh, kw = k.shape[2], k.shape[3]
-        return col2im(gzflat @ k.reshape(r, -1), x.shape, kh, kw,
-                      self.stride, self.padding)
+            gz += dpooled[:, None, :] / p
+        # per-sample products: merging (B, P) would copy the strided im2col rows
+        self.grads["shared_kernel"] += np.matmul(gz.transpose(0, 2, 1), cols).sum(
+            axis=0).reshape(k.shape)
+        return col2im(gz @ k.reshape(r, -1), x.shape, kh, kw, self.stride, self.padding)
 
 
 def _sqrt_factors(w: np.ndarray, r: int):

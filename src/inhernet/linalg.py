@@ -111,6 +111,21 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax(logits) -> np.ndarray:
+    """Logarithm of :func:`softmax` along the last axis, formed directly.
+
+    Entries stay finite where the softmax itself underflows to 0, so
+    products like ``p * log p`` never meet ``0 * log(0)``.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.size == 0:
+        raise ShapeError("log-softmax of empty input")
+    if not np.all(np.isfinite(z)):
+        raise NumericalError("log-softmax input contains NaN or Inf")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def frobenius_norm(w) -> float:
     """Square root of the sum of squared entries."""
     w = as_matrix(w)

@@ -2,8 +2,12 @@
 
 Layers operate on float64 batches with samples along the leading axis
 (row-vector convention, ``y = x @ W + b``). Each layer caches what its
-backward pass needs during forward; gradients accumulate into per-layer
-``grads`` dicts until ``zero_grads``. A central-difference oracle
+backward pass needs during forward; gradients accumulate until
+``zero_grads``. A :class:`Network` packs every trainable array of its
+layers into one contiguous parameter vector and one gradient vector:
+each layer's ``params`` and ``grads`` entries are views of those two
+vectors, so zeroing, norming and stepping the whole network are single
+vector operations. A central-difference oracle
 (:func:`finite_difference_grad`) provides the independent check for every
 analytic gradient in the package.
 """
@@ -14,15 +18,79 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import NumericalError, RangeError, ShapeError, StateError
-from .linalg import softmax
+from .linalg import log_softmax
 
 
 class Layer:
-    """Base layer: trainable arrays live in ``params``, their gradients in ``grads``."""
+    """Base layer: trainable arrays live in ``params``, their gradients in ``grads``.
+
+    The storage behind both is ``blocks`` and ``grad_blocks``: ordered
+    dicts of arrays, in the order a :class:`Network` packs them. A block
+    named in ``stacked`` holds several same-shaped arrays along its
+    leading axis and is exposed as ``{prefix}_{i}`` views, one per index;
+    every other block is exposed under its own name. ``params`` and
+    ``grads`` are therefore views of the blocks, in the same order.
+    """
+
+    stacked: dict[str, str] = {}     # block name -> prefix of its per-index views
 
     def __init__(self):
+        self.blocks: dict[str, np.ndarray] = {}
+        self.grad_blocks: dict[str, np.ndarray] = {}
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.packed_in: np.ndarray | None = None   # the flat vector holding the blocks
+
+    def _store(self, blocks: dict[str, np.ndarray]) -> None:
+        """Adopt ``blocks`` as this layer's trainable state, with zero gradients."""
+        self.blocks = {k: np.ascontiguousarray(v, dtype=np.float64)
+                       for k, v in blocks.items()}
+        self.grad_blocks = {k: np.zeros_like(v) for k, v in self.blocks.items()}
+        self._expose()
+
+    def _views(self, blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        for name, block in blocks.items():
+            if name in self.stacked:
+                out.update((f"{self.stacked[name]}_{i}", a) for i, a in enumerate(block))
+            else:
+                out[name] = block
+        return out
+
+    def _expose(self) -> None:
+        self.params = self._views(self.blocks)
+        self.grads = self._views(self.grad_blocks)
+
+    def bind(self, params: np.ndarray, grads: np.ndarray, offset: int) -> int:
+        """Move the blocks into ``params``/``grads`` from ``offset`` on.
+
+        Current values and accumulated gradients are copied, and every
+        block becomes a view of the two vectors. Returns the offset just
+        past this layer.
+        """
+        for name, block in self.blocks.items():
+            end = offset + block.size
+            view = params[offset:end].reshape(block.shape)
+            view[...] = block
+            gview = grads[offset:end].reshape(block.shape)
+            gview[...] = self.grad_blocks[name]
+            self.blocks[name], self.grad_blocks[name] = view, gview
+            offset = end
+        self.packed_in = params
+        self._expose()
+        return offset
+
+    def __getstate__(self):
+        # Views do not survive pickling or deepcopy; rebuild them from the blocks.
+        state = dict(self.__dict__)
+        for derived in ("params", "grads", "packed_in"):
+            state.pop(derived, None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.packed_in = None
+        self._expose()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -31,11 +99,11 @@ class Layer:
         raise NotImplementedError
 
     def zero_grads(self) -> None:
-        for k, p in self.params.items():
-            self.grads[k] = np.zeros_like(p)
+        for g in self.grad_blocks.values():
+            g.fill(0.0)
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return sum(b.size for b in self.blocks.values())
 
     def _require_forward(self, attr: str = "_x"):
         if getattr(self, attr, None) is None:
@@ -47,17 +115,17 @@ class DenseLayer(Layer):
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None = None):
         super().__init__()
-        weight = np.ascontiguousarray(weight, dtype=np.float64)
+        weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 2:
             raise ShapeError(f"dense weight must be 2-D, got {weight.shape}")
-        self.params["weight"] = weight
+        blocks = {"weight": weight}
         if bias is not None:
-            bias = np.ascontiguousarray(bias, dtype=np.float64)
+            bias = np.asarray(bias, dtype=np.float64)
             if bias.shape != (weight.shape[1],):
                 raise ShapeError(f"bias shape {bias.shape} does not match output "
                                  f"width {weight.shape[1]}")
-            self.params["bias"] = bias
-        self.zero_grads()
+            blocks["bias"] = bias
+        self._store(blocks)
         self._x = None
 
     @property
@@ -151,21 +219,21 @@ class Conv2DLayer(Layer):
     def __init__(self, kernel: np.ndarray, stride: int = 1, padding: int = 0,
                  bias: np.ndarray | None = None):
         super().__init__()
-        kernel = np.ascontiguousarray(kernel, dtype=np.float64)
+        kernel = np.asarray(kernel, dtype=np.float64)
         if kernel.ndim != 4:
             raise ShapeError(f"conv kernel must be 4-D, got {kernel.shape}")
         if stride < 1 or padding < 0:
             raise ShapeError(f"invalid stride={stride} padding={padding}")
-        self.params["kernel"] = kernel
+        blocks = {"kernel": kernel}
         if bias is not None:
-            bias = np.ascontiguousarray(bias, dtype=np.float64)
+            bias = np.asarray(bias, dtype=np.float64)
             if bias.shape != (kernel.shape[0],):
                 raise ShapeError(f"conv bias shape {bias.shape} does not match "
                                  f"{kernel.shape[0]} filters")
-            self.params["bias"] = bias
+            blocks["bias"] = bias
+        self._store(blocks)
         self.stride = stride
         self.padding = padding
-        self.zero_grads()
         self._x = None
         self._cols = None
 
@@ -203,11 +271,53 @@ class Conv2DLayer(Layer):
         return col2im(gcols, self._x.shape, kh, kw, self.stride, self.padding)
 
 
+class FlatItems(dict):
+    """``{layer_index}.{name}`` -> array, every array a view of ``vector``."""
+
+    def __init__(self, items: dict[str, np.ndarray], vector: np.ndarray):
+        super().__init__(items)
+        self.vector = vector
+
+
 class Network:
-    """An ordered stack of layers with a shared forward/backward walk."""
+    """An ordered stack of layers with a shared forward/backward walk.
+
+    The network owns one flat parameter vector and one flat gradient
+    vector, packed layer by layer in ``param_items`` order; every layer's
+    ``params`` and ``grads`` are views of them. Wrapping a layer in a
+    second network moves its arrays into that network's vectors. The
+    first network notices on its next vector access and packs the layer
+    back, so a network always updates the arrays its forward reads.
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
+        self._params = np.empty(0)
+        self._grads = np.empty(0)
+        self._pack()
+
+    def _pack(self) -> None:
+        size = sum(layer.param_count() for layer in self.layers)
+        # Reuse the vectors when they fit, so items handed out earlier stay live.
+        if self._params.size != size:
+            self._params = np.empty(size)
+            self._grads = np.empty(size)
+        offset = 0
+        for layer in self.layers:
+            offset = layer.bind(self._params, self._grads, offset)
+
+    def _claim(self) -> None:
+        """Pack again if another network has moved one of these layers."""
+        for layer in self.layers:
+            if layer.packed_in is not self._params:
+                self._pack()
+                return
+
+    def __getstate__(self):
+        return {"layers": self.layers}
+
+    def __setstate__(self, state):
+        self.__init__(state["layers"])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for i, layer in enumerate(self.layers):
@@ -222,20 +332,31 @@ class Network:
             grad_out = layer.backward(grad_out)
         return grad_out
 
+    def param_vector(self) -> np.ndarray:
+        """Every trainable scalar, in ``param_items`` order."""
+        self._claim()
+        return self._params
+
+    def grad_vector(self) -> np.ndarray:
+        """The gradient of every trainable scalar, aligned with ``param_vector``."""
+        self._claim()
+        return self._grads
+
     def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.zero_grads()
+        self.grad_vector().fill(0.0)
 
-    def param_items(self) -> dict[str, np.ndarray]:
+    def param_items(self) -> FlatItems:
         """Every trainable array, keyed ``{layer_index}.{name}``."""
-        return {f"{i}.{k}": p
-                for i, layer in enumerate(self.layers)
-                for k, p in layer.params.items()}
+        vector = self.param_vector()
+        return FlatItems({f"{i}.{k}": p
+                          for i, layer in enumerate(self.layers)
+                          for k, p in layer.params.items()}, vector)
 
-    def grad_items(self) -> dict[str, np.ndarray]:
-        return {f"{i}.{k}": g
-                for i, layer in enumerate(self.layers)
-                for k, g in layer.grads.items()}
+    def grad_items(self) -> FlatItems:
+        vector = self.grad_vector()
+        return FlatItems({f"{i}.{k}": g
+                          for i, layer in enumerate(self.layers)
+                          for k, g in layer.grads.items()}, vector)
 
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)
@@ -263,16 +384,18 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     labels = np.asarray(labels)
     b, k = logits.shape
+    if b == 0:
+        raise ShapeError("cross-entropy of an empty batch (0 rows of logits)")
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {b}")
     if labels.min() < 0 or labels.max() >= k:
         raise RangeError(f"label out of range [0, {k}): "
                          f"min={labels.min()} max={labels.max()}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(b), labels]))
-    grad = softmax(logits)
-    grad[np.arange(b), labels] -= 1.0
+    log_probs = log_softmax(logits)
+    rows = np.arange(b)
+    loss = -float(np.mean(log_probs[rows, labels]))
+    grad = np.exp(log_probs)
+    grad[rows, labels] -= 1.0
     return loss, grad / b
 
 

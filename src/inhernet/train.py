@@ -5,6 +5,12 @@ the square root of the step index, counting optimizer steps (not epochs)
 from 1. Shuffling draws a fresh permutation per epoch from the
 counter-based stream keyed by (seed, epoch), so identical configs produce
 bit-identical loss trajectories.
+
+Each step works on the network's flat vectors (see :class:`~inhernet.nn.Network`):
+zeroing the gradients is one fill, the gradient norm one dot product and
+the SGD update one finiteness check plus one axpy. For distillation the
+frozen teacher runs once per ``train`` call, over the whole training
+split, and every step indexes its cached logits by the batch indices.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import NumericalError, RangeError, ShapeError
-from .linalg import softmax
-from .nn import Network, accuracy, cross_entropy, mse_loss
+from .linalg import log_softmax
+from .nn import FlatItems, Network, accuracy, cross_entropy, mse_loss
 
 SCHEDULES = ("constant", "inverse_sqrt", "step")
 LOSSES = ("mse", "ce", "ce+kd")
@@ -97,11 +103,21 @@ def learning_rate(config: TrainConfig, t: int) -> float:
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              t: int, config: TrainConfig) -> None:
-    """In-place update ``theta <- theta - eta_t * g``."""
+    """In-place update ``theta <- theta - eta_t * g``.
+
+    When both dicts come from one network's ``param_items`` and
+    ``grad_items``, the update runs once over the flat vectors their
+    arrays view; otherwise it runs array by array. A non-finite gradient
+    raises before its array is touched, naming the first offending key.
+    """
     eta = learning_rate(config, t)
-    for key, p in params.items():
-        g = grads[key]
+    if isinstance(params, FlatItems) and isinstance(grads, FlatItems):
+        pairs = [(params.vector, grads.vector)]
+    else:
+        pairs = [(p, grads[key]) for key, p in params.items()]
+    for p, g in pairs:
         if not np.all(np.isfinite(g)):
+            key = next(k for k, v in grads.items() if not np.all(np.isfinite(v)))
             raise NumericalError(f"non-finite gradient in {key!r} at step {t}")
         p -= eta * g
 
@@ -123,28 +139,26 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
     b = student_logits.shape[0]
     tau = config.temperature
     ce, ce_grad = cross_entropy(student_logits, labels)
-    p = softmax(teacher_logits / tau)
-    q = softmax(student_logits / tau)
-    log_p = np.log(p)
-    log_q = (student_logits / tau
-             - student_logits.max(axis=1, keepdims=True) / tau)
-    log_q = log_q - np.log(np.exp(log_q).sum(axis=1, keepdims=True))
+    # Both softened distributions come from log-softmax, so a saturated
+    # teacher (p underflowing to 0) contributes 0 * finite, never 0 * log(0).
+    log_p = log_softmax(teacher_logits / tau)
+    log_q = log_softmax(student_logits / tau)
+    p = np.exp(log_p)
     kl = float(np.sum(p * (log_p - log_q)) / b)
     loss = config.lambda_ce * ce + config.lambda_kd * tau * tau * kl
-    grad = config.lambda_ce * ce_grad + config.lambda_kd * tau * (q - p) / b
+    grad = config.lambda_ce * ce_grad + config.lambda_kd * tau * (np.exp(log_q) - p) / b
     return loss, grad
 
 
 def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray,
-                config: TrainConfig, teacher: Network | None):
+                config: TrainConfig, teacher_logits: np.ndarray | None):
     logits = net.forward(x)
     if config.loss == "mse":
         return mse_loss(logits, y), logits
     if config.loss == "ce":
         return cross_entropy(logits, y), logits
-    if teacher is None:
+    if teacher_logits is None:
         raise RangeError("loss 'ce+kd' requires a teacher network")
-    teacher_logits = teacher.forward(x)
     return kd_loss(logits, teacher_logits, y, config), logits
 
 
@@ -162,10 +176,8 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
 
 
 def grad_norm(net: Network) -> float:
-    total = 0.0
-    for g in net.grad_items().values():
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+    g = net.grad_vector()
+    return float(np.sqrt(np.dot(g, g)))
 
 
 def train(net: Network, data, config: TrainConfig,
@@ -174,12 +186,20 @@ def train(net: Network, data, config: TrainConfig,
 
     ``data`` is a ``(train_split, eval_split)`` pair of datasets with ``x``
     and ``y`` arrays. ``epochs_to_threshold`` records the first epoch whose
-    post-epoch evaluation loss is at or below ``config.threshold``.
+    post-epoch evaluation loss is at or below ``config.threshold``. With
+    ``ce+kd`` the frozen teacher's logits for the whole training split are
+    computed once, up front.
     """
     train_ds, eval_ds = data
     log = RunLog()
     n = train_ds.x.shape[0]
-    params = net.param_items()
+    teacher_logits = None
+    if config.loss == "ce+kd":
+        if teacher is None:
+            raise RangeError("loss 'ce+kd' requires a teacher network")
+        teacher_logits = teacher.forward(train_ds.x)
+    # Views of the network's flat vectors, which persist across steps.
+    params, grads = net.param_items(), net.grad_items()
     t = 0
     for epoch in range(config.epochs):
         start = time.perf_counter()
@@ -190,7 +210,8 @@ def train(net: Network, data, config: TrainConfig,
             idx = perm[lo:lo + config.batch_size]
             xb, yb = train_ds.x[idx], train_ds.y[idx]
             t += 1
-            (loss, grad), _ = _batch_loss(net, xb, yb, config, teacher)
+            (loss, grad), _ = _batch_loss(
+                net, xb, yb, config, None if teacher_logits is None else teacher_logits[idx])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch + 1}, step {t}; "
@@ -198,7 +219,7 @@ def train(net: Network, data, config: TrainConfig,
             net.zero_grads()
             net.backward(grad)
             step_norms.append(grad_norm(net))
-            sgd_step(params, net.grad_items(), t, config)
+            sgd_step(params, grads, t, config)
             epoch_losses.append(loss)
         ev_loss, ev_acc = evaluate(net, eval_ds.x, eval_ds.y, config)
         log.train_loss.append(float(np.mean(epoch_losses)))
@@ -242,7 +263,7 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
                                        config, None)
             net.zero_grads()
             net.backward(grad)
-            rows.append(np.concatenate([g.ravel() for g in net.grad_items().values()]))
+            rows.append(net.grad_vector().copy())
         return np.stack(rows)
 
     adaptive = Network([layer])

@@ -6,7 +6,8 @@ from inhernet.inherit import (InherNetLayer, build_inverse,
                               gradient_decomposition_check, inherit_conv,
                               inherit_dense, inherit_network, make_variant)
 from inhernet.linalg import truncated_svd
-from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, mse_loss
+from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer,
+                         finite_difference_grad, mse_loss)
 from inhernet.rng import philox
 
 
@@ -244,6 +245,86 @@ class TestGradientDecomposition:
         x = gen.standard_normal((6, m))
         y = gen.standard_normal((6, n))
         assert gradient_decomposition_check(layer, x, y, mse_loss) < 1e-8
+
+
+def fd_relative_dev(layer, x, gen) -> float:
+    """Largest relative gap between a layer's backward and central differences.
+
+    The input gradient is checked too, through a leading identity layer.
+    """
+    width = x.shape[1]
+    lead = DenseLayer(np.eye(width)) if x.ndim == 2 else Conv2DLayer(
+        np.eye(width)[:, :, None, None])
+    net = Network([lead, layer])
+    y = gen.standard_normal(net.forward(x).shape)
+    _, grad = mse_loss(net.forward(x), y)
+    net.zero_grads()
+    net.backward(grad)
+    fd = finite_difference_grad(net, mse_loss, x, y)
+    worst = 0.0
+    for key, g in net.grad_items().items():
+        assert np.all(np.abs(g - fd[key]) <= 1e-6 + 1e-4 * np.abs(g)), key
+        mask = np.abs(g) > 1e-6
+        if mask.any():
+            worst = max(worst, float((np.abs(g - fd[key])[mask] / np.abs(g)[mask]).max()))
+    return worst
+
+
+def jitter(layer, gen) -> None:
+    """Move heads and gate off their symmetric initial values."""
+    for key, p in layer.params.items():
+        if key != "shared_kernel" and key != "w_down":
+            p += 0.4 * gen.standard_normal(p.shape)
+
+
+class TestFusedHeadGradients:
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("gate_input", ["code", "input"])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_dense_matches_finite_differences(self, h, gate_input, bias, frozen):
+        gen = philox(800 + h, 0)
+        w = gen.standard_normal((7, 5))
+        variant = "no-gate" if frozen else "standard"
+        layer = make_variant(w, 3, h, variant, gate_input=gate_input,
+                             bias=gen.standard_normal(5) if bias else None)
+        assert layer.gate_frozen == frozen and layer.has_head_bias == bias
+        jitter(layer, gen)
+        x = gen.standard_normal((6, 7))
+        assert fd_relative_dev(layer, x, gen) < 1e-4
+        y = gen.standard_normal((6, 5))
+        assert gradient_decomposition_check(layer, x, y, mse_loss) < 1e-8
+
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_conv_matches_finite_differences(self, h, bias, frozen):
+        gen = philox(900 + h, 0)
+        teacher = Conv2DLayer(gen.standard_normal((4, 2, 3, 3)), stride=2, padding=1,
+                              bias=gen.standard_normal(4) if bias else None)
+        net = inherit_network(Network([teacher]), 2, h,
+                              variant="no-gate" if frozen else "standard")
+        layer = net.layers[0]
+        assert layer.gate_frozen == frozen and layer.has_head_bias == bias
+        jitter(layer, gen)
+        x = gen.standard_normal((2, 2, 5, 5))
+        assert fd_relative_dev(layer, x, gen) < 1e-4
+
+    @pytest.mark.parametrize("build", [
+        lambda gen: inherit_dense(gen.standard_normal((6, 5)), 2, 3,
+                                  bias=gen.standard_normal(5)),
+        lambda gen: inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 3,
+                                 bias=gen.standard_normal(4))])
+    def test_heads_are_views_of_one_block(self, build):
+        layer = build(philox(41, 0))
+        block, gblock = layer.blocks["heads"], layer.grad_blocks["heads"]
+        for h in range(3):
+            assert np.shares_memory(layer.params[f"head_{h}"], block)
+            assert np.array_equal(layer.params[f"head_{h}"], block[h])
+            assert np.shares_memory(layer.grads[f"head_{h}"], gblock)
+            assert np.shares_memory(layer.params[f"head_bias_{h}"], layer.blocks["head_bias"])
+        assert list(layer.params) == list(layer.grads)
+        assert layer.param_count() == sum(p.size for p in layer.params.values())
 
 
 class TestInverse:

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,44 @@ class TestCheckpoint:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestV1Fixture:
+    """A format-v1 checkpoint written before the heads were stored as one block.
+
+    It holds an inherited dense layer (3 heads) and an inherited conv layer
+    (2 heads), both with head biases and non-zero gates; the .npz holds
+    inputs and the outputs the writing code computed for them.
+    """
+
+    def test_loads_and_saves_back_to_the_same_bytes(self, tmp_path):
+        raw = (DATA / "v1_inherited.ckpt").read_bytes()
+        net, extra = load_checkpoint(DATA / "v1_inherited.ckpt")
+        assert [l.n_heads for l in net.layers] == [3, 2]
+        assert all(l.has_head_bias and not l.gate_frozen for l in net.layers)
+        save_checkpoint(net, tmp_path / "again.ckpt", extra=extra)
+        assert (tmp_path / "again.ckpt").read_bytes() == raw
+
+    def test_forward_matches_the_writer(self, tmp_path):
+        ref = np.load(DATA / "v1_inherited_outputs.npz")
+        net, extra = load_checkpoint(DATA / "v1_inherited.ckpt")
+        dense, conv = net.layers
+        # The heads are now summed inside one GEMM, so outputs agree with
+        # the writer's per-head sums to rounding, not bit for bit.
+        for layer, x, y in ((dense, ref["x_dense"], ref["y_dense"]),
+                            (conv, ref["x_conv"], ref["y_conv"])):
+            out = layer.forward(x)
+            assert np.max(np.abs(out - y)) <= 1e-13 * np.max(np.abs(y))
+        # A reloaded copy computes bit-identical outputs.
+        save_checkpoint(net, tmp_path / "again.ckpt", extra=extra)
+        again, _ = load_checkpoint(tmp_path / "again.ckpt")
+        assert np.array_equal(again.layers[0].forward(ref["x_dense"]),
+                              dense.forward(ref["x_dense"]))
+        assert np.array_equal(again.layers[1].forward(ref["x_conv"]),
+                              conv.forward(ref["x_conv"]))
 
 
 class TestSyntheticTasks:

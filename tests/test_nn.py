@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+import copy
+import pickle
+
 from inhernet.errors import RangeError, ShapeError, StateError
+from inhernet.experiments import perturb_heads
+from inhernet.inherit import inherit_conv, inherit_dense
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy,
                          cross_entropy, finite_difference_grad, make_mlp,
                          mse_loss)
@@ -199,6 +204,10 @@ class TestCrossEntropy:
         with pytest.raises(RangeError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    def test_empty_batch_names_the_batch(self):
+        with pytest.raises(ShapeError, match="empty batch"):
+            cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
     def test_accuracy(self):
         logits = np.array([[1.0, 2.0], [5.0, 1.0]])
         assert accuracy(logits, np.array([1, 0])) == 1.0
@@ -250,3 +259,97 @@ class TestDeterminism:
         a = make_mlp([6, 9, 2], seed=21).forward(x)
         b = make_mlp([6, 9, 2], seed=21).forward(x)
         assert np.array_equal(a, b)
+
+
+def mixed_network(gen) -> Network:
+    """Dense, ReLU, inherited dense (with head biases) and inherited conv layers."""
+    return Network([
+        DenseLayer(gen.standard_normal((4, 6)), gen.standard_normal(6)),
+        ReluLayer(),
+        inherit_dense(gen.standard_normal((6, 5)), 2, 3, bias=gen.standard_normal(5)),
+        inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 2, padding=1,
+                     bias=gen.standard_normal(4)),
+        Conv2DLayer(gen.standard_normal((3, 4, 3, 3)), padding=1),
+    ])
+
+
+def assert_packed(net: Network) -> None:
+    """Every parameter and gradient array is a view of the network's vectors, in order."""
+    params, grads = net.param_items(), net.grad_items()
+    vec, gvec = net.param_vector(), net.grad_vector()
+    assert params.keys() == grads.keys()
+    for key in params:
+        assert np.shares_memory(params[key], vec), key
+        assert np.shares_memory(grads[key], gvec), key
+    assert np.array_equal(np.concatenate([p.ravel() for p in params.values()]), vec)
+    assert vec.size == gvec.size == net.param_count()
+
+
+class TestFlatStore:
+    def test_every_array_is_a_view_of_the_flat_vectors(self):
+        assert_packed(mixed_network(philox(30, 0)))
+
+    def test_zero_grads_fill_in_place(self):
+        net = mixed_network(philox(31, 0))
+        before = net.grad_items()
+        net.grad_vector()[...] = 1.0
+        net.zero_grads()
+        after = net.grad_items()
+        assert all(after[k] is before[k] for k in before)
+        assert not net.grad_vector().any()
+        layer = net.layers[2]
+        held = dict(layer.grads)
+        layer.grads["head_1"][...] = 2.0
+        layer.zero_grads()
+        assert all(layer.grads[k] is held[k] for k in held)
+        assert not any(g.any() for g in held.values())
+
+    def test_vector_edits_reach_forward(self):
+        net = mixed_network(philox(32, 0))
+        x = philox(32, 1).standard_normal((2, 4))
+        dense = Network(net.layers[:3])
+        base = dense.forward(x)
+        dense.param_vector()[...] *= 1.5
+        assert not np.allclose(dense.forward(x), base)
+
+    def test_perturb_heads_edits_reach_forward(self):
+        gen = philox(33, 0)
+        layer = inherit_dense(gen.standard_normal((6, 5)), 2, 3, gate_input="input")
+        layer.params["gate_weight"][...] = gen.standard_normal((6, 3))
+        net = Network([layer])
+        x = gen.standard_normal((4, 6))
+        base = net.forward(x)
+        perturb_heads(net, seed=1)
+        heads = [layer.params[f"head_{h}"] for h in range(3)]
+        assert not np.array_equal(heads[0], heads[1])
+        want = sum(g[:, h, None] * (x @ layer.w_down @ heads[h])
+                   for g in [layer.gate_values(x, None)] for h in range(3))
+        assert not np.allclose(net.forward(x), base)
+        assert np.allclose(net.forward(x), want, rtol=1e-12, atol=1e-12)
+
+    def test_rewrapping_a_layer_keeps_both_networks_consistent(self):
+        gen = philox(34, 0)
+        layer = inherit_dense(gen.standard_normal((6, 5)), 2, 3)
+        first = Network([layer, ReluLayer()])
+        second = Network([layer])             # moves the layer into its own vectors
+        assert_packed(second)
+        assert_packed(first)                  # packs it back on access
+        second.param_vector()[...] += 1.0     # and again
+        x = gen.standard_normal((3, 6))
+        assert np.array_equal(first.forward(x), np.maximum(second.forward(x), 0.0))
+        first.param_vector()[...] = 0.0
+        assert not first.forward(x).any()
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy,
+                                        lambda n: pickle.loads(pickle.dumps(n))])
+    def test_copies_get_their_own_vectors(self, copier):
+        net = mixed_network(philox(35, 0))
+        twin = copier(net)
+        assert_packed(twin)
+        assert not np.shares_memory(twin.param_vector(), net.param_vector())
+        x = philox(35, 1).standard_normal((2, 4))
+        head = Network(net.layers[:3])
+        twin_head = Network(twin.layers[:3])
+        assert np.array_equal(twin_head.forward(x), head.forward(x))
+        twin_head.param_vector()[...] = 0.0
+        assert not twin_head.forward(x).any() and head.forward(x).any()

@@ -4,7 +4,7 @@ import pytest
 from inhernet.errors import NumericalError, RangeError, ShapeError
 from inhernet.inherit import inherit_dense
 from inhernet.io import SyntheticTask, gen_synthetic
-from inhernet.nn import DenseLayer, Network, cross_entropy, make_mlp
+from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp
 from inhernet.rng import philox
 from inhernet.train import (RUNLOG_COLUMNS, TrainConfig, gating_grad_variance,
                             kd_loss, learning_rate, sgd_step, train)
@@ -60,6 +60,25 @@ class TestSgdStep:
         with pytest.raises(NumericalError, match="step 7"):
             sgd_step({"w": np.ones(2)}, {"w": np.array([np.inf, 0.0])}, 7, cfg())
 
+    def test_flat_step_matches_array_by_array(self):
+        nets = [make_mlp([3, 5, 2], seed=6) for _ in range(2)]
+        g = philox(4, 0).standard_normal(nets[0].param_count())
+        for net in nets:
+            net.grad_vector()[...] = g
+        grads = {k: g.copy() for k, g in nets[1].grad_items().items()}
+        sgd_step(nets[0].param_items(), nets[0].grad_items(), 3, cfg())
+        sgd_step(dict(nets[1].param_items()), grads, 3, cfg())
+        assert np.array_equal(nets[0].param_vector(), nets[1].param_vector())
+
+    def test_nonfinite_flat_gradient_names_layer_key(self):
+        net = Network([DenseLayer(np.ones((3, 4)), np.zeros(4)), ReluLayer(),
+                       inherit_dense(np.eye(4), 2, 3, bias=np.zeros(4))])
+        before = net.param_vector().copy()
+        net.layers[2].grads["head_1"][0, 2] = np.nan
+        with pytest.raises(NumericalError, match=r"'2\.head_1' at step 12"):
+            sgd_step(net.param_items(), net.grad_items(), 12, cfg())
+        assert np.array_equal(net.param_vector(), before)
+
 
 class TestKdLoss:
     def test_identical_logits_reduce_to_ce(self):
@@ -109,6 +128,23 @@ class TestKdLoss:
                        - kd_loss(sm, t, labels, c)[0]) / (2 * step)
         mask = np.abs(grad) > 1e-6
         assert float((np.abs(grad - fd)[mask] / np.abs(grad)[mask]).max()) < 1e-4
+
+    def test_saturated_teacher_stays_finite(self):
+        # exp(-805) underflows to 0, which once met log(0) and gave NaN
+        s = np.array([[0.3, -0.2, 1.1], [2.0, 0.5, -1.0]])
+        t = np.array([[0.0, -800.0, 5.0], [1.0, -900.0, 0.0]])
+        labels = np.array([2, 0])
+        c = cfg(loss="ce+kd", lambda_ce=0.5, lambda_kd=3.0, temperature=1.0)
+        loss, grad = kd_loss(s, t, labels, c)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        step = 1e-6
+        fd = np.zeros_like(s)
+        for idx in np.ndindex(s.shape):
+            sp = s.copy(); sp[idx] += step
+            sm = s.copy(); sm[idx] -= step
+            fd[idx] = (kd_loss(sp, t, labels, c)[0]
+                       - kd_loss(sm, t, labels, c)[0]) / (2 * step)
+        assert np.max(np.abs(grad - fd)) < 1e-7
 
     def test_class_dim_mismatch(self):
         with pytest.raises(ShapeError):
@@ -195,6 +231,29 @@ class TestTrain:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(RUNLOG_COLUMNS)
         assert len(lines) == 4
+
+    def test_teacher_runs_once_per_call(self):
+        task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
+        data = gen_synthetic(task)
+        teacher = make_mlp([4, 8, 2], seed=3)
+        calls = []
+        forward = teacher.forward
+        teacher.forward = lambda x: calls.append(x.shape) or forward(x)
+        train(make_mlp([4, 2], seed=1), data, cfg(loss="ce+kd", epochs=3), teacher=teacher)
+        assert calls == [data[0].x.shape]
+
+    def test_training_after_rewrap_updates_what_forward_reads(self):
+        task = SyntheticTask(kind="piecewise", seed=3, n=200, dim=4, classes=1,
+                             out_dim=2)
+        data = gen_synthetic(task)
+        layer = inherit_dense(philox(5, 0).standard_normal((4, 2)), 1, 2)
+        net = Network([layer])
+        Network([layer])           # a second network moves the layer's arrays
+        before = net.forward(data[1].x)
+        log = train(net, data, cfg(epochs=3, base_lr=0.002))
+        after = net.forward(data[1].x)
+        assert not np.array_equal(after, before)
+        assert ((after - data[1].y) ** 2).mean() == log.eval_loss[-1]
 
     def test_kd_training_requires_teacher(self):
         task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
