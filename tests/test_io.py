@@ -1,3 +1,4 @@
+import json
 import struct
 from pathlib import Path
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from inhernet.errors import CorruptionError, FormatError, ParseError, RangeError
-from inhernet.inherit import inherit_conv, inherit_dense, make_variant
+from inhernet.inherit import inherit_conv, inherit_dense, inherit_network, make_variant
 from inhernet.io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
                          load_csv, save_checkpoint, save_dataset_csv)
-from inhernet.nn import Network, make_mlp
+from inhernet.nn import Conv2DLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
 from inhernet.train import TrainConfig, train
 
@@ -135,6 +136,76 @@ class TestV1Fixture:
                               dense.forward(ref["x_dense"]))
         assert np.array_equal(again.layers[1].forward(ref["x_conv"]),
                               conv.forward(ref["x_conv"]))
+
+
+def layer_segments(raw: bytes) -> list[tuple[dict, bytes]]:
+    """Split a checkpoint into (manifest entry, blob bytes) per layer."""
+    mlen = struct.unpack("<Q", raw[12:20])[0]
+    manifest = json.loads(raw[20:20 + mlen])
+    offset = 20 + mlen
+    out = []
+    for entry in manifest["layers"]:
+        size = 8 * sum(int(np.prod(a["shape"], dtype=np.int64)) for a in entry["arrays"])
+        out.append((entry, raw[offset:offset + size]))
+        offset += size
+    return out
+
+
+class TestV1VariantsFixture:
+    """A format-v1 checkpoint of the ablation layers, written by the code
+    that still had a separate class per variant.
+
+    It holds a jittered ``inverse`` layer (3 heads, bias), a jittered
+    ``symmetric`` layer (bias) and a jittered ``no-gate`` inherited dense
+    layer; the .npz holds inputs and the outputs the writing code computed
+    for them, plus every parameter its ``no-svd`` builders drew for one
+    dense layer (``make_variant``, seed 11) and one two-conv network
+    (``inherit_network``, seed 13).
+    """
+
+    def test_loads_and_matches_the_writer(self):
+        ref = np.load(DATA / "v1_variants_outputs.npz")
+        net, extra = load_checkpoint(DATA / "v1_variants.ckpt")
+        assert extra == {"fixture": "v1_variants"}
+        assert [sorted(l.params) for l in net.layers] == [
+            ["bias", "down_0", "down_1", "down_2", "gate_bias", "gate_weight", "w_up"],
+            ["bias", "down_0", "down_1", "gate_bias", "gate_weight", "up_0", "up_1"],
+            ["head_0", "head_1", "head_2", "head_bias_0", "head_bias_1", "head_bias_2",
+             "w_down"]]
+        for layer, name in zip(net.layers, ("inverse", "symmetric", "no_gate")):
+            y = ref[f"y_{name}"]
+            out = layer.forward(ref[f"x_{name}"])
+            assert np.max(np.abs(out - y)) <= 1e-13 * np.max(np.abs(y)), name
+
+    def test_no_gate_entry_saves_back_to_the_same_bytes(self, tmp_path):
+        raw = (DATA / "v1_variants.ckpt").read_bytes()
+        net, extra = load_checkpoint(DATA / "v1_variants.ckpt")
+        save_checkpoint(net, tmp_path / "again.ckpt", extra=extra)
+        before = layer_segments(raw)
+        after = layer_segments((tmp_path / "again.ckpt").read_bytes())
+        assert before[2][0]["kind"] == "inherit_dense" and before[2][0]["gate_frozen"]
+        assert after[2] == before[2]
+        # inverse and symmetric keep their array names and values
+        for (old, old_blob), (new, new_blob) in zip(before[:2], after[:2]):
+            assert sorted(a["name"] for a in new["arrays"]) == \
+                sorted(a["name"] for a in old["arrays"])
+            assert len(new_blob) == len(old_blob)
+
+    def test_no_svd_builders_draw_the_stored_parameters(self):
+        ref = np.load(DATA / "v1_variants_outputs.npz")
+        dense = make_variant(ref["no_svd_teacher.w"], 3, 2, "no-svd",
+                             bias=ref["no_svd_teacher.bias"], seed=11)
+        teacher = Network([
+            Conv2DLayer(ref["no_svd_teacher.kernel_0"], 1, 1, ref["no_svd_teacher.conv_bias_0"]),
+            ReluLayer(),
+            Conv2DLayer(ref["no_svd_teacher.kernel_2"], 2, 1)])
+        conv = inherit_network(teacher, 2, 3, variant="no-svd", seed=13)
+        for prefix, params in (("no_svd_dense", dense.params),
+                               ("no_svd_conv", conv.param_items())):
+            assert sorted(f"{prefix}.{k}" for k in params) == \
+                sorted(k for k in ref.files if k.startswith(prefix + "."))
+            for key, p in params.items():
+                assert np.array_equal(p, ref[f"{prefix}.{key}"]), (prefix, key)
 
 
 class TestSyntheticTasks:
