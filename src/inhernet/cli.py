@@ -19,7 +19,7 @@ import numpy as np
 from . import experiments, verify
 from .errors import (CorruptionError, DegenerateInputError, FormatError,
                      NumericalError, ParseError, RangeError, ShapeError)
-from .inherit import inherit_network
+from .inherit import VARIANTS, inherit_network
 from .io import SyntheticTask, atomic_write, gen_synthetic, load_checkpoint, \
     save_checkpoint
 from .nn import Network, make_mlp
@@ -259,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=3)
     p.add_argument("--mode", choices=("convex", "paper"), default="convex")
     p.add_argument("--gate", choices=("code", "input"), default="code")
-    p.add_argument("--variant",
-                   choices=("standard", "no-svd", "no-gate", "symmetric", "inverse"),
-                   default="standard")
+    p.add_argument("--variant", choices=VARIANTS, default="standard")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-rank", action="store_true",
                    help="clamp the rank per layer instead of failing")

@@ -1,33 +1,33 @@
 """Gated low-rank inheritance of trained layers.
 
-A teacher layer ``W`` (m-by-n) is replaced by one shared down-projection
-``w_down = U_r sqrt(S_r)`` feeding ``H`` expert up-projections, each built
-from ``sqrt(S_r) V_r^T``, combined per sample by softmax gating. Two
-combiner conventions are supported:
+Every gated layer computes one map, a mixture of H low-rank experts
+``y = sum_h g_h(x) * (x @ D_h @ U_h + b_h)`` with per-sample gate
+``g = softmax(gate_in @ gate_weight + gate_bias)`` (the factorised mixture
+of sparsely-gated MoE layers and of low-rank adapters). D, U and b are
+stacks whose leading axis is 1 (shared by every head) or H (one per head);
+which side is per head is all that separates the variants. A layer's
+manifest kind fixes that and its array names (:data:`KINDS`):
 
-* ``convex`` (default): every head holds the full ``sqrt(S_r) V_r^T``, so
-  any convex gating of identical heads reproduces the rank-r teacher
-  exactly at initialization.
-* ``paper``: every head holds ``sqrt(S_r) V_r^T / H`` verbatim; uniform
-  gating then reproduces only ``W_r / H``, since the gate output is a
-  convex combination rather than a plain sum.
+* ``inherit_dense``: shared ``w_down``, per-head ``head_{h}`` and
+  ``head_bias_{h}``; the gate reads the code ``x @ w_down`` or the input.
+* ``inverse``: per-head ``down_{h}``, shared ``w_up`` and ``bias``.
+* ``symmetric``: two branches ``down_{i}``/``up_{i}``, shared ``bias``.
+* ``inherit_conv``: a shared spatial kernel ``shared_kernel`` (r filters)
+  and per-head 1x1 expansions ``head_{h}`` (N, r) and ``head_bias_{h}``;
+  the gate reads the spatial mean of the code map. A dense layer is the
+  one-pixel case of this layer.
 
-Gating can read the r-dimensional code (default, matching the
-``H*(r+1)`` gate parameter count used in compression accounting) or the
-raw input. Gate weights and bias start at zero, so gating is exactly
-uniform at step 0. Convolution kernels are inherited by reshaping to
-(N, c*kh*kw), factorizing, and realizing the factors as a shared spatial
-convolution (r filters) followed by H gated 1x1 expansions; the gate reads
-the spatial mean of the r-channel code map.
-
-The H heads of an inherited layer are stored as one block, a stacked
-(H, r, n) array for dense layers and (H, N, r) for convolutions, of which
-each ``head_{h}`` parameter is a view (likewise the head biases, one
-(H, n) block). The gated sum is evaluated in code space: the
-gate-weighted codes ``g_h * z`` of all heads form one (B, H*r) matrix,
-and a single GEMM against the stacked heads sums over heads and code
-channels at once; the head biases add ``g @ head_bias``. Backward is two
-GEMMs, and no step loops over heads in Python.
+The ablation kinds gate on the input; a frozen gate (``no-gate``) is
+exactly uniform and has no parameters. The gated sum runs in code space:
+the gate-weighted codes of all heads form one (B, H*r) matrix (summed over
+heads first when U is shared) and one GEMM against the stacked U gives the
+output; no step loops over heads in Python. Inheritance starts every head
+from the teacher's truncated SVD: D = ``U_r sqrt(S_r)``, U = ``sqrt(S_r)
+V_r^T`` (a conv kernel, reshaped to (N, c*kh*kw), is the transpose of W).
+In ``convex`` mode (default) each head holds the full factor, so any
+convex gating of identical heads reproduces the rank-r teacher exactly; in
+``paper`` mode each holds one H-th of it, so uniform gating reproduces only
+``W_r / H``. Gate parameters start at zero, so gating starts uniform.
 """
 
 from __future__ import annotations
@@ -37,359 +37,299 @@ import numpy as np
 from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
-from .nn import (Conv2DLayer, DenseLayer, Layer, Network, ReluLayer, col2im,
-                 conv_output_size, im2col, kaiming_uniform)
+from .nn import (Conv2DLayer, DenseLayer, Layer, Network, ReluLayer,
+                 check_conv_geometry, col2im, conv_output_size, im2col,
+                 kaiming_uniform)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
 VARIANTS = ("standard", "no-svd", "no-gate", "symmetric", "inverse")
 
-
-def _check_mode(mode: str, gate_input: str) -> None:
-    if mode not in COMBINER_MODES:
-        raise RangeError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
-    if gate_input not in GATE_INPUTS:
-        raise RangeError(f"unknown gate input {gate_input!r}; expected one of {GATE_INPUTS}")
-
-
-# The gated head sum  y = sum_h g_h * (z @ head_h)  in code space, with codes
-# z of shape (B, P, r): P = 1 for dense layers, one row per output pixel for
-# convolutions. Head biases add ``g @ head_bias`` outside this core.
-
-def _gated_codes(g: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rows ``g_h * z`` for every head: (B*P, H*r)."""
-    b, p, _ = z.shape
-    return (g[:, None, :, None] * z[:, :, None, :]).reshape(b * p, -1)
+# Manifest kind -> block name and array name of the down, up and bias
+# stacks. An array name with "{}" makes the stack per head, one array per
+# head; any other names the one entry of a shared stack.
+KINDS = {
+    "inherit_dense": {"w_down": "w_down", "heads": "head_{}", "head_bias": "head_bias_{}"},
+    "inverse": {"downs": "down_{}", "w_up": "w_up", "bias": "bias"},
+    "symmetric": {"downs": "down_{}", "ups": "up_{}", "bias": "bias"},
+    "inherit_conv": {"shared_kernel": "shared_kernel", "heads": "head_{}",
+                     "head_bias": "head_bias_{}"},
+}
 
 
-def _mix_backward(gy: np.ndarray, g: np.ndarray, zg: np.ndarray, experts: np.ndarray):
-    """Backward of ``y = zg @ experts`` for output gradient ``gy`` (B*P, n).
+def _tile(a: np.ndarray | None, h: int) -> np.ndarray | None:
+    """``h`` copies of ``a`` stacked along a new leading axis (None stays None)."""
+    return None if a is None else np.repeat(np.asarray(a, dtype=np.float64)[None], h, axis=0)
 
-    ``experts`` is the (H*r, n) stack of code-to-output maps. Returns
-    their gradient as (H, r, n), the code gradient (B, P, r), and
-    ``dzg`` (B, P, H, r), the gradient wrt every head's code row, from
-    which the layer forms its gate scores.
+
+def _stack(arrays: dict[str, np.ndarray], name: str, h: int) -> np.ndarray:
+    """The stack behind an array name of :data:`KINDS`: one array per head, or one."""
+    if "{}" in name:
+        return np.stack([arrays[name.format(i)] for i in range(h)])
+    return arrays[name][None]
+
+
+def _sum_to(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``a`` over the axes where ``shape`` is 1, undoing a broadcast to ``a``."""
+    if a.shape == shape:
+        return a
+    axes = tuple(i for i, (m, n) in enumerate(zip(a.shape, shape)) if n == 1 and m != 1)
+    return a.sum(axis=axes, keepdims=True)
+
+
+def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """``g_h * a_h`` for every head, from ``a`` (B, P, 1|H, r), summed over heads if ``k`` is 1."""
+    if k == 1 and a.shape[2] > 1:
+        return np.matmul(g[:, None, None, :], a)
+    return g[:, None, :, None] * a
+
+
+class GatedMixture(Layer):
+    """Storage, persistence, gate and mixing code of the gated layers.
+
+    A subclass stores its down, up and bias stacks through
+    ``_store_stacks`` and hands the mixing core its up stack as
+    (1|H, r, n), with the bias stack, through ``mixture``. Codes ``z`` are
+    (B, P, 1|H, r): P = 1 for a dense layer, one row per output pixel for a
+    convolution.
     """
-    b, h = g.shape
-    d_experts = (zg.T @ gy).reshape(h, -1, gy.shape[1])
-    dzg = (gy @ experts.T).reshape(b, -1, h, d_experts.shape[1])
-    gz = np.matmul(g[:, None, None, :], dzg)[:, :, 0]
-    return d_experts, gz, dzg
 
+    def _store_stacks(self, kind: str, down, up, bias, gate_width: int,
+                      gate_weight, gate_bias) -> None:
+        """Check the stacks and the gate against ``kind``, then store them.
 
-def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gradient wrt the gate logits, given the gate ``g`` and ``dL/dg = s``."""
-    return g * (s - np.sum(g * s, axis=1, keepdims=True))
-
-
-class InherNetLayer(Layer):
-    """One shared down-projection, H gated expert up-projections.
-
-    ``y = sum_h g_h(x) * (x @ w_down @ head_h + head_bias_h)`` with
-    ``g = softmax(gate_in @ gate_weight + gate_bias)`` per sample, where
-    ``gate_in`` is the code ``x @ w_down`` or the input ``x``. With
-    ``gate_frozen`` the gate is pinned to exactly uniform weights and
-    carries no trainable parameters. The heads are one (H, r, n) block.
-    """
-
-    stacked = {"heads": "head", "head_bias": "head_bias"}
-
-    def __init__(self, w_down: np.ndarray, heads: list[np.ndarray],
-                 gate_weight: np.ndarray, gate_bias: np.ndarray,
-                 gate_input: str = "code", head_bias: list[np.ndarray] | None = None,
-                 gate_frozen: bool = False):
-        super().__init__()
-        if gate_input not in GATE_INPUTS:
-            raise RangeError(f"unknown gate input {gate_input!r}")
-        if not heads:
+        Without ``gate_weight`` the gate is frozen at uniform and has no
+        parameters.
+        """
+        self.kind, self.stacked = kind, KINDS[kind]
+        self._names = tuple(self.stacked)
+        blocks = {name: np.asarray(a, dtype=np.float64)
+                  for name, a in zip(self._names, (down, up, bias)) if a is not None}
+        h = next(len(blocks[k]) for k, v in self.stacked.items() if "{}" in v)
+        if h < 1:
             raise RangeError("at least one expert head is required")
-        m, r = w_down.shape
-        n = heads[0].shape[1]
-        for h, head in enumerate(heads):
-            if head.shape != (r, n):
-                raise ShapeError(f"head {h} shape {head.shape} != ({r}, {n})")
-        gdim = r if gate_input == "code" else m
-        if not gate_frozen and gate_weight.shape != (gdim, len(heads)):
-            raise ShapeError(f"gate weight shape {gate_weight.shape} != ({gdim}, {len(heads)})")
-        blocks = {"w_down": w_down, "heads": np.stack(heads)}
-        if head_bias is not None:
-            for h, bias in enumerate(head_bias):
-                if bias.shape != (n,):
-                    raise ShapeError(f"head bias {h} shape {bias.shape} != ({n},)")
-            blocks["head_bias"] = np.stack(head_bias)
-        if not gate_frozen:
-            blocks["gate_weight"] = gate_weight
-            blocks["gate_bias"] = gate_bias
+        for name, view in self.stacked.items():
+            want = h if "{}" in view else 1
+            if name in blocks and len(blocks[name]) != want:
+                raise ShapeError(f"{name} stack holds {len(blocks[name])} entries, expected {want}")
+        if gate_weight is not None:
+            gate_weight, gate_bias = np.asarray(gate_weight), np.asarray(gate_bias)
+            if gate_weight.shape != (gate_width, h) or gate_bias.shape != (h,):
+                raise ShapeError(f"gate shapes {gate_weight.shape} and {gate_bias.shape} "
+                                 f"!= ({gate_width}, {h}) and ({h},)")
+            blocks.update(gate_weight=gate_weight, gate_bias=gate_bias)
         self._store(blocks)
-        self.gate_frozen = gate_frozen
+        self.n_heads = h
+        self.gate_frozen = gate_weight is None
+        self.has_head_bias = bias is not None
+
+    @classmethod
+    def from_config(cls, config: dict, arrays: dict[str, np.ndarray]) -> "GatedMixture":
+        settings = dict(config)
+        if config["kind"] in ("inverse", "symmetric"):
+            # format v1 wrote none of these for the ablation kinds
+            for key, value in (("gate_input", "input"), ("gate_frozen", False),
+                               ("has_head_bias", "bias" in arrays), ("n_heads", 2)):
+                settings.setdefault(key, value)
+        h = settings["n_heads"]
+        down, up, bias = KINDS[settings["kind"]].values()
+        gate = {} if settings["gate_frozen"] else {
+            "gate_weight": arrays["gate_weight"], "gate_bias": arrays["gate_bias"]}
+        return cls(_stack(arrays, down, h), _stack(arrays, up, h),
+                   _stack(arrays, bias, h) if settings["has_head_bias"] else None,
+                   **gate, **{k: settings[k] for k in cls.settings})
+
+    def config(self) -> dict:
+        return {**super().config(), "n_heads": self.n_heads, "has_head_bias": self.has_head_bias,
+                "gate_frozen": self.gate_frozen}
+
+    @property
+    def rank(self) -> int:
+        return self.mixture(self.blocks)[0].shape[1]
+
+    def _gate(self, gate_in: np.ndarray) -> np.ndarray:
+        """Per-sample gate weights (B, H); exactly uniform when the gate is frozen."""
+        if self.gate_frozen:
+            return np.full((gate_in.shape[0], self.n_heads), 1.0 / self.n_heads)
+        return softmax(gate_in @ self.params["gate_weight"] + self.params["gate_bias"])
+
+    def _mix(self, g: np.ndarray, z: np.ndarray):
+        """``y = sum_h g_h * (z_h @ up_h + bias_h)``, as (B, P, n).
+
+        Also returns the mixed codes (B*P, (1|H)*r): every head's
+        gate-weighted code, summed over heads when the up stack is shared.
+        """
+        up, bias = self.mixture(self.blocks)
+        b, p = z.shape[:2]
+        zg = _gate_weighted(g, z, up.shape[0]).reshape(b * p, -1)
+        y = (zg @ up.reshape(-1, up.shape[2])).reshape(b, p, -1)
+        if bias is not None:
+            y += (_sum_to(g, (b, len(bias))) @ bias)[:, None, :]
+        return y, zg
+
+    def _mix_backward(self, gy: np.ndarray, g: np.ndarray, gate_in: np.ndarray,
+                      z: np.ndarray, zg: np.ndarray):
+        """Backward of :meth:`_mix` for ``gy = dL/dy`` (B, P, n).
+
+        Adds the gradients of the up and bias stacks, and of the gate
+        through :meth:`_gate_backward`. Returns dL/dz, shaped like ``z``, and
+        dL/d ``gate_in``.
+        """
+        up, bias = self.mixture(self.blocks)
+        d_up, d_bias = self.mixture(self.grad_blocks)
+        b, p, hd, r = z.shape
+        gy_rows = gy.reshape(b * p, -1)
+        d_up += (zg.T @ gy_rows).reshape(up.shape)
+        dz_mix = (gy_rows @ up.reshape(-1, up.shape[2]).T).reshape(b, p, -1, r)
+        gy_sum = gy.sum(axis=1) if p > 1 else gy[:, 0]
+        if bias is not None:
+            d_bias += _sum_to(g.T @ gy_sum, bias.shape)
+        dgate_in = self._gate_backward(g, gate_in, z, dz_mix, gy, gy_sum, up, bias)
+        return _gate_weighted(g, dz_mix, hd), dgate_in
+
+    def _gate_backward(self, g: np.ndarray, gate_in: np.ndarray, z: np.ndarray,
+                       dz_mix: np.ndarray, gy: np.ndarray, gy_sum: np.ndarray,
+                       up: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+        """Backward of the softmax gate.
+
+        The gate score ``s_h = dL/dg_h`` is grad_out . (z_h @ up_h + bias_h),
+        summed over pixels, where ``dz_mix`` holds grad_out @ up_h^T. Adds
+        the gate's gradients; returns dL/d ``gate_in``, zero for a frozen
+        gate.
+        """
+        if self.gate_frozen:
+            return np.zeros_like(gate_in)
+        b, p = z.shape[:2]
+        if p > 1 and z.shape[2] == 1:
+            # many pixels, one code: contract codes with grad_out per sample first
+            s = (z[:, :, 0].transpose(0, 2, 1) @ gy).reshape(b, -1) @ up.reshape(len(up), -1).T
+        else:
+            s = np.einsum("bphr,bphr->bh", z, dz_mix)
+        if bias is not None:
+            s += gy_sum @ bias.T
+        dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
+        self.grads["gate_weight"] += gate_in.T @ dlogits
+        self.grads["gate_bias"] += dlogits.sum(axis=0)
+        return dlogits @ self.params["gate_weight"].T
+
+
+class InherNetLayer(GatedMixture):
+    """The dense gated mixture ``y = sum_h g_h(x) * (x @ D_h @ U_h + b_h)``.
+
+    ``down`` (1|H, m, r), ``up`` (1|H, r, n) and ``bias`` (1|H, n) are
+    stacks, and ``kind`` fixes which of them are per head. The gate reads
+    the code ``x @ w_down`` (``gate_input="code"``, ``inherit_dense`` only)
+    or the input ``x``.
+    """
+
+    settings = ("kind", "gate_input")
+
+    def __init__(self, down: np.ndarray, up: np.ndarray, bias: np.ndarray | None = None,
+                 gate_weight: np.ndarray | None = None, gate_bias: np.ndarray | None = None,
+                 gate_input: str = "code", kind: str = "inherit_dense"):
+        super().__init__()
+        if kind not in ("inherit_dense", "inverse", "symmetric"):
+            raise RangeError(f"unknown dense kind {kind!r}")
+        if gate_input not in GATE_INPUTS or (gate_input == "code" and kind != "inherit_dense"):
+            raise RangeError(f"gate_input must be one of {GATE_INPUTS} ('input' for a "
+                             f"{kind} layer), got {gate_input!r}")
+        down, up = np.asarray(down, dtype=np.float64), np.asarray(up, dtype=np.float64)
+        if down.ndim != 3 or up.ndim != 3 or down.shape[2] != up.shape[1]:
+            raise ShapeError(f"down stack {down.shape} does not feed up stack {up.shape}")
+        if bias is not None and np.shape(bias)[1:] != up.shape[2:]:
+            raise ShapeError(f"bias stack {np.shape(bias)} does not match output width {up.shape[2]}")
         self.gate_input = gate_input
-        self.n_heads = len(heads)
-        self.has_head_bias = head_bias is not None
+        self._store_stacks(kind, down, up, bias, down.shape[2 if gate_input == "code" else 1],
+                           gate_weight, gate_bias)
         self._x = None
+
+    def mixture(self, blocks: dict[str, np.ndarray]):
+        return blocks[self._names[1]], blocks.get(self._names[2])
+
+    def _down_matrix(self) -> np.ndarray:
+        """The down stack as one (m, (1|H)*r) matrix; a view when shared."""
+        down = self.blocks[self._names[0]]
+        return down.transpose(1, 0, 2).reshape(down.shape[1], -1)
 
     @property
     def w_down(self) -> np.ndarray:
         return self.params["w_down"]
 
     @property
-    def heads(self) -> list[np.ndarray]:
-        return list(self.blocks["heads"])
-
-    @property
     def in_dim(self) -> int:
-        return self.w_down.shape[0]
+        return self.blocks[self._names[0]].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.blocks["heads"].shape[2]
-
-    @property
-    def rank(self) -> int:
-        return self.w_down.shape[1]
+        return self.blocks[self._names[1]].shape[2]
 
     def gate_values(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.gate_frozen:
-            return np.full((x.shape[0], self.n_heads), 1.0 / self.n_heads)
-        gate_in = z if self.gate_input == "code" else x
-        return softmax(gate_in @ self.params["gate_weight"] + self.params["gate_bias"])
+        return self._gate(z if self.gate_input == "code" else x)
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"inherited layer expects input width {self.in_dim}, "
                              f"got batch shape {x.shape}")
-        z = x @ self.w_down
+        b = x.shape[0]
+        z = x @ self._down_matrix()
         g = self.gate_values(x, z)
-        zg = _gated_codes(g, z[:, None, :])
-        y = zg @ self.blocks["heads"].reshape(zg.shape[1], -1)
-        if self.has_head_bias:
-            y += g @ self.blocks["head_bias"]
+        z = z.reshape(b, 1, len(self.blocks[self._names[0]]), -1)
+        y, zg = self._mix(g, z)
         self._x, self._z, self._g, self._zg = x, z, g, zg
-        return y
+        return y.reshape(b, -1)
 
     def backward(self, grad_out):
         self._require_forward()
-        x, z, g = self._x, self._z, self._g
-        heads = self.blocks["heads"]
-        d_heads, gz, dzg = _mix_backward(grad_out, g, self._zg,
-                                         heads.reshape(-1, heads.shape[2]))
-        gz = gz[:, 0]
-        self.grad_blocks["heads"] += d_heads
-        if self.has_head_bias:
-            self.grad_blocks["head_bias"] += g.T @ grad_out
-        gx_extra = 0.0
-        if not self.gate_frozen:
-            # gate score s_h = grad_out . (z @ head_h + head_bias_h)
-            s = np.einsum("br,bhr->bh", z, dzg[:, 0])
-            if self.has_head_bias:
-                s += grad_out @ self.blocks["head_bias"].T
-            dlogits = _softmax_backward(g, s)
-            gate_in = z if self.gate_input == "code" else x
-            self.grads["gate_weight"] += gate_in.T @ dlogits
-            self.grads["gate_bias"] += dlogits.sum(axis=0)
-            dgate_in = dlogits @ self.params["gate_weight"].T
-            if self.gate_input == "code":
-                gz += dgate_in
-            else:
-                gx_extra = dgate_in
-        self.grads["w_down"] += x.T @ gz
-        return gz @ self.w_down.T + gx_extra
+        x, z = self._x, self._z
+        b = x.shape[0]
+        code = self.gate_input == "code"
+        dz, dgate = self._mix_backward(grad_out[:, None, :], self._g,
+                                       z.reshape(b, -1) if code else x, z, self._zg)
+        dz = dz.reshape(b, -1)
+        if code:
+            dz += dgate
+        d_down = self.grad_blocks[self._names[0]]
+        d_down += (x.T @ dz).reshape(x.shape[1], *d_down.shape[::2]).transpose(1, 0, 2)
+        gx = dz @ self._down_matrix().T
+        if not code:
+            gx += dgate
+        return gx
 
 
-class InverseLayer(Layer):
-    """Mirrored structure: H gated down-projections into one shared up.
+class InherConv2DLayer(GatedMixture):
+    """Inherited convolution: a shared spatial stage plus H gated 1x1 heads.
 
-    ``z_agg = sum_h g_h(x) * (x @ down_h)`` precedes the single expansion
-    ``y = z_agg @ w_up + bias``. Gating always reads the raw input, since
-    the aggregated code does not exist until after gating.
+    ``shared_kernel`` is a one-entry stack (1, r, c, kh, kw) that produces
+    the r-channel code map; ``heads`` (H, N, r) are channel-mixing matrices
+    applied as 1x1 convolutions and ``head_bias`` (H, N) their biases. The
+    gate reads the spatial mean of the code map, one gate vector per
+    sample.
     """
 
-    def __init__(self, downs: list[np.ndarray], w_up: np.ndarray,
-                 gate_weight: np.ndarray, gate_bias: np.ndarray,
-                 bias: np.ndarray | None = None):
-        super().__init__()
-        if not downs:
-            raise RangeError("at least one down-projection is required")
-        m, r = downs[0].shape
-        for h, d in enumerate(downs):
-            if d.shape != (m, r):
-                raise ShapeError(f"down {h} shape {d.shape} != ({m}, {r})")
-        if w_up.shape[0] != r:
-            raise ShapeError(f"up projection shape {w_up.shape} does not accept rank {r}")
-        blocks = {f"down_{h}": d for h, d in enumerate(downs)}
-        blocks.update(w_up=w_up, gate_weight=gate_weight, gate_bias=gate_bias)
-        if bias is not None:
-            blocks["bias"] = bias
-        self._store(blocks)
-        self.n_heads = len(downs)
-        self._x = None
+    kind = "inherit_conv"
+    settings = ("stride", "padding")
 
-    @property
-    def in_dim(self) -> int:
-        return self.params["down_0"].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.params["w_up"].shape[1]
-
-    @property
-    def rank(self) -> int:
-        return self.params["down_0"].shape[1]
-
-    def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"inverse layer expects input width {self.in_dim}, "
-                             f"got batch shape {x.shape}")
-        g = softmax(x @ self.params["gate_weight"] + self.params["gate_bias"])
-        zs = np.stack([x @ self.params[f"down_{h}"] for h in range(self.n_heads)])
-        z_agg = np.einsum("bh,hbr->br", g, zs)
-        y = z_agg @ self.params["w_up"]
-        if "bias" in self.params:
-            y = y + self.params["bias"]
-        self._x, self._g, self._zs, self._z_agg = x, g, zs, z_agg
-        return y
-
-    def backward(self, grad_out):
-        self._require_forward()
-        x, g, zs, z_agg = self._x, self._g, self._zs, self._z_agg
-        self.grads["w_up"] += z_agg.T @ grad_out
-        if "bias" in self.params:
-            self.grads["bias"] += grad_out.sum(axis=0)
-        gz_agg = grad_out @ self.params["w_up"].T
-        gx = np.zeros_like(x)
-        for h in range(self.n_heads):
-            wz = g[:, h, None] * gz_agg
-            self.grads[f"down_{h}"] += x.T @ wz
-            gx += wz @ self.params[f"down_{h}"].T
-        s = np.einsum("br,hbr->bh", gz_agg, zs)
-        dlogits = _softmax_backward(g, s)
-        self.grads["gate_weight"] += x.T @ dlogits
-        self.grads["gate_bias"] += dlogits.sum(axis=0)
-        return gx + dlogits @ self.params["gate_weight"].T
-
-
-class SymmetricLayer(Layer):
-    """Two parallel (down, up) branches combined by input gating.
-
-    The ablation structure with two reductions and two expansions; branch
-    widths are chosen by the caller to match a reference parameter budget.
-    """
-
-    N_BRANCHES = 2
-
-    def __init__(self, downs: list[np.ndarray], ups: list[np.ndarray],
-                 gate_weight: np.ndarray, gate_bias: np.ndarray,
-                 bias: np.ndarray | None = None):
-        super().__init__()
-        if len(downs) != self.N_BRANCHES or len(ups) != self.N_BRANCHES:
-            raise RangeError("symmetric layer takes exactly two branches")
-        blocks = {}
-        for i, (d, u) in enumerate(zip(downs, ups)):
-            if d.shape[1] != u.shape[0]:
-                raise ShapeError(f"branch {i}: down {d.shape} does not feed up {u.shape}")
-            blocks[f"down_{i}"] = d
-            blocks[f"up_{i}"] = u
-        blocks.update(gate_weight=gate_weight, gate_bias=gate_bias)
-        if bias is not None:
-            blocks["bias"] = bias
-        self._store(blocks)
-        self._x = None
-
-    @property
-    def in_dim(self) -> int:
-        return self.params["down_0"].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.params["up_0"].shape[1]
-
-    @property
-    def rank(self) -> int:
-        return self.params["down_0"].shape[1]
-
-    def forward(self, x):
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"symmetric layer expects input width {self.in_dim}, "
-                             f"got batch shape {x.shape}")
-        g = softmax(x @ self.params["gate_weight"] + self.params["gate_bias"])
-        zs = [x @ self.params[f"down_{i}"] for i in range(self.N_BRANCHES)]
-        outs = np.stack([zs[i] @ self.params[f"up_{i}"] for i in range(self.N_BRANCHES)])
-        y = np.einsum("bh,hbn->bn", g, outs)
-        if "bias" in self.params:
-            y = y + self.params["bias"]
-        self._x, self._g, self._zs, self._outs = x, g, zs, outs
-        return y
-
-    def backward(self, grad_out):
-        self._require_forward()
-        x, g, zs, outs = self._x, self._g, self._zs, self._outs
-        if "bias" in self.params:
-            self.grads["bias"] += grad_out.sum(axis=0)
-        gx = np.zeros_like(x)
-        for i in range(self.N_BRANCHES):
-            wgy = g[:, i, None] * grad_out
-            self.grads[f"up_{i}"] += zs[i].T @ wgy
-            gz = wgy @ self.params[f"up_{i}"].T
-            self.grads[f"down_{i}"] += x.T @ gz
-            gx += gz @ self.params[f"down_{i}"].T
-        s = np.einsum("bn,hbn->bh", grad_out, outs)
-        dlogits = _softmax_backward(g, s)
-        self.grads["gate_weight"] += x.T @ dlogits
-        self.grads["gate_bias"] += dlogits.sum(axis=0)
-        return gx + dlogits @ self.params["gate_weight"].T
-
-
-class InherConv2DLayer(Layer):
-    """Inherited convolution: shared spatial stage plus H gated 1x1 heads.
-
-    The spatial kernel has shape (r, c, kh, kw) and produces the r-channel
-    code map; each head is an (N, r) channel-mixing matrix applied as a 1x1
-    convolution. Gating reads the spatial mean of the code map, one gate
-    vector per sample. The heads are one (H, N, r) block.
-    """
-
-    stacked = {"heads": "head", "head_bias": "head_bias"}
-
-    def __init__(self, shared_kernel: np.ndarray, heads: list[np.ndarray],
-                 gate_weight: np.ndarray, gate_bias: np.ndarray,
-                 stride: int = 1, padding: int = 0,
-                 head_bias: list[np.ndarray] | None = None,
-                 gate_frozen: bool = False):
+    def __init__(self, shared_kernel: np.ndarray, heads: np.ndarray,
+                 head_bias: np.ndarray | None = None, gate_weight: np.ndarray | None = None,
+                 gate_bias: np.ndarray | None = None, stride: int = 1, padding: int = 0):
         super().__init__()
         shared_kernel = np.asarray(shared_kernel, dtype=np.float64)
-        if shared_kernel.ndim != 4:
-            raise ShapeError(f"spatial kernel must be 4-D, got {shared_kernel.shape}")
-        r = shared_kernel.shape[0]
-        if not heads:
-            raise RangeError("at least one expert head is required")
-        n = heads[0].shape[0]
-        for h, head in enumerate(heads):
-            if head.shape != (n, r):
-                raise ShapeError(f"head {h} shape {head.shape} != ({n}, {r})")
-        blocks = {"shared_kernel": shared_kernel, "heads": np.stack(heads)}
-        if head_bias is not None:
-            for h, bias in enumerate(head_bias):
-                if bias.shape != (n,):
-                    raise ShapeError(f"head bias {h} shape {bias.shape} != ({n},)")
-            blocks["head_bias"] = np.stack(head_bias)
-        if not gate_frozen:
-            blocks["gate_weight"] = gate_weight
-            blocks["gate_bias"] = gate_bias
-        self._store(blocks)
-        self.gate_frozen = gate_frozen
-        self.stride = stride
-        self.padding = padding
-        self.n_heads = len(heads)
-        self.has_head_bias = head_bias is not None
+        heads = np.asarray(heads, dtype=np.float64)
+        check_conv_geometry(stride, padding)
+        if shared_kernel.ndim != 5 or heads.ndim != 3 or heads.shape[2] != shared_kernel.shape[1]:
+            raise ShapeError(f"head stack {heads.shape} does not read the code of "
+                             f"kernel stack {shared_kernel.shape}")
+        if head_bias is not None and np.shape(head_bias)[1:] != heads.shape[1:2]:
+            raise ShapeError(f"head bias stack {np.shape(head_bias)} does not match "
+                             f"{heads.shape[1]} output channels")
+        self.stride, self.padding = stride, padding
+        self._store_stacks(self.kind, shared_kernel, heads, head_bias, shared_kernel.shape[1],
+                           gate_weight, gate_bias)
         self._x = None
 
-    @property
-    def rank(self) -> int:
-        return self.params["shared_kernel"].shape[0]
-
-    def _experts(self) -> np.ndarray:
-        """The (N, r) heads as one (H*r, N) stack of code-to-output maps."""
-        heads = self.blocks["heads"]
-        return heads.transpose(0, 2, 1).reshape(-1, heads.shape[1])
+    def mixture(self, blocks: dict[str, np.ndarray]):
+        """The (H, N, r) heads as an up stack (H, r, N), a transposed view."""
+        return blocks["heads"].transpose(0, 2, 1), blocks.get("head_bias")
 
     def forward(self, x):
         k = self.params["shared_kernel"]
@@ -402,53 +342,41 @@ class InherConv2DLayer(Layer):
         cols = im2col(x, kh, kw, self.stride, self.padding)
         z = cols @ k.reshape(r, -1).T                        # (B, OH*OW, r)
         pooled = z.mean(axis=1)
-        if self.gate_frozen:
-            g = np.full((b, self.n_heads), 1.0 / self.n_heads)
-        else:
-            g = softmax(pooled @ self.params["gate_weight"] + self.params["gate_bias"])
-        zg = _gated_codes(g, z)
-        y = (zg @ self._experts()).reshape(b, oh * ow, -1)
-        if self.has_head_bias:
-            y += (g @ self.blocks["head_bias"])[:, None, :]
+        g = self._gate(pooled)
+        z = z[:, :, None, :]
+        y, zg = self._mix(g, z)
         self._x, self._cols, self._z, self._pooled, self._g, self._zg = \
             x, cols, z, pooled, g, zg
         return y.transpose(0, 2, 1).reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         self._require_forward()
-        x, cols, z, pooled, g = self._x, self._cols, self._z, self._pooled, self._g
+        x, cols, z = self._x, self._cols, self._z
         k = self.params["shared_kernel"]
         r, _, kh, kw = k.shape
-        b, p, _ = z.shape
+        b, p = z.shape[:2]
         gy = grad_out.reshape(b, -1, p).transpose(0, 2, 1)    # (B, OH*OW, N)
-        experts = self._experts()
-        d_heads, gz, _ = _mix_backward(gy.reshape(b * p, -1), g, self._zg, experts)
-        self.grad_blocks["heads"] += d_heads.transpose(0, 2, 1)
-        gy_sum = gy.sum(axis=1)
-        if self.has_head_bias:
-            self.grad_blocks["head_bias"] += g.T @ gy_sum
-        if not self.gate_frozen:
-            # gate score s_h = sum over pixels of grad_out . (head_h z + head_bias_h),
-            # contracted through the per-sample (r, N) code-gradient products
-            codes_gy = z.transpose(0, 2, 1) @ gy
-            s = codes_gy.reshape(b, -1) @ experts.reshape(self.n_heads, -1).T
-            if self.has_head_bias:
-                s += gy_sum @ self.blocks["head_bias"].T
-            dlogits = _softmax_backward(g, s)
-            self.grads["gate_weight"] += pooled.T @ dlogits
-            self.grads["gate_bias"] += dlogits.sum(axis=0)
-            dpooled = dlogits @ self.params["gate_weight"].T
-            gz += dpooled[:, None, :] / p
+        dz, dpooled = self._mix_backward(gy, self._g, self._pooled, z, self._zg)
+        dz = dz[:, :, 0] + dpooled[:, None, :] / p
         # per-sample products: merging (B, P) would copy the strided im2col rows
-        self.grads["shared_kernel"] += np.matmul(gz.transpose(0, 2, 1), cols).sum(
+        self.grads["shared_kernel"] += np.matmul(dz.transpose(0, 2, 1), cols).sum(
             axis=0).reshape(k.shape)
-        return col2im(gz @ k.reshape(r, -1), x.shape, kh, kw, self.stride, self.padding)
+        return col2im(dz @ k.reshape(r, -1), x.shape, kh, kw, self.stride, self.padding)
 
 
-def _sqrt_factors(w: np.ndarray, r: int):
+def _svd_start(w: np.ndarray, r: int, h: int, mode: str, gate_input: str):
+    """Check a builder's arguments; returns the sqrt factors of the rank-r SVD
+    of ``w``, ``U_r sqrt(S_r)`` and ``sqrt(S_r) V_r^T``, and the divisor of
+    the per-head factor (H in ``paper`` mode, else 1)."""
+    if mode not in COMBINER_MODES:
+        raise RangeError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
+    if gate_input not in GATE_INPUTS:
+        raise RangeError(f"gate_input must be one of {GATE_INPUTS}, got {gate_input!r}")
+    if h < 1:
+        raise RangeError(f"head count must be >= 1, got {h}")
     f = truncated_svd(w, r)
     sq = np.sqrt(f.sigma)
-    return f.u * sq, sq[:, None] * f.v.T, f
+    return f.u * sq, sq[:, None] * f.v.T, h if mode == "paper" else 1
 
 
 def inherit_dense(w: np.ndarray, r: int, h: int, mode: str = "convex",
@@ -461,23 +389,10 @@ def inherit_dense(w: np.ndarray, r: int, h: int, mode: str = "convex",
     ``paper``). Gate parameters start at zero so gating is uniform, and a
     teacher bias, if present, is copied into every head's output stage.
     """
-    _check_mode(mode, gate_input)
-    if h < 1:
-        raise RangeError(f"head count must be >= 1, got {h}")
-    w_down, head_base, _ = _sqrt_factors(w, r)
-    if mode == "paper":
-        head_base = head_base / h
-    m, n = w.shape
-    gdim = r if gate_input == "code" else m
-    head_bias = [bias.astype(np.float64).copy() for _ in range(h)] if bias is not None else None
-    return InherNetLayer(
-        w_down=w_down,
-        heads=[head_base.copy() for _ in range(h)],
-        gate_weight=np.zeros((gdim, h)),
-        gate_bias=np.zeros(h),
-        gate_input=gate_input,
-        head_bias=head_bias,
-    )
+    w_down, head_base, div = _svd_start(w, r, h, mode, gate_input)
+    gdim = r if gate_input == "code" else w.shape[0]
+    return InherNetLayer(w_down[None], _tile(head_base / div, h), _tile(bias, h),
+                         np.zeros((gdim, h)), np.zeros(h), gate_input)
 
 
 def inherit_conv(k: np.ndarray, r: int, h: int, mode: str = "convex",
@@ -490,49 +405,21 @@ def inherit_conv(k: np.ndarray, r: int, h: int, mode: str = "convex",
     (r, c, kh, kw) and ``U_r sqrt(S_r)`` the (N, r) expert heads realized
     as 1x1 convolutions.
     """
-    _check_mode(mode, "code")
-    if h < 1:
-        raise RangeError(f"head count must be >= 1, got {h}")
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 4:
         raise ShapeError(f"conv kernel must be 4-D, got {k.shape}")
     n, c, kh, kw = k.shape
-    khat = k.reshape(n, c * kh * kw)
-    if not 1 <= r <= min(n, c * kh * kw):
-        raise RangeError(f"rank {r} out of range [1, {min(n, c * kh * kw)}] "
-                         f"for kernel shape {k.shape}")
-    head_base, shared_flat, _ = _sqrt_factors(khat, r)
-    if mode == "paper":
-        head_base = head_base / h
-    head_bias = [bias.astype(np.float64).copy() for _ in range(h)] if bias is not None else None
-    return InherConv2DLayer(
-        shared_kernel=shared_flat.reshape(r, c, kh, kw),
-        heads=[head_base.copy() for _ in range(h)],
-        gate_weight=np.zeros((r, h)),
-        gate_bias=np.zeros(h),
-        stride=stride,
-        padding=padding,
-        head_bias=head_bias,
-    )
+    head_base, shared_flat, div = _svd_start(k.reshape(n, c * kh * kw), r, h, mode, "code")
+    return InherConv2DLayer(shared_flat.reshape(1, r, c, kh, kw), _tile(head_base / div, h),
+                            _tile(bias, h), np.zeros((r, h)), np.zeros(h), stride, padding)
 
 
 def build_inverse(w: np.ndarray, r: int, h: int, mode: str = "convex",
-                  bias: np.ndarray | None = None) -> InverseLayer:
+                  bias: np.ndarray | None = None) -> InherNetLayer:
     """Mirror of :func:`inherit_dense`: H gated downs, one shared up."""
-    _check_mode(mode, "input")
-    if h < 1:
-        raise RangeError(f"head count must be >= 1, got {h}")
-    down_base, w_up, _ = _sqrt_factors(w, r)
-    if mode == "paper":
-        down_base = down_base / h
-    m = w.shape[0]
-    return InverseLayer(
-        downs=[down_base.copy() for _ in range(h)],
-        w_up=w_up,
-        gate_weight=np.zeros((m, h)),
-        gate_bias=np.zeros(h),
-        bias=bias.astype(np.float64).copy() if bias is not None else None,
-    )
+    down_base, w_up, div = _svd_start(w, r, h, mode, "input")
+    return InherNetLayer(_tile(down_base / div, h), w_up[None], _tile(bias, 1),
+                         np.zeros((w.shape[0], h)), np.zeros(h), "input", "inverse")
 
 
 def symmetric_rank_for(m: int, n: int, budget: int, bias: bool) -> int:
@@ -544,7 +431,7 @@ def symmetric_rank_for(m: int, n: int, budget: int, bias: bool) -> int:
 
 def make_variant(w: np.ndarray, r: int, h: int, variant: str = "standard",
                  mode: str = "convex", gate_input: str = "code",
-                 bias: np.ndarray | None = None, seed: int = 0) -> Layer:
+                 bias: np.ndarray | None = None, seed: int = 0) -> InherNetLayer:
     """Build one of the ablation variants of an inherited dense layer.
 
     ``no-svd`` keeps the architecture but draws Kaiming-uniform factors;
@@ -552,44 +439,39 @@ def make_variant(w: np.ndarray, r: int, h: int, variant: str = "standard",
     (down, up) branches whose rank is the largest fitting the standard
     variant's parameter budget; ``inverse`` mirrors the projections.
     """
-    if variant not in VARIANTS:
-        raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    m, n = np.asarray(w).shape
-    if variant == "standard":
-        return inherit_dense(w, r, h, mode, gate_input, bias)
-    if variant == "no-svd":
-        layer = inherit_dense(w, r, h, mode, gate_input, bias)
-        layer.params["w_down"][...] = kaiming_uniform(
-            (m, r), fan_in=m, gen=_rng.philox(seed, _rng.STREAM_INIT, 0))
-        for i in range(h):
-            layer.params[f"head_{i}"][...] = kaiming_uniform(
-                (r, n), fan_in=r, gen=_rng.philox(seed, _rng.STREAM_INIT, i + 1))
-        return layer
-    if variant == "no-gate":
-        ref = inherit_dense(w, r, h, mode, gate_input, bias)
-        return InherNetLayer(
-            w_down=ref.params["w_down"],
-            heads=[ref.params[f"head_{i}"] for i in range(h)],
-            gate_weight=np.zeros((0, 0)),
-            gate_bias=np.zeros(0),
-            gate_input=gate_input,
-            head_bias=([ref.params[f"head_bias_{i}"] for i in range(h)]
-                       if bias is not None else None),
-            gate_frozen=True,
-        )
     if variant == "inverse":
         return build_inverse(w, r, h, mode, bias)
-    # symmetric: two SVD-initialized branches, budget-matched to standard
+    if variant != "symmetric":
+        return _vary(inherit_dense(w, r, h, mode, gate_input, bias), variant, seed)
+    # two SVD-initialized branches, budget-matched to standard
+    m, n = np.asarray(w).shape
     budget = inherit_dense(w, r, h, mode, gate_input, bias).param_count()
     r_sym = min(symmetric_rank_for(m, n, budget, bias is not None), min(m, n))
-    down, up, _ = _sqrt_factors(w, r_sym)
-    return SymmetricLayer(
-        downs=[down.copy(), down.copy()],
-        ups=[up.copy(), up.copy()],
-        gate_weight=np.zeros((m, 2)),
-        gate_bias=np.zeros(2),
-        bias=bias.astype(np.float64).copy() if bias is not None else None,
-    )
+    down, up, _ = _svd_start(w, r_sym, 2, "convex", "input")
+    return InherNetLayer(_tile(down, 2), _tile(up, 2), _tile(bias, 1),
+                         np.zeros((m, 2)), np.zeros(2), "input", "symmetric")
+
+
+def _vary(layer: Layer, variant: str, seed: int) -> Layer:
+    """Turn a freshly inherited dense or conv layer into ``variant``.
+
+    ``no-gate`` rebuilds it with the gate frozen at uniform. ``no-svd``
+    redraws the shared factor and every head Kaiming-uniform, from the
+    streams (seed, init, 0) and (seed, init, h + 1).
+    """
+    if variant == "no-gate":
+        from .io import rebuild_layer   # io's kind registry imports this module
+        return rebuild_layer(layer, gate_frozen=True)
+    if variant not in ("standard", "no-svd"):
+        raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "no-svd":
+        down, up = (layer.blocks[name] for name in layer._names[:2])
+        down[0] = kaiming_uniform(down.shape[1:], fan_in=down[0].size // layer.rank,
+                                  gen=_rng.philox(seed, _rng.STREAM_INIT, 0))
+        for j in range(layer.n_heads):
+            up[j] = kaiming_uniform(up.shape[1:], fan_in=layer.rank,
+                                    gen=_rng.philox(seed, _rng.STREAM_INIT, j + 1))
+    return layer
 
 
 def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
@@ -597,52 +479,32 @@ def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
                     seed: int = 0, cap_rank: bool = False) -> Network:
     """Inherit every dense and conv layer of a teacher network.
 
-    With ``cap_rank`` the per-layer rank is clamped to ``min(m, n)``;
-    otherwise an out-of-range rank raises and names the offending layer.
+    Layer ``i`` draws its ``no-svd`` factors from seed ``seed + i``. With
+    ``cap_rank`` the per-layer rank is clamped to its maximum; otherwise an
+    out-of-range rank raises and names the offending layer.
     """
     layers: list[Layer] = []
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, DenseLayer):
-            m, n = layer.weight.shape
-            r_l = min(r, min(m, n)) if cap_rank else r
-            if not 1 <= r_l <= min(m, n):
-                raise RangeError(f"layer {i}: rank {r} out of range [1, {min(m, n)}] "
-                                 f"for weight shape {(m, n)}")
-            layers.append(make_variant(layer.weight, r_l, h, variant, mode,
-                                       gate_input, layer.bias, seed + i))
-        elif isinstance(layer, Conv2DLayer):
-            if variant in ("symmetric", "inverse"):
-                raise RangeError(f"layer {i}: variant {variant!r} is dense-only")
-            n, c, kh, kw = layer.kernel.shape
-            rmax = min(n, c * kh * kw)
-            r_l = min(r, rmax) if cap_rank else r
-            if not 1 <= r_l <= rmax:
-                raise RangeError(f"layer {i}: rank {r} out of range [1, {rmax}] "
-                                 f"for kernel shape {layer.kernel.shape}")
-            conv = inherit_conv(layer.kernel, r_l, h, mode, layer.stride,
-                                layer.padding, layer.params.get("bias"))
-            if variant == "no-gate":
-                conv = InherConv2DLayer(
-                    shared_kernel=conv.params["shared_kernel"],
-                    heads=[conv.params[f"head_{j}"] for j in range(h)],
-                    gate_weight=np.zeros((0, 0)), gate_bias=np.zeros(0),
-                    stride=layer.stride, padding=layer.padding,
-                    head_bias=([conv.params[f"head_bias_{j}"] for j in range(h)]
-                               if conv.has_head_bias else None),
-                    gate_frozen=True)
-            elif variant == "no-svd":
-                gen = _rng.philox(seed + i, _rng.STREAM_INIT, 0)
-                conv.params["shared_kernel"][...] = kaiming_uniform(
-                    conv.params["shared_kernel"].shape, fan_in=c * kh * kw, gen=gen)
-                for j in range(h):
-                    conv.params[f"head_{j}"][...] = kaiming_uniform(
-                        (n, r_l), fan_in=r_l,
-                        gen=_rng.philox(seed + i, _rng.STREAM_INIT, j + 1))
-            layers.append(conv)
-        elif isinstance(layer, ReluLayer):
+        if isinstance(layer, ReluLayer):
             layers.append(ReluLayer())
-        else:
+            continue
+        if not isinstance(layer, (DenseLayer, Conv2DLayer)):
             raise RangeError(f"layer {i}: cannot inherit layer type {type(layer).__name__}")
+        name = "weight" if isinstance(layer, DenseLayer) else "kernel"
+        w = layer.params[name]
+        rmax = min(w.shape[0], w.size // w.shape[0])
+        r_l = min(r, rmax) if cap_rank else r
+        if not 1 <= r_l <= rmax:
+            raise RangeError(f"layer {i}: rank {r} out of range [1, {rmax}] "
+                             f"for {name} shape {w.shape}")
+        bias = layer.params.get("bias")
+        if isinstance(layer, DenseLayer):
+            layers.append(make_variant(w, r_l, h, variant, mode, gate_input, bias, seed + i))
+        elif variant in ("symmetric", "inverse"):
+            raise RangeError(f"layer {i}: variant {variant!r} is dense-only")
+        else:
+            layers.append(_vary(inherit_conv(w, r_l, h, mode, layer.stride, layer.padding, bias),
+                                variant, seed + i))
     return Network(layers)
 
 

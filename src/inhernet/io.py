@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import tempfile
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CorruptionError, FormatError, ParseError, RangeError, ShapeError
-from .inherit import InherConv2DLayer, InherNetLayer, InverseLayer, SymmetricLayer
+from .inherit import InherConv2DLayer, InherNetLayer
 from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer
 
 MAGIC = b"INHERNET"
@@ -115,85 +116,77 @@ def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
 
 # --- checkpoint serialization ------------------------------------------------
 
+# Manifest kind -> layer class. A layer's ``config()`` plus its arrays rebuild
+# it through the class's ``from_config``; the InherNetLayer kinds differ only
+# in which stacks are per head and in their array names.
+LAYER_KINDS: dict[str, type[Layer]] = {
+    "dense": DenseLayer,
+    "relu": ReluLayer,
+    "conv2d": Conv2DLayer,
+    "inherit_dense": InherNetLayer,
+    "inverse": InherNetLayer,
+    "symmetric": InherNetLayer,
+    "inherit_conv": InherConv2DLayer,
+}
+
+
+def rebuild_layer(layer: Layer, **changes) -> Layer:
+    """A new layer from copies of ``layer``'s arrays and its config with ``changes``.
+
+    ``rebuild_layer(layer, gate_frozen=True)`` is a gated layer's ``no-gate`` form.
+    """
+    config = {**layer.config(), **changes}
+    return LAYER_KINDS[config["kind"]].from_config(config, layer.params)
+
+
 def _layer_manifest(layer: Layer) -> dict:
-    entry: dict = {"arrays": [{"name": k, "shape": list(v.shape)}
-                              for k, v in layer.params.items()]}
-    if isinstance(layer, DenseLayer):
-        entry["kind"] = "dense"
-    elif isinstance(layer, ReluLayer):
-        entry["kind"] = "relu"
-    elif isinstance(layer, Conv2DLayer):
-        entry["kind"] = "conv2d"
-        entry["stride"] = layer.stride
-        entry["padding"] = layer.padding
-    elif isinstance(layer, InherNetLayer):
-        entry["kind"] = "inherit_dense"
-        entry["gate_input"] = layer.gate_input
-        entry["n_heads"] = layer.n_heads
-        entry["has_head_bias"] = layer.has_head_bias
-        entry["gate_frozen"] = layer.gate_frozen
-    elif isinstance(layer, InherConv2DLayer):
-        entry["kind"] = "inherit_conv"
-        entry["stride"] = layer.stride
-        entry["padding"] = layer.padding
-        entry["n_heads"] = layer.n_heads
-        entry["has_head_bias"] = layer.has_head_bias
-        entry["gate_frozen"] = layer.gate_frozen
-    elif isinstance(layer, InverseLayer):
-        entry["kind"] = "inverse"
-        entry["n_heads"] = layer.n_heads
-    elif isinstance(layer, SymmetricLayer):
-        entry["kind"] = "symmetric"
-    else:
+    config = layer.config()
+    if LAYER_KINDS.get(config["kind"]) is not type(layer):
         raise FormatError(f"cannot serialize layer type {type(layer).__name__}")
-    return entry
+    return {**config, "arrays": [{"name": k, "shape": list(v.shape)}
+                                 for k, v in layer.params.items()]}
 
 
-def _build_layer(entry: dict, arrays: dict[str, np.ndarray]) -> Layer:
-    kind = entry["kind"]
-    if kind == "dense":
-        return DenseLayer(arrays["weight"], arrays.get("bias"))
-    if kind == "relu":
-        return ReluLayer()
-    if kind == "conv2d":
-        return Conv2DLayer(arrays["kernel"], entry["stride"], entry["padding"],
-                           arrays.get("bias"))
-    if kind == "inherit_dense":
-        h = entry["n_heads"]
-        return InherNetLayer(
-            w_down=arrays["w_down"],
-            heads=[arrays[f"head_{i}"] for i in range(h)],
-            gate_weight=arrays.get("gate_weight", np.zeros((0, 0))),
-            gate_bias=arrays.get("gate_bias", np.zeros(0)),
-            gate_input=entry["gate_input"],
-            head_bias=([arrays[f"head_bias_{i}"] for i in range(h)]
-                       if entry["has_head_bias"] else None),
-            gate_frozen=entry["gate_frozen"])
-    if kind == "inherit_conv":
-        h = entry["n_heads"]
-        return InherConv2DLayer(
-            shared_kernel=arrays["shared_kernel"],
-            heads=[arrays[f"head_{i}"] for i in range(h)],
-            gate_weight=arrays.get("gate_weight", np.zeros((0, 0))),
-            gate_bias=arrays.get("gate_bias", np.zeros(0)),
-            stride=entry["stride"], padding=entry["padding"],
-            head_bias=([arrays[f"head_bias_{i}"] for i in range(h)]
-                       if entry["has_head_bias"] else None),
-            gate_frozen=entry["gate_frozen"])
-    if kind == "inverse":
-        h = entry["n_heads"]
-        return InverseLayer(
-            downs=[arrays[f"down_{i}"] for i in range(h)],
-            w_up=arrays["w_up"],
-            gate_weight=arrays["gate_weight"], gate_bias=arrays["gate_bias"],
-            bias=arrays.get("bias"))
-    if kind == "symmetric":
-        return SymmetricLayer(
-            downs=[arrays["down_0"], arrays["down_1"]],
-            ups=[arrays["up_0"], arrays["up_1"]],
-            gate_weight=arrays["gate_weight"], gate_bias=arrays["gate_bias"],
-            bias=arrays.get("bias"))
-    raise FormatError(f"unknown layer kind {kind!r} in manifest")
+def _read_arrays(where: str, entry, blob: bytes, offset: int):
+    """The arrays a manifest entry declares, read from ``blob`` at ``offset``."""
+    specs = entry.get("arrays") if isinstance(entry, dict) else None
+    if not isinstance(specs, list):
+        raise CorruptionError(f"{where}: field 'arrays' is missing or not a list")
+    arrays: dict[str, np.ndarray] = {}
+    for spec in specs:
+        name, shape = (spec.get("name"), spec.get("shape")) if isinstance(spec, dict) else (None, None)
+        if not isinstance(name, str) or name in arrays:
+            raise CorruptionError(f"{where}: array field 'name' {name!r} is missing or repeated")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CorruptionError(f"{where}: array {name!r} field 'shape' {shape!r} "
+                                  f"is not a list of non-negative integers")
+        need = 8 * math.prod(shape)
+        if offset + need > len(blob):
+            raise CorruptionError(
+                f"{where} ({entry.get('kind')}) array {name!r} needs {need} bytes at "
+                f"offset {offset}, only {len(blob) - offset} remain")
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=need // 8,
+                                     offset=offset).astype(np.float64).reshape(shape)
+        offset += need
+    return arrays, offset
+
+
+def _build_layer(where: str, entry: dict, arrays: dict[str, np.ndarray]) -> Layer:
+    kind = entry.get("kind")
+    if not isinstance(kind, str):
+        raise CorruptionError(f"{where}: field 'kind' is missing or not a string")
+    if kind not in LAYER_KINDS:
+        raise FormatError(f"{where}: unknown layer kind {kind!r} in manifest")
+    try:
+        layer = LAYER_KINDS[kind].from_config(entry, arrays)
+    except KeyError as exc:
+        raise CorruptionError(f"{where} ({kind}): field {exc.args[0]!r} is missing") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorruptionError(f"{where} ({kind}): {exc}") from exc
+    if set(layer.params) != set(arrays):
+        raise CorruptionError(f"{where} ({kind}): arrays {sorted(arrays)} do not match "
+                              f"its settings, which need {sorted(layer.params)}")
+    return layer
 
 
 def save_checkpoint(net: Network, path, extra: dict | None = None) -> None:
@@ -209,7 +202,11 @@ def save_checkpoint(net: Network, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
-    """Read a network back; returns ``(network, extra_manifest)``."""
+    """Read a network back; returns ``(network, extra_manifest)``.
+
+    A file that is not a format-v1 checkpoint raises :class:`FormatError`;
+    a damaged one raises :class:`CorruptionError` naming the layer and field.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 20 or raw[:8] != MAGIC:
@@ -225,24 +222,15 @@ def load_checkpoint(path) -> tuple[Network, dict]:
         manifest = json.loads(raw[20:20 + mlen].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptionError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    entries = manifest.get("layers") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise CorruptionError(f"{path}: manifest field 'layers' is missing or not a list")
     blob = raw[20 + mlen:]
     offset = 0
     layers = []
-    for i, entry in enumerate(manifest["layers"]):
-        arrays = {}
-        for spec in entry["arrays"]:
-            count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-            need = count * 8
-            if offset + need > len(blob):
-                raise CorruptionError(
-                    f"{path}: layer {i} ({entry['kind']}) array {spec['name']!r} "
-                    f"needs {need} bytes at offset {offset}, only "
-                    f"{len(blob) - offset} remain")
-            arr = np.frombuffer(blob[offset:offset + need], dtype="<f8").astype(
-                np.float64).reshape(spec["shape"])
-            arrays[spec["name"]] = arr.copy()
-            offset += need
-        layers.append(_build_layer(entry, arrays))
+    for i, entry in enumerate(entries):
+        arrays, offset = _read_arrays(f"{path}: layer {i}", entry, blob, offset)
+        layers.append(_build_layer(f"{path}: layer {i}", entry, arrays))
     if offset != len(blob):
         raise CorruptionError(f"{path}: blob has {len(blob) - offset} trailing bytes "
                               f"beyond the declared {offset}")

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra: products, norms, softmax, truncated SVD.
+"""Dense float64 linear algebra: norms, softmax, truncated SVD.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects in row-major order.
 Every public operation validates shapes, rejects non-finite input, and
@@ -51,19 +51,6 @@ class SvdFactorization:
     def reconstruct(self) -> np.ndarray:
         """The rank-r matrix u @ diag(sigma) @ v.T."""
         return (self.u * self.sigma) @ self.v.T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}: "
-                         f"inner dimensions {a.shape[1]} != {b.shape[0]}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("matrix product overflowed to non-finite values")
-    return out
 
 
 def truncated_svd(w, r: int) -> SvdFactorization:

@@ -26,13 +26,20 @@ class Layer:
 
     The storage behind both is ``blocks`` and ``grad_blocks``: ordered
     dicts of arrays, in the order a :class:`Network` packs them. A block
-    named in ``stacked`` holds several same-shaped arrays along its
-    leading axis and is exposed as ``{prefix}_{i}`` views, one per index;
-    every other block is exposed under its own name. ``params`` and
+    named in ``stacked`` holds same-shaped arrays along its leading axis:
+    a view name with ``{}`` exposes one view per index (``head_{}`` gives
+    ``head_0``, ``head_1``, ...), any other name exposes the block's one
+    entry. Every other block is exposed under its own name. ``params`` and
     ``grads`` are therefore views of the blocks, in the same order.
+
+    ``kind`` names the layer in checkpoint manifests. ``config()`` returns
+    its manifest settings, the kind and the constructor arguments named in
+    ``settings``, which with the arrays rebuild it through ``from_config``.
     """
 
-    stacked: dict[str, str] = {}     # block name -> prefix of its per-index views
+    kind: str | None = None
+    settings: tuple[str, ...] = ()
+    stacked: dict[str, str] = {}     # block name -> view name, "{}" marking the index
 
     def __init__(self):
         self.blocks: dict[str, np.ndarray] = {}
@@ -42,8 +49,8 @@ class Layer:
         self.packed_in: np.ndarray | None = None   # the flat vector holding the blocks
 
     def _store(self, blocks: dict[str, np.ndarray]) -> None:
-        """Adopt ``blocks`` as this layer's trainable state, with zero gradients."""
-        self.blocks = {k: np.ascontiguousarray(v, dtype=np.float64)
+        """Adopt copies of ``blocks`` as this layer's trainable state, with zero gradients."""
+        self.blocks = {k: np.array(v, dtype=np.float64, order="C")
                        for k, v in blocks.items()}
         self.grad_blocks = {k: np.zeros_like(v) for k, v in self.blocks.items()}
         self._expose()
@@ -51,10 +58,13 @@ class Layer:
     def _views(self, blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
         for name, block in blocks.items():
-            if name in self.stacked:
-                out.update((f"{self.stacked[name]}_{i}", a) for i, a in enumerate(block))
-            else:
+            view = self.stacked.get(name)
+            if view is None:
                 out[name] = block
+            elif "{}" in view:
+                out.update((view.format(i), a) for i, a in enumerate(block))
+            else:
+                out[view] = block[0]
         return out
 
     def _expose(self) -> None:
@@ -92,6 +102,14 @@ class Layer:
         self.packed_in = None
         self._expose()
 
+    def config(self) -> dict:
+        return {"kind": self.kind, **{k: getattr(self, k) for k in self.settings}}
+
+    @classmethod
+    def from_config(cls, config: dict, arrays: dict[str, np.ndarray]) -> "Layer":
+        """Rebuild a layer whose settings and arrays are named like its constructor's arguments."""
+        return cls(**arrays, **{k: config[k] for k in cls.settings})
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -112,6 +130,8 @@ class Layer:
 
 class DenseLayer(Layer):
     """Affine map ``y = x @ weight + bias`` with weight of shape (m, n)."""
+
+    kind = "dense"
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None = None):
         super().__init__()
@@ -159,6 +179,8 @@ class DenseLayer(Layer):
 class ReluLayer(Layer):
     """Rectifier with subgradient 0 at the origin."""
 
+    kind = "relu"
+
     def __init__(self):
         super().__init__()
         self._mask = None
@@ -170,6 +192,11 @@ class ReluLayer(Layer):
     def backward(self, grad_out):
         self._require_forward("_mask")
         return np.where(self._mask, grad_out, 0.0)
+
+
+def check_conv_geometry(stride: int, padding: int) -> None:
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"invalid stride={stride} padding={padding}")
 
 
 def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -216,14 +243,16 @@ class Conv2DLayer(Layer):
     (batch, in_channels, height, width).
     """
 
+    kind = "conv2d"
+    settings = ("stride", "padding")
+
     def __init__(self, kernel: np.ndarray, stride: int = 1, padding: int = 0,
                  bias: np.ndarray | None = None):
         super().__init__()
         kernel = np.asarray(kernel, dtype=np.float64)
         if kernel.ndim != 4:
             raise ShapeError(f"conv kernel must be 4-D, got {kernel.shape}")
-        if stride < 1 or padding < 0:
-            raise ShapeError(f"invalid stride={stride} padding={padding}")
+        check_conv_geometry(stride, padding)
         blocks = {"kernel": kernel}
         if bias is not None:
             bias = np.asarray(bias, dtype=np.float64)
@@ -360,11 +389,6 @@ class Network:
 
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)
-
-    def clone(self) -> "Network":
-        """Deep parameter snapshot; safe for concurrent read-only evaluation."""
-        import copy
-        return copy.deepcopy(self)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import NumericalError, RangeError, ShapeError
+from .io import atomic_write, rebuild_layer
 from .linalg import log_softmax
 from .nn import FlatItems, Network, accuracy, cross_entropy, mse_loss
 
@@ -76,7 +77,6 @@ class RunLog:
         return len(self.train_loss)
 
     def to_csv(self, path) -> None:
-        from .io import atomic_write
         lines = [",".join(RUNLOG_COLUMNS)]
         for i in range(len(self)):
             lines.append(",".join([str(i + 1),
@@ -266,8 +266,10 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
             rows.append(net.grad_vector().copy())
         return np.stack(rows)
 
+    if getattr(layer, "gate_frozen", True):
+        raise ShapeError("gating variance measurement expects a layer with a trainable gate")
     adaptive = Network([layer])
-    uniform = Network([_frozen_copy(layer)])
+    uniform = Network([rebuild_layer(layer, gate_frozen=True)])
     g_a = collect(adaptive)
     g_u = collect(uniform)
 
@@ -278,20 +280,3 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
     return GatingVarianceReport(adaptive_variance=spread(g_a),
                                 uniform_variance=spread(g_u),
                                 batches=g_a.shape[0])
-
-
-def _frozen_copy(layer):
-    from .inherit import InherNetLayer
-    if not isinstance(layer, InherNetLayer):
-        raise ShapeError("gating variance measurement expects an inherited dense layer")
-    h = layer.n_heads
-    return InherNetLayer(
-        w_down=layer.params["w_down"].copy(),
-        heads=[layer.params[f"head_{i}"].copy() for i in range(h)],
-        gate_weight=np.zeros((0, 0)),
-        gate_bias=np.zeros(0),
-        gate_input=layer.gate_input,
-        head_bias=([layer.params[f"head_bias_{i}"].copy() for i in range(h)]
-                   if layer.has_head_bias else None),
-        gate_frozen=True,
-    )

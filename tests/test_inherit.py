@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from inhernet.errors import RangeError, ShapeError
-from inhernet.inherit import (InherNetLayer, build_inverse,
+from inhernet.inherit import (InherConv2DLayer, InherNetLayer, build_inverse,
                               gradient_decomposition_check, inherit_conv,
                               inherit_dense, inherit_network, make_variant)
 from inhernet.linalg import truncated_svd
@@ -211,6 +211,16 @@ class TestInheritConv:
         with pytest.raises(RangeError):
             inherit_conv(np.ones((2, 1, 2, 2)), 3, 1)
 
+    @pytest.mark.parametrize("stride,padding", [(0, 0), (1, -1)])
+    def test_invalid_geometry_rejected_at_construction(self, stride, padding):
+        k = philox(15, 1).standard_normal((4, 2, 3, 3))
+        with pytest.raises(ShapeError, match="stride"):
+            inherit_conv(k, 2, 2, stride=stride, padding=padding)
+        layer = inherit_conv(k, 2, 2)
+        with pytest.raises(ShapeError, match="stride"):
+            InherConv2DLayer(layer.blocks["shared_kernel"], layer.blocks["heads"],
+                             stride=stride, padding=padding)
+
 
 class TestGradientDecomposition:
     def test_frozen_gating_head_term_alone(self):
@@ -309,6 +319,16 @@ class TestFusedHeadGradients:
         jitter(layer, gen)
         x = gen.standard_normal((2, 2, 5, 5))
         assert fd_relative_dev(layer, x, gen) < 1e-4
+
+    @pytest.mark.parametrize("variant,h", [("inverse", 1), ("inverse", 3), ("symmetric", 2)])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_ablation_kinds_match_finite_differences(self, variant, h, bias):
+        gen = philox(850 + h, 0)
+        layer = make_variant(gen.standard_normal((7, 5)), 3, h, variant,
+                             bias=gen.standard_normal(5) if bias else None)
+        assert layer.kind == variant and layer.has_head_bias == bias
+        jitter(layer, gen)
+        assert fd_relative_dev(layer, gen.standard_normal((6, 7)), gen) < 1e-4
 
     @pytest.mark.parametrize("build", [
         lambda gen: inherit_dense(gen.standard_normal((6, 5)), 2, 3,

@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inhernet.errors import CorruptionError, FormatError, ParseError, RangeError
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_network, make_variant
 from inhernet.io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
                          load_csv, save_checkpoint, save_dataset_csv)
-from inhernet.nn import Conv2DLayer, Network, ReluLayer, make_mlp
+from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
 from inhernet.train import TrainConfig, train
 
@@ -98,6 +100,95 @@ class TestCheckpoint:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+
+def rewrite_manifest(raw: bytes, edit) -> bytes:
+    """The checkpoint ``raw`` with its manifest passed through ``edit``."""
+    mlen = struct.unpack("<Q", raw[12:20])[0]
+    manifest = json.loads(raw[20:20 + mlen])
+    edit(manifest)
+    payload = json.dumps(manifest).encode("utf-8")
+    return raw[:12] + struct.pack("<Q", len(payload)) + payload + raw[20 + mlen:]
+
+
+def _set(layer_field, value):
+    def edit(manifest):
+        manifest["layers"][0][layer_field] = value
+    return edit
+
+
+def _drop(layer_field):
+    def edit(manifest):
+        del manifest["layers"][0][layer_field]
+    return edit
+
+
+def _shape(value):
+    def edit(manifest):
+        manifest["layers"][0]["arrays"][0]["shape"] = value
+    return edit
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: m.pop("layers"), r"'layers'"),
+        (lambda m: m.update(layers={"0": {}}), r"'layers'"),
+        (_drop("kind"), r"layer 0: .*'kind'"),
+        (_drop("n_heads"), r"layer 0 .*'n_heads'"),
+        (_set("n_heads", 4), r"layer 0 .*'head_3'"),
+        (_shape([-1, 3]), r"layer 0: .*'shape'"),
+        (_shape([4.5, 2]), r"layer 0: .*'shape'"),
+        (_set("gate_input", "zzz"), r"layer 0 .*gate_input"),
+    ], ids=["no-layers", "layers-not-list", "no-kind", "no-n_heads", "n_heads-too-big",
+            "negative-shape", "non-integer-shape", "bad-gate-input"])
+    def test_raises_corruption_naming_layer_and_field(self, tmp_path, edit, match):
+        gen = philox(3, 0)
+        net = Network([inherit_dense(gen.standard_normal((6, 4)), 2, 3,
+                                     bias=gen.standard_normal(4))])
+        save_checkpoint(net, tmp_path / "good.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(rewrite_manifest((tmp_path / "good.ckpt").read_bytes(), edit))
+        with pytest.raises(CorruptionError, match=match):
+            load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def every_kind_checkpoint(tmp_path_factory):
+    """Bytes of a small checkpoint holding one layer of every kind, and a scratch path."""
+    gen = philox(4, 0)
+    w, b = gen.standard_normal((5, 4)), gen.standard_normal(4)
+    k = gen.standard_normal((3, 2, 3, 3))
+    net = Network([DenseLayer(w, b), ReluLayer(), Conv2DLayer(k, 1, 1, gen.standard_normal(3)),
+                   inherit_dense(w, 2, 2, bias=b), make_variant(w, 2, 2, "no-gate"),
+                   make_variant(w, 2, 3, "inverse", bias=b),
+                   make_variant(w, 2, 2, "symmetric", bias=b),
+                   inherit_conv(k, 2, 2, padding=1, bias=gen.standard_normal(3))])
+    path = tmp_path_factory.mktemp("fuzz") / "every.ckpt"
+    save_checkpoint(net, path, extra={"fuzz": True})
+    return path.read_bytes(), path
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """``raw`` cut to a prefix, or with one byte of its header or manifest overwritten."""
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    at = draw(st.integers(0, 20 + struct.unpack("<Q", raw[12:20])[0] - 1))
+    byte = draw(st.integers(0, 255).filter(lambda v: v != raw[at]))
+    return raw[:at] + bytes([byte]) + raw[at + 1:]
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damage_loads_or_raises_a_checkpoint_error(self, every_kind_checkpoint, data):
+        raw, path = every_kind_checkpoint
+        path.write_bytes(data.draw(damaged(raw)))
+        try:
+            net, _ = load_checkpoint(path)
+        except (FormatError, CorruptionError):
+            return
+        assert isinstance(net, Network)
 
 
 DATA = Path(__file__).parent / "data"

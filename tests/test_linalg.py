@@ -1,26 +1,10 @@
 import numpy as np
 import pytest
 
-from inhernet.errors import (DegenerateInputError, NumericalError, RangeError,
-                             ShapeError)
-from inhernet.linalg import (condition_number, frobenius_norm, matmul, softmax,
+from inhernet.errors import DegenerateInputError, RangeError, ShapeError
+from inhernet.linalg import (condition_number, frobenius_norm, softmax,
                              truncated_svd)
 from inhernet.rng import philox
-
-
-def matmul_oracle(a, b):
-    """Naive triple-loop product, independent of the library path."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def jacobi_spectrum(w, sweeps=100, tol=1e-12):
@@ -49,30 +33,6 @@ def jacobi_spectrum(w, sweeps=100, tol=1e-12):
                 a = rot.T @ a @ rot
     eigs = np.sort(np.clip(np.diag(a), 0.0, None))[::-1]
     return np.sqrt(eigs)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = philox(1, 0).standard_normal((3, 3))
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_against_triple_loop(self):
-        gen = philox(2, 0)
-        a = gen.standard_normal((7, 5))
-        b = gen.standard_normal((5, 4))
-        assert np.max(np.abs(matmul(a, b) - matmul_oracle(a, b))) < 1e-12
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NumericalError):
-            matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
 
 
 class TestTruncatedSvd:
