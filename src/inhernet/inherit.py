@@ -27,7 +27,8 @@ V_r^T`` (a conv kernel, reshaped to (N, c*kh*kw), is the transpose of W).
 In ``convex`` mode (default) each head holds the full factor, so any
 convex gating of identical heads reproduces the rank-r teacher exactly; in
 ``paper`` mode each holds one H-th of it, so uniform gating reproduces only
-``W_r / H``. Gate parameters start at zero, so gating starts uniform.
+``W_r / H``. Gate parameters start at zero, so gating starts uniform; code
+gating has the ``H*(r+1)`` gate parameters the compression accounting counts.
 """
 
 from __future__ import annotations
@@ -125,19 +126,19 @@ class GatedMixture(Layer):
 
     @classmethod
     def from_config(cls, config: dict, arrays: dict[str, np.ndarray]) -> "GatedMixture":
-        settings = dict(config)
+        fields = dict(config)
         if config["kind"] in ("inverse", "symmetric"):
             # format v1 wrote none of these for the ablation kinds
             for key, value in (("gate_input", "input"), ("gate_frozen", False),
                                ("has_head_bias", "bias" in arrays), ("n_heads", 2)):
-                settings.setdefault(key, value)
-        h = settings["n_heads"]
-        down, up, bias = KINDS[settings["kind"]].values()
-        gate = {} if settings["gate_frozen"] else {
+                fields.setdefault(key, value)
+        h = fields["n_heads"]
+        down, up, bias = KINDS[fields["kind"]].values()
+        gate = {} if fields["gate_frozen"] else {
             "gate_weight": arrays["gate_weight"], "gate_bias": arrays["gate_bias"]}
         return cls(_stack(arrays, down, h), _stack(arrays, up, h),
-                   _stack(arrays, bias, h) if settings["has_head_bias"] else None,
-                   **gate, **{k: settings[k] for k in cls.settings})
+                   _stack(arrays, bias, h) if fields["has_head_bias"] else None,
+                   **gate, **{k: fields[k] for k in cls.settings})
 
     def config(self) -> dict:
         return {**super().config(), "n_heads": self.n_heads, "has_head_bias": self.has_head_bias,
@@ -231,8 +232,8 @@ class InherNetLayer(GatedMixture):
         if kind not in ("inherit_dense", "inverse", "symmetric"):
             raise RangeError(f"unknown dense kind {kind!r}")
         if gate_input not in GATE_INPUTS or (gate_input == "code" and kind != "inherit_dense"):
-            raise RangeError(f"gate_input must be one of {GATE_INPUTS} ('input' for a "
-                             f"{kind} layer), got {gate_input!r}")
+            raise RangeError(f"gate_input must be one of {GATE_INPUTS} (only 'input' for "
+                             f"kind {kind!r}), got {gate_input!r}")
         down, up = np.asarray(down, dtype=np.float64), np.asarray(up, dtype=np.float64)
         if down.ndim != 3 or up.ndim != 3 or down.shape[2] != up.shape[1]:
             raise ShapeError(f"down stack {down.shape} does not feed up stack {up.shape}")
