@@ -13,9 +13,9 @@ from .linalg import (SvdFactorization, condition_number, frobenius_norm,
                      softmax, truncated_svd)
 from .nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, cross_entropy,
                  finite_difference_grad, make_mlp, mse_loss)
-from .inherit import (InherConv2DLayer, InherNetLayer, build_inverse,
+from .inherit import (InherConv2DLayer, InherNetLayer, build_inverse, factor_matrix,
                       gradient_decomposition_check, inherit_conv, inherit_dense,
-                      inherit_network, make_variant)
+                      inherit_layer, inherit_network, make_variant)
 from .train import (GatingVarianceReport, RunLog, TrainConfig,
                     gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
 from .theory import (HeadGainsReport, LayerInfluence, TheoryReport,

@@ -19,10 +19,10 @@ import numpy as np
 from . import experiments, verify
 from .errors import (CorruptionError, DegenerateInputError, FormatError,
                      NumericalError, ParseError, RangeError, ShapeError)
-from .inherit import VARIANTS, inherit_network
+from .inherit import VARIANTS, factor_matrix, inherit_network
 from .io import SyntheticTask, atomic_write, gen_synthetic, load_checkpoint, \
     save_checkpoint
-from .nn import Network, make_mlp
+from .nn import make_mlp
 from .theory import LayerInfluence, analyze_network, output_cosine_similarity
 from .train import TrainConfig, evaluate, train
 
@@ -192,10 +192,12 @@ def cmd_analyze(args) -> int:
                              influences=influences)
     payload = json.loads(report.to_json())
     gen = np.random.Generator(np.random.Philox(key=[args.probe_seed, 0]))
-    probe = gen.standard_normal((256, _input_width(teacher)))
-    # labeled as a diagnostic: this is not the bounded similarity quantity
-    payload["empirical_output_cosine_diagnostic"] = output_cosine_similarity(
-        teacher, student, probe)
+    first = next(layer for layer in teacher.layers if factor_matrix(layer) is not None)
+    probe = gen.standard_normal((256, len(factor_matrix(first)))) if first.kind == "dense" else None
+    # labeled as a diagnostic: this is not the bounded similarity quantity; none for a
+    # conv teacher, whose image size no checkpoint records
+    payload["empirical_output_cosine_diagnostic"] = None if probe is None else \
+        output_cosine_similarity(teacher, student, probe)
     text = json.dumps(payload, indent=2)
     if args.out:
         atomic_write(args.out, (text + "\n").encode("utf-8"))
@@ -203,15 +205,6 @@ def cmd_analyze(args) -> int:
     else:
         print(text)
     return 0
-
-
-def _input_width(net: Network) -> int:
-    for layer in net.layers:
-        if hasattr(layer, "weight"):
-            return layer.weight.shape[0]
-        if hasattr(layer, "in_dim"):
-            return layer.in_dim
-    raise ShapeError("network has no dense layer to infer input width from")
 
 
 def cmd_verify(args) -> int:

@@ -31,8 +31,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import rng as _rng
-from .inherit import inherit_dense, inherit_network
-from .io import Dataset, SyntheticTask, atomic_write, gen_synthetic
+from .inherit import KINDS, GatedMixture, inherit_network
+from .io import Dataset, SyntheticTask, atomic_write, gen_synthetic, write_csv
 from .nn import DenseLayer, Network, ReluLayer, make_mlp
 from .train import TrainConfig, evaluate, train
 
@@ -70,19 +70,18 @@ def _map_jobs(fn, jobs: list):
 
 def perturb_heads(net: Network, seed: int, head_scale: float = HEAD_JITTER,
                   gate_scale: float = 0.0) -> None:
-    """Break the head replica symmetry of freshly inherited layers in place."""
+    """Break the head replica symmetry of freshly inherited layers in place: jitter
+    every per-head factor stack that ``inherit.KINDS`` names (not the bias stacks)."""
     gen = _rng.philox(seed, 7)
     for layer in net.layers:
-        if not hasattr(layer, "n_heads"):
+        if not isinstance(layer, GatedMixture):
             continue
-        for h in range(layer.n_heads):
-            p = layer.params.get(f"head_{h}")
-            if p is None:
-                continue
-            p += head_scale * np.linalg.norm(p) / np.sqrt(p.size) * \
-                gen.standard_normal(p.shape)
-        gw = layer.params.get("gate_weight")
-        if gate_scale > 0.0 and gw is not None and gw.size:
+        for block, view in list(KINDS[layer.kind].items())[:2]:   # the down and up stacks
+            for p in layer.blocks[block] if "{}" in view else ():  # one entry per head
+                p += head_scale * np.linalg.norm(p) / np.sqrt(p.size) * \
+                    gen.standard_normal(p.shape)
+        if gate_scale > 0.0 and not layer.gate_frozen:
+            gw = layer.params["gate_weight"]
             gw += gate_scale / np.sqrt(gw.shape[0]) * gen.standard_normal(gw.shape)
 
 
@@ -298,14 +297,6 @@ def run_insight(which: int, seeds: int = 5, out_dir=None, plot: bool = False) ->
 
 
 # --- plain-text report writers -------------------------------------------------
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
 
 def write_svg_lines(path, series: dict[str, list[tuple]], title: str = "",
                     xlabel: str = "", ylabel: str = "") -> None:

@@ -29,6 +29,10 @@ convex gating of identical heads reproduces the rank-r teacher exactly; in
 ``paper`` mode each holds one H-th of it, so uniform gating reproduces only
 ``W_r / H``. Gate parameters start at zero, so gating starts uniform; code
 gating has the ``H*(r+1)`` gate parameters the compression accounting counts.
+
+Only this module knows which teacher layers decompose: :func:`factor_matrix`
+gives the matrix a teacher layer's SVD factors, :func:`inherit_layer` builds
+its student.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
-from .nn import (Conv2DLayer, DenseLayer, Layer, Network, ReluLayer,
-                 check_conv_geometry, col2im, conv_output_size, im2col,
-                 kaiming_uniform)
+from .nn import (DenseLayer, Layer, Network, ReluLayer, check_conv_geometry, col2im,
+                 conv_output_size, im2col, kaiming_uniform)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
@@ -430,6 +433,12 @@ def symmetric_rank_for(m: int, n: int, budget: int, bias: bool) -> int:
     return max(1, int(r))
 
 
+def _standard_param_count(m: int, n: int, r: int, h: int, gate_input: str, bias: bool) -> int:
+    """Parameters of ``inherit_dense(w, r, h, gate_input=gate_input)`` for an m x n ``w``."""
+    gate_width = r if gate_input == "code" else m
+    return m * r + h * r * n + (h * n if bias else 0) + (gate_width + 1) * h
+
+
 def make_variant(w: np.ndarray, r: int, h: int, variant: str = "standard",
                  mode: str = "convex", gate_input: str = "code",
                  bias: np.ndarray | None = None, seed: int = 0) -> InherNetLayer:
@@ -440,39 +449,69 @@ def make_variant(w: np.ndarray, r: int, h: int, variant: str = "standard",
     (down, up) branches whose rank is the largest fitting the standard
     variant's parameter budget; ``inverse`` mirrors the projections.
     """
+    return inherit_layer(DenseLayer(w, bias), r, h, variant, mode, gate_input, seed)
+
+
+def factor_matrix(layer: Layer) -> np.ndarray | None:
+    """The teacher matrix whose truncated SVD a layer's inheritance starts from.
+
+    A dense weight as it is, a conv kernel (N, c, kh, kw) as its (N, c*kh*kw)
+    reshape, ``None`` for a ReLU; any other kind raises :class:`RangeError`.
+    """
+    if layer.kind == "dense":
+        return layer.params["weight"]
+    if layer.kind == "conv2d":
+        kernel = layer.params["kernel"]
+        return kernel.reshape(len(kernel), -1)
+    if layer.kind == "relu":
+        return None
+    raise RangeError(f"cannot inherit layer kind {layer.kind!r}")
+
+
+def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
+                  mode: str = "convex", gate_input: str = "code", seed: int = 0) -> Layer:
+    """The student of one teacher layer: a gated ``variant`` of a dense or conv
+    layer, a new ReLU for a ReLU.
+
+    ``no-gate`` freezes the gate at uniform; ``no-svd`` redraws the shared
+    factor and every head Kaiming-uniform from the streams (seed, init, 0)
+    and (seed, init, h + 1); ``inverse`` and ``symmetric`` are dense-only.
+    """
+    w, bias = factor_matrix(layer), layer.params.get("bias")
+    if w is None:
+        return ReluLayer()
+    if variant not in VARIANTS:
+        raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant in ("symmetric", "inverse") and layer.kind != "dense":
+        raise RangeError(f"variant {variant!r} is dense-only")
     if variant == "inverse":
         return build_inverse(w, r, h, mode, bias)
-    if variant != "symmetric":
-        return _vary(inherit_dense(w, r, h, mode, gate_input, bias), variant, seed)
-    # two SVD-initialized branches, budget-matched to standard
-    m, n = np.asarray(w).shape
-    budget = inherit_dense(w, r, h, mode, gate_input, bias).param_count()
-    r_sym = min(symmetric_rank_for(m, n, budget, bias is not None), min(m, n))
-    down, up, _ = _svd_start(w, r_sym, 2, "convex", "input")
-    return InherNetLayer(_tile(down, 2), _tile(up, 2), _tile(bias, 1),
-                         np.zeros((m, 2)), np.zeros(2), "input", "symmetric")
-
-
-def _vary(layer: Layer, variant: str, seed: int) -> Layer:
-    """Turn a freshly inherited dense or conv layer into ``variant``.
-
-    ``no-gate`` rebuilds it with the gate frozen at uniform. ``no-svd``
-    redraws the shared factor and every head Kaiming-uniform, from the
-    streams (seed, init, 0) and (seed, init, h + 1).
-    """
+    if variant == "symmetric":
+        # two SVD-initialized branches, budget-matched to standard
+        m, n = w.shape
+        if not 1 <= r <= min(m, n):
+            raise RangeError(f"rank {r} out of range [1, {min(m, n)}] for shape {w.shape}")
+        budget = _standard_param_count(m, n, r, h, gate_input, bias is not None)
+        r_sym = min(symmetric_rank_for(m, n, budget, bias is not None), m, n)
+        down, up, _ = _svd_start(w, r_sym, h, mode, gate_input)   # also checks h, mode, gate
+        return InherNetLayer(_tile(down, 2), _tile(up, 2), _tile(bias, 1),
+                             np.zeros((m, 2)), np.zeros(2), "input", "symmetric")
+    if layer.kind == "dense":
+        student = inherit_dense(w, r, h, mode, gate_input, bias)
+    else:
+        student = inherit_conv(layer.params["kernel"], r, h, mode, layer.stride,
+                               layer.padding, bias)
     if variant == "no-gate":
         from .io import rebuild_layer   # io's kind registry imports this module
-        return rebuild_layer(layer, gate_frozen=True)
-    if variant not in ("standard", "no-svd"):
-        raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return rebuild_layer(student, gate_frozen=True)
     if variant == "no-svd":
-        down, up = (layer.blocks[name] for name in layer._names[:2])
-        down[0] = kaiming_uniform(down.shape[1:], fan_in=down[0].size // layer.rank,
+        down, up = (student.blocks[name] for name in student._names[:2])
+        down[0] = kaiming_uniform(down.shape[1:], fan_in=down[0].size // student.rank,
                                   gen=_rng.philox(seed, _rng.STREAM_INIT, 0))
-        for j in range(layer.n_heads):
-            up[j] = kaiming_uniform(up.shape[1:], fan_in=layer.rank,
+        for j in range(student.n_heads):
+            up[j] = kaiming_uniform(up.shape[1:], fan_in=student.rank,
                                     gen=_rng.philox(seed, _rng.STREAM_INIT, j + 1))
-    return layer
+    return student
 
 
 def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
@@ -482,30 +521,16 @@ def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
 
     Layer ``i`` draws its ``no-svd`` factors from seed ``seed + i``. With
     ``cap_rank`` the per-layer rank is clamped to its maximum; otherwise an
-    out-of-range rank raises and names the offending layer.
+    out-of-range rank raises. Every error names the offending layer.
     """
     layers: list[Layer] = []
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, ReluLayer):
-            layers.append(ReluLayer())
-            continue
-        if not isinstance(layer, (DenseLayer, Conv2DLayer)):
-            raise RangeError(f"layer {i}: cannot inherit layer type {type(layer).__name__}")
-        name = "weight" if isinstance(layer, DenseLayer) else "kernel"
-        w = layer.params[name]
-        rmax = min(w.shape[0], w.size // w.shape[0])
-        r_l = min(r, rmax) if cap_rank else r
-        if not 1 <= r_l <= rmax:
-            raise RangeError(f"layer {i}: rank {r} out of range [1, {rmax}] "
-                             f"for {name} shape {w.shape}")
-        bias = layer.params.get("bias")
-        if isinstance(layer, DenseLayer):
-            layers.append(make_variant(w, r_l, h, variant, mode, gate_input, bias, seed + i))
-        elif variant in ("symmetric", "inverse"):
-            raise RangeError(f"layer {i}: variant {variant!r} is dense-only")
-        else:
-            layers.append(_vary(inherit_conv(w, r_l, h, mode, layer.stride, layer.padding, bias),
-                                variant, seed + i))
+        try:
+            w = factor_matrix(layer)
+            r_l = min(r, *w.shape) if cap_rank and w is not None else r
+            layers.append(inherit_layer(layer, r_l, h, variant, mode, gate_input, seed + i))
+        except RangeError as exc:
+            raise RangeError(f"layer {i}: {exc}") from exc
     return Network(layers)
 
 

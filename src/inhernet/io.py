@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import CorruptionError, FormatError, ParseError, RangeError, ShapeError
+from .errors import CorruptionError, FormatError, ParseError, RangeError
 from .inherit import InherConv2DLayer, InherNetLayer
 from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer
 
@@ -286,22 +286,22 @@ def load_csv(path, schema: str = "regression") -> Dataset:
     return Dataset(x=data, y=np.empty((len(rows), 0)), kind="regression")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a headered CSV atomically, floats as ``repr`` so they read back exactly."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV with round-trip-exact float formatting."""
-    width = ds.x.shape[1]
-    header = [f"x{i}" for i in range(width)]
-    label_col = ds.kind == "classification" or (ds.y.ndim == 2 and ds.y.shape[1] > 0)
-    rows = []
+    header = [f"x{i}" for i in range(ds.x.shape[1])]
+    rows = [[float(v) for v in xi] for xi in ds.x]
     if ds.kind == "classification":
         header.append("label")
-        for xi, yi in zip(ds.x, ds.y):
-            rows.append([repr(float(v)) for v in xi] + [repr(float(yi))])
-    elif label_col:
+        rows = [xi + [float(yi)] for xi, yi in zip(rows, ds.y)]
+    elif ds.y.ndim == 2 and ds.y.shape[1] > 0:
         header += [f"y{i}" for i in range(ds.y.shape[1])]
-        for xi, yi in zip(ds.x, ds.y):
-            rows.append([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
-    else:
-        for xi in ds.x:
-            rows.append([repr(float(v)) for v in xi])
-    out = [",".join(header)] + [",".join(r) for r in rows]
-    atomic_write(path, ("\n".join(out) + "\n").encode("utf-8"))
+        rows = [xi + [float(v) for v in yi] for xi, yi in zip(rows, ds.y)]
+    write_csv(path, header, rows)

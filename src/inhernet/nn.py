@@ -349,6 +349,9 @@ class Network:
         self.__init__(state["layers"])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run every layer on the batch ``x``, which must be finite: a ReLU maps NaN to 0."""
+        if not np.isfinite(x).all():
+            raise NumericalError(f"network input of shape {np.shape(x)} holds NaN or Inf")
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x)

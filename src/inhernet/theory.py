@@ -5,7 +5,9 @@ parameter counts alone. Two parameter accountings coexist on purpose:
 the closed-form ratio ``m*n / (H*r*(m+n) + H*(r+1))`` counts a separate
 down-projection per head, while the built architecture shares one down
 across heads. Both numbers appear side by side in reports; they agree
-only at H=1.
+only at H=1. A layer's m x n is the shape of the matrix its inheritance
+factors (``inherit.factor_matrix``): a dense weight as it is, a conv
+kernel (N, c, kh, kw) as N x c*kh*kw.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DegenerateInputError, RangeError, ShapeError
+from .inherit import KINDS, GatedMixture, factor_matrix, inherit_dense
 from .linalg import condition_number
-from .nn import DenseLayer, Layer, Network
+from .nn import Layer, Network
 
 
 def compression_ratio_paper(m: int, n: int, r: int, h: int) -> float:
@@ -150,64 +153,57 @@ def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
                     influences: LayerInfluence | None = None) -> TheoryReport:
     """Build a TheoryReport for an inherited network against its teacher.
 
-    Dense teacher layers are paired positionally with inherited layers;
-    per-layer ranks are read off the built layers, so capped ranks report
-    their effective value.
+    Decomposable teacher layers (dense and conv) are paired positionally
+    with the inherited network's gated layers; per-layer ranks are read off
+    the built layers, so capped ranks report their effective value.
+    ``kappa_down`` is the condition number of a layer's shared down factor
+    (NaN when every head has its own).
     """
-    dense = [(i, l) for i, l in enumerate(teacher.layers) if isinstance(l, DenseLayer)]
-    built = [l for l in inherited.layers if hasattr(l, "rank")]
-    if len(dense) != len(built):
-        raise ShapeError(f"teacher has {len(dense)} decomposable layers but the "
+    matrices = [(i, factor_matrix(l)) for i, l in enumerate(teacher.layers)]
+    decomposed = [(i, w) for i, w in matrices if w is not None]
+    built = [l for l in inherited.layers if isinstance(l, GatedMixture)]
+    if not built or len(decomposed) != len(built):
+        raise ShapeError(f"teacher has {len(decomposed)} decomposable layers but the "
                          f"inherited network has {len(built)}")
-    breakdown = []
-    spectra = []
-    ranks = []
-    paper_num = 0.0
-    paper_den = 0.0
-    kept = 0.0
-    total = 0.0
-    kappa = 0.0
-    for (i, t_layer), b_layer in zip(dense, built):
-        w = t_layer.weight
+    breakdown, spectra = [], []
+    for (i, w), b_layer in zip(decomposed, built):
         m, n = w.shape
         r_l = b_layer.rank
         s = np.linalg.svd(w, compute_uv=False)
         sq = s * s
         energy = float(sq[:r_l].sum() / sq.sum())
-        k_teacher = condition_number(w)
-        k_down = condition_number(b_layer.params["w_down"]) \
-            if "w_down" in b_layer.params else float("nan")
+        down = next(iter(KINDS[b_layer.kind].values()))   # a "{}" name is per head
+        k_down = float("nan") if "{}" in down else condition_number(
+            b_layer.params[down].reshape(len(b_layer.params[down]), -1))
         breakdown.append({
             "layer": i, "m": m, "n": n, "r": r_l, "h": h,
             "rho_paper": compression_ratio_paper(m, n, r_l, h),
-            "param_teacher": t_layer.param_count(),
+            "param_teacher": teacher.layers[i].param_count(),
             "param_actual": b_layer.param_count(),
             "energy_ratio": energy,
             "epsilon": 1.0 - energy,
             "ey_error": eckart_young_error(s, r_l),
-            "kappa": k_teacher,
+            "kappa": condition_number(w),
             "kappa_down": k_down,
         })
         spectra.append(s)
-        ranks.append(r_l)
-        paper_num += m * n
-        paper_den += h * r_l * (m + n) + h * (r_l + 1)
-        kept += float(sq[:r_l].sum())
-        total += float(sq.sum())
-        kappa = max(kappa, k_teacher)
+    ranks = [e["r"] for e in breakdown]
+    kept = sum(float((s[:r] * s[:r]).sum()) for s, r in zip(spectra, ranks))
+    total = sum(float((s * s).sum()) for s in spectra)
+    paper_den = sum(h * e["r"] * (e["m"] + e["n"]) + h * (e["r"] + 1) for e in breakdown)
     if influences is None:
         influences = LayerInfluence.uniform(len(spectra))
     actual = inherited.param_count()
     teacher_count = teacher.param_count()
     return TheoryReport(
-        rho_paper=paper_num / paper_den,
+        rho_paper=sum(e["m"] * e["n"] for e in breakdown) / paper_den,
         param_count_actual=actual,
         param_count_teacher=teacher_count,
         rho_actual=teacher_count / actual,
         spectral_energy_ratio=kept / total,
         eckart_young_error=float(np.sqrt(total - kept)),
         epsilon=1.0 - kept / total,
-        kappa=kappa,
+        kappa=max(e["kappa"] for e in breakdown),
         preservation_lower_bound=preservation_bound(influences, spectra, ranks),
         per_layer_breakdown=breakdown,
     )
@@ -255,7 +251,6 @@ def head_marginal_gains(w: np.ndarray, r: int, h_max: int, task,
     copies would receive identical gradients and could never specialize.
     """
     from dataclasses import replace
-    from .inherit import inherit_dense
     from .io import gen_synthetic
     from .train import train as run_train
     from .experiments import perturb_heads, GATE_JITTER

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import NumericalError, RangeError, ShapeError
-from .io import atomic_write, rebuild_layer
+from .inherit import GatedMixture
+from .io import rebuild_layer, write_csv
 from .linalg import log_softmax
 from .nn import FlatItems, Network, accuracy, cross_entropy, mse_loss
 
@@ -77,16 +78,9 @@ class RunLog:
         return len(self.train_loss)
 
     def to_csv(self, path) -> None:
-        lines = [",".join(RUNLOG_COLUMNS)]
-        for i in range(len(self)):
-            lines.append(",".join([str(i + 1),
-                                   repr(self.train_loss[i]),
-                                   repr(self.eval_loss[i]),
-                                   repr(self.eval_acc[i]),
-                                   repr(self.grad_norm_mean[i]),
-                                   repr(self.grad_norm_var[i]),
-                                   repr(self.wall_ms[i])]))
-        atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        rows = zip(self.train_loss, self.eval_loss, self.eval_acc, self.grad_norm_mean,
+                   self.grad_norm_var, self.wall_ms)
+        write_csv(path, RUNLOG_COLUMNS, [[i + 1, *row] for i, row in enumerate(rows)])
 
 
 def learning_rate(config: TrainConfig, t: int) -> float:
@@ -266,7 +260,7 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
             rows.append(net.grad_vector().copy())
         return np.stack(rows)
 
-    if getattr(layer, "gate_frozen", True):
+    if not isinstance(layer, GatedMixture) or layer.gate_frozen:
         raise ShapeError("gating variance measurement expects a layer with a trainable gate")
     adaptive = Network([layer])
     uniform = Network([rebuild_layer(layer, gate_frozen=True)])

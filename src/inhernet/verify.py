@@ -18,15 +18,15 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CorruptionError, FormatError
-from .inherit import (build_inverse, gradient_decomposition_check, inherit_conv,
-                      inherit_dense, inherit_network, make_variant)
+from .inherit import (build_inverse, factor_matrix, gradient_decomposition_check,
+                      inherit_conv, inherit_dense, inherit_layer, make_variant)
 from .io import load_checkpoint, save_checkpoint
 from .linalg import frobenius_norm, softmax, truncated_svd, condition_number
-from .nn import (Conv2DLayer, Network, cross_entropy, finite_difference_grad,
-                 make_mlp, mse_loss)
+from .nn import (Conv2DLayer, Network, ReluLayer, finite_difference_grad, make_mlp,
+                 mse_loss)
 from .theory import (compression_ratio_paper, eckart_young_error,
                      param_count_actual, preservation_bound, rank_for_energy,
-                     spectral_energy, LayerInfluence)
+                     LayerInfluence)
 from .train import TrainConfig, kd_loss, learning_rate, train
 from .io import SyntheticTask, gen_synthetic
 from .experiments import spectral_mlp
@@ -321,16 +321,15 @@ def suite_theory() -> list[CheckResult]:
 
 
 def inherit_by_energy(teacher: Network, epsilon: float, h: int = 1) -> Network:
-    """Inherit each dense layer at the smallest rank keeping 1 - epsilon energy."""
-    from .nn import DenseLayer, ReluLayer
+    """Inherit each dense and conv layer at the smallest rank keeping 1 - epsilon energy."""
     layers = []
     for lay in teacher.layers:
-        if isinstance(lay, DenseLayer):
-            s = np.linalg.svd(lay.weight, compute_uv=False)
-            r = min(rank_for_energy(s, epsilon), min(lay.weight.shape))
-            layers.append(inherit_dense(lay.weight, r, h, bias=lay.bias))
-        else:
+        w = factor_matrix(lay)
+        if w is None:
             layers.append(ReluLayer())
+        else:
+            r = rank_for_energy(np.linalg.svd(w, compute_uv=False), epsilon)
+            layers.append(inherit_layer(lay, r, h))
     return Network(layers)
 
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from inhernet.cli import main
 from inhernet.experiments import spectral_mlp
 from inhernet.io import load_checkpoint, save_checkpoint
+from inhernet.nn import Conv2DLayer, Network, ReluLayer
 from inhernet.rng import philox
 
 
@@ -204,6 +206,38 @@ class TestAnalyzeCommand:
         payload = json.loads(out.read_text())
         assert "rho_paper" in payload and "per_layer_breakdown" in payload
         assert "empirical_output_cosine_diagnostic" in payload
+
+
+@pytest.fixture(scope="module")
+def conv_teacher_ckpt(tmp_path_factory):
+    gen = philox(44, 0)
+    net = Network([Conv2DLayer(gen.standard_normal((6, 2, 3, 3)), padding=1,
+                               bias=gen.standard_normal(6)),
+                   ReluLayer(),
+                   Conv2DLayer(gen.standard_normal((4, 6, 3, 3)), padding=1)])
+    path = tmp_path_factory.mktemp("teachers") / "conv.ckpt"
+    save_checkpoint(net, path)
+    return path
+
+
+class TestConvTeacher:
+    def test_inherit_writes_student_and_prints_report(self, tmp_path, conv_teacher_ckpt,
+                                                      capsys):
+        out = tmp_path / "student.ckpt"
+        assert run_cli("inherit", "--teacher", str(conv_teacher_ckpt), "--rank", "3",
+                       "--heads", "2", "--out", str(out)) == 0
+        text = capsys.readouterr().out
+        assert "compression ratio" in text and "layer 2: 4x54 r=3 H=2" in text
+        student, _ = load_checkpoint(out)
+        assert [l.kind for l in student.layers] == ["inherit_conv", "relu", "inherit_conv"]
+
+    def test_analyze_reports_conv_layers_without_a_probe(self, tmp_path, conv_teacher_ckpt):
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--teacher", str(conv_teacher_ckpt), "--rank", "3",
+                       "--heads", "2", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["empirical_output_cosine_diagnostic"] is None
+        assert [e["layer"] for e in payload["per_layer_breakdown"]] == [0, 2]
 
 
 class TestInsightCommand:

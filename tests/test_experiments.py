@@ -1,4 +1,10 @@
+import numpy as np
+import pytest
+
 from inhernet import experiments
+from inhernet.inherit import inherit_conv, inherit_dense, make_variant
+from inhernet.nn import Network
+from inhernet.rng import philox
 
 
 class TestJobMap:
@@ -14,3 +20,41 @@ class TestJobMap:
             assert experiments.worker_count() == 1
         monkeypatch.delenv("INHERIT_THREADS")
         assert experiments.worker_count() == 1
+
+
+class TestPerturbHeads:
+    @pytest.mark.parametrize("variant,factors,biases", [
+        ("standard", ["head_{}"], ["head_bias_{}"]),
+        ("inverse", ["down_{}"], ["bias"]),
+        ("symmetric", ["down_{}", "up_{}"], ["bias"])])
+    def test_every_per_head_factor_moves_and_no_bias(self, variant, factors, biases):
+        gen = philox(70, 0)
+        layer = make_variant(gen.standard_normal((6, 5)), 3, 3, variant,
+                             bias=gen.standard_normal(5))
+        before = {k: v.copy() for k, v in layer.params.items()}
+        experiments.perturb_heads(Network([layer]), seed=1)
+        heads = 2 if variant == "symmetric" else 3
+        for name in factors:
+            moved = [layer.params[name.format(h)] for h in range(heads)]
+            assert all(not np.array_equal(a, b) for a, b in zip(moved, moved[1:]))
+        for name in biases:
+            for key in {name.format(h) for h in range(heads)}:
+                assert np.array_equal(layer.params[key], before[key])
+
+    def test_standard_layers_keep_their_jitter_stream(self):
+        gen = philox(71, 0)
+        layers = [inherit_dense(gen.standard_normal((6, 5)), 2, 3, bias=gen.standard_normal(5)),
+                  inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 3)]
+        want = [{k: v.copy() for k, v in layer.params.items()} for layer in layers]
+        ref = philox(5, 7)    # the head-by-head draws of the dense-and-conv-only jitter
+        for params in want:
+            for h in range(3):
+                p = params[f"head_{h}"]
+                p += experiments.HEAD_JITTER * np.linalg.norm(p) / np.sqrt(p.size) * \
+                    ref.standard_normal(p.shape)
+            gw = params["gate_weight"]
+            gw += 0.5 / np.sqrt(gw.shape[0]) * ref.standard_normal(gw.shape)
+        experiments.perturb_heads(Network(layers), seed=5, gate_scale=0.5)
+        for layer, params in zip(layers, want):
+            for key, value in params.items():
+                assert np.array_equal(layer.params[key], value), key

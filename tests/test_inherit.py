@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inhernet.errors import RangeError, ShapeError
-from inhernet.inherit import (InherConv2DLayer, InherNetLayer, build_inverse,
-                              gradient_decomposition_check, inherit_conv,
-                              inherit_dense, inherit_network, make_variant)
+from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, VARIANTS, InherConv2DLayer,
+                              InherNetLayer, _standard_param_count, build_inverse,
+                              factor_matrix, gradient_decomposition_check, inherit_conv,
+                              inherit_dense, inherit_layer, inherit_network, make_variant)
 from inhernet.linalg import truncated_svd
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer,
                          finite_difference_grad, mse_loss)
@@ -347,6 +352,28 @@ class TestFusedHeadGradients:
         assert layer.param_count() == sum(p.size for p in layer.params.values())
 
 
+class TestGradientGrid:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_variant_matches_finite_differences(self, data):
+        m, n = data.draw(st.integers(2, 6), "m"), data.draw(st.integers(2, 5), "n")
+        r = data.draw(st.integers(1, min(m, n)), "r")
+        h = data.draw(st.integers(1, 3), "h")
+        variant = data.draw(st.sampled_from(VARIANTS), "variant")
+        mode = data.draw(st.sampled_from(COMBINER_MODES), "mode")
+        gate_input = data.draw(st.sampled_from(GATE_INPUTS), "gate_input")
+        bias = data.draw(st.booleans(), "bias")
+        gen = philox(data.draw(st.integers(0, 2**16), "seed"), 0)
+        layer = make_variant(gen.standard_normal((m, n)), r, h, variant, mode, gate_input,
+                             gen.standard_normal(n) if bias else None, seed=3)
+        jitter(layer, gen)
+        x = gen.standard_normal((4, m))
+        assert fd_relative_dev(layer, x, gen) < 1e-4
+        if layer.kind == "inherit_dense":
+            y = gen.standard_normal((4, n))
+            assert gradient_decomposition_check(layer, x, y, mse_loss) < 1e-8
+
+
 class TestInverse:
     def test_single_head_equals_standard(self):
         gen = philox(18, 0)
@@ -435,6 +462,54 @@ class TestVariants:
     def test_unknown_variant(self):
         with pytest.raises(RangeError):
             make_variant(np.eye(4), 2, 2, "bogus")
+
+    def test_standard_count_closed_form(self):
+        gen = philox(61, 0)
+        for m, n, r, h, gate_input, bias in itertools.product(
+                (3, 7), (2, 5), (1, 2), (1, 3), GATE_INPUTS, (False, True)):
+            std = inherit_dense(gen.standard_normal((m, n)), r, h, gate_input=gate_input,
+                                bias=gen.standard_normal(n) if bias else None)
+            assert _standard_param_count(m, n, r, h, gate_input, bias) == std.param_count()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_out_of_range_rank_raises_for_every_variant(self, variant):
+        w = philox(62, 0).standard_normal((6, 4))
+        for r in (0, 5):
+            with pytest.raises(RangeError, match="rank"):
+                make_variant(w, r, 2, variant)
+
+
+class TestFactorMatrix:
+    def test_dense_weight_conv_reshape_and_relu(self):
+        gen = philox(63, 0)
+        dense = DenseLayer(gen.standard_normal((6, 4)))
+        conv = Conv2DLayer(gen.standard_normal((5, 2, 3, 3)))
+        assert np.array_equal(factor_matrix(dense), dense.params["weight"])
+        assert np.array_equal(factor_matrix(conv), conv.params["kernel"].reshape(5, 18))
+        assert factor_matrix(ReluLayer()) is None
+
+    def test_other_kinds_raise(self):
+        student = inherit_dense(philox(64, 0).standard_normal((6, 4)), 2, 2)
+        with pytest.raises(RangeError, match="inherit_dense"):
+            factor_matrix(student)
+        with pytest.raises(RangeError, match="layer 1: cannot inherit"):
+            inherit_network(Network([ReluLayer(), student]), 2, 2)
+
+    def test_conv_student_factors_the_reshaped_kernel(self):
+        conv = Conv2DLayer(philox(65, 0).standard_normal((5, 2, 3, 3)), padding=1)
+        layer = inherit_layer(conv, 3, 2)
+        kernel = layer.params["shared_kernel"].reshape(3, -1)
+        want = truncated_svd(factor_matrix(conv), 3).reconstruct()
+        for h in range(2):
+            assert np.max(np.abs(layer.params[f"head_{h}"] @ kernel - want)) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["symmetric", "inverse"])
+    def test_conv_rejects_dense_only_variants(self, variant):
+        conv = Conv2DLayer(philox(66, 0).standard_normal((5, 2, 3, 3)))
+        with pytest.raises(RangeError, match="dense-only"):
+            inherit_layer(conv, 2, 2, variant)
+        with pytest.raises(RangeError, match="layer 0: variant"):
+            inherit_network(Network([conv]), 2, 2, variant=variant)
 
 
 class TestInheritNetwork:

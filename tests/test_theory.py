@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from inhernet.errors import DegenerateInputError, RangeError, ShapeError
-from inhernet.inherit import inherit_dense, make_variant
+from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_network, make_variant
 from inhernet.io import SyntheticTask
 from inhernet.linalg import frobenius_norm, truncated_svd
-from inhernet.nn import Network
+from inhernet.nn import Conv2DLayer, Network, ReluLayer
 from inhernet.rng import philox
 from inhernet.theory import (LayerInfluence, analyze_network,
                              compression_ratio_paper, eckart_young_error,
@@ -164,6 +164,37 @@ class TestAnalyzeNetwork:
         teacher = spectral_mlp([6, 8, 3], seed=4)
         x = philox(9, 0).standard_normal((40, 6))
         assert abs(output_cosine_similarity(teacher, teacher, x) - 1.0) < 1e-12
+
+
+def conv_teacher(seed: int) -> Network:
+    gen = philox(seed, 0)
+    return Network([Conv2DLayer(gen.standard_normal((6, 2, 3, 3)), padding=1,
+                                bias=gen.standard_normal(6)),
+                    ReluLayer(),
+                    Conv2DLayer(gen.standard_normal((4, 6, 3, 3)), stride=2, padding=1)])
+
+
+class TestConvTeacher:
+    def test_one_breakdown_row_per_conv_layer(self):
+        teacher = conv_teacher(51)
+        report = analyze_network(teacher, inherit_network(teacher, r=3, h=2), r=3, h=2)
+        rows = report.per_layer_breakdown
+        assert [(e["layer"], e["m"], e["n"], e["r"]) for e in rows] == [(0, 6, 18, 3),
+                                                                       (2, 4, 54, 3)]
+        for e, i in zip(rows, (0, 2)):
+            s = np.linalg.svd(teacher.layers[i].params["kernel"].reshape(e["m"], -1),
+                              compute_uv=False)
+            assert abs(e["energy_ratio"] - np.sum(s[:3] ** 2) / np.sum(s ** 2)) < 1e-12
+            assert np.isfinite(e["kappa_down"]) and e["kappa_down"] >= 1.0
+        assert report.param_count_teacher == teacher.param_count()
+
+    def test_energy_ranked_inheritance_keeps_conv_layers(self):
+        teacher = conv_teacher(52)
+        student = inherit_by_energy(teacher, epsilon=1e-6, h=1)
+        assert [type(l) for l in student.layers] == [InherConv2DLayer, ReluLayer,
+                                                     InherConv2DLayer]
+        x = philox(53, 0).standard_normal((5, 2, 9, 9))
+        assert float(np.mean((student.forward(x) - teacher.forward(x)) ** 2)) <= 1e-4
 
 
 class TestUniversalityProxy:

@@ -6,8 +6,9 @@ from inhernet.inherit import inherit_dense
 from inhernet.io import SyntheticTask, gen_synthetic
 from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp
 from inhernet.rng import philox
-from inhernet.train import (RUNLOG_COLUMNS, TrainConfig, gating_grad_variance,
-                            kd_loss, learning_rate, sgd_step, train)
+from inhernet.io import Dataset
+from inhernet.train import (RUNLOG_COLUMNS, RunLog, TrainConfig, evaluate,
+                            gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
 
 
 def cfg(**kw):
@@ -231,6 +232,32 @@ class TestTrain:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(RUNLOG_COLUMNS)
         assert len(lines) == 4
+
+    def test_runlog_csv_bytes(self, tmp_path):
+        log = RunLog(train_loss=[0.5, 0.25], eval_loss=[0.4, 0.1 + 0.2],
+                     eval_acc=[float("nan"), 1.0], grad_norm_mean=[1e-20, 3.0],
+                     grad_norm_var=[0.0, 2.5], wall_ms=[12.5, 7.0])
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        assert path.read_bytes() == (
+            b"epoch,train_loss,eval_loss,eval_acc,grad_norm_mean,grad_norm_var,wall_ms\n"
+            b"1,0.5,0.4,nan,1e-20,0.0,12.5\n"
+            b"2,0.25,0.30000000000000004,1.0,3.0,2.5,7.0\n")
+
+    def test_non_finite_input_raises_through_forward_evaluate_and_train(self):
+        net = make_mlp([4, 8, 3], seed=0)
+        x = philox(40, 0).standard_normal((20, 4))
+        y = np.arange(20) % 3
+        for bad in (np.nan, np.inf):
+            xb = x.copy()
+            xb[7, 2] = bad
+            with pytest.raises(NumericalError, match="input"):
+                net.forward(xb)
+            with pytest.raises(NumericalError, match="input"):
+                evaluate(net, xb, y, cfg(loss="ce"))
+            data = (Dataset(xb, y, "classification"), Dataset(x, y, "classification"))
+            with pytest.raises(NumericalError, match="input"):
+                train(net, data, cfg(loss="ce", epochs=1))
 
     def test_teacher_runs_once_per_call(self):
         task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
