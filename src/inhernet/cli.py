@@ -26,6 +26,8 @@ from .nn import make_mlp
 from .theory import LayerInfluence, analyze_network, output_cosine_similarity
 from .train import TrainConfig, evaluate, train
 
+GATE_HELP = ("what a dense layer's gate reads; conv layers gate on the pooled code, "
+             "so 'input' is an error for a conv teacher")
 USER_ERRORS = (ShapeError, RangeError, NumericalError, FormatError,
                CorruptionError, ParseError, DegenerateInputError,
                FileNotFoundError, ValueError)
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--heads", type=int, default=3)
     p.add_argument("--mode", choices=("convex", "paper"), default="convex")
-    p.add_argument("--gate", choices=("code", "input"), default="code")
+    p.add_argument("--gate", choices=("code", "input"), default="code", help=GATE_HELP)
     p.add_argument("--variant", choices=VARIANTS, default="standard")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-rank", action="store_true",
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analyze this checkpoint instead of a fresh inheritance")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--heads", type=int, default=3)
-    p.add_argument("--gate", choices=("code", "input"), default="code")
+    p.add_argument("--gate", choices=("code", "input"), default="code", help=GATE_HELP)
     p.add_argument("--cap-rank", action="store_true")
     p.add_argument("--alphas", default=None,
                    help="comma-separated per-layer influence weights")

@@ -21,7 +21,9 @@ The ablation kinds gate on the input; a frozen gate (``no-gate``) is
 exactly uniform and has no parameters. The gated sum runs in code space:
 the gate-weighted codes of all heads form one (B, H*r) matrix (summed over
 heads first when U is shared) and one GEMM against the stacked U gives the
-output; no step loops over heads in Python. Inheritance starts every head
+output; no step loops over heads in Python. A convolution keeps its codes
+channels first, (B, H*r, OH*OW), and multiplies them per sample, so its
+output is NCHW without a transpose. Inheritance starts every head
 from the teacher's truncated SVD: D = ``U_r sqrt(S_r)``, U = ``sqrt(S_r)
 V_r^T`` (a conv kernel, reshaped to (N, c*kh*kw), is the transpose of W).
 In ``convex`` mode (default) each head holds the full factor, so any
@@ -43,7 +45,7 @@ from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
 from .nn import (DenseLayer, Layer, Network, ReluLayer, check_conv_geometry, col2im,
-                 conv_output_size, im2col, kaiming_uniform)
+                 conv_output_size, im2col, kaiming_uniform, sum_of_products)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
@@ -82,10 +84,18 @@ def _sum_to(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """``g_h * a_h`` for every head, from ``a`` (B, P, 1|H, r), summed over heads if ``k`` is 1."""
-    if k == 1 and a.shape[2] > 1:
-        return np.matmul(g[:, None, None, :], a)
-    return g[:, None, :, None] * a
+    """``g_h * a_h`` for every head, from ``a`` (B, 1|H, r, P), summed over heads if ``k`` is 1."""
+    b, h = a.shape[:2]
+    if k == 1 and h > 1:
+        return np.matmul(g[:, None, :], a.reshape(b, h, -1)).reshape(b, 1, *a.shape[2:])
+    return g[:, :, None, None] * a
+
+
+def _per_sample(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``m @ a[i]`` for every sample of ``a`` (B, K, P); one GEMM when P is 1."""
+    if a.shape[2] == 1:
+        return (a[:, :, 0] @ m.T)[:, :, None]
+    return m @ a
 
 
 class GatedMixture(Layer):
@@ -94,8 +104,8 @@ class GatedMixture(Layer):
     A subclass stores its down, up and bias stacks through
     ``_store_stacks`` and hands the mixing core its up stack as
     (1|H, r, n), with the bias stack, through ``mixture``. Codes ``z`` are
-    (B, P, 1|H, r): P = 1 for a dense layer, one row per output pixel for a
-    convolution.
+    (B, 1|H, r, P) and outputs (B, n, P), channels first: P = 1 for a dense
+    layer, one column per output pixel for a convolution.
     """
 
     def _store_stacks(self, kind: str, down, up, bias, gate_width: int,
@@ -158,22 +168,22 @@ class GatedMixture(Layer):
         return softmax(gate_in @ self.params["gate_weight"] + self.params["gate_bias"])
 
     def _mix(self, g: np.ndarray, z: np.ndarray):
-        """``y = sum_h g_h * (z_h @ up_h + bias_h)``, as (B, P, n).
+        """``y = sum_h g_h * (up_h^T z_h + bias_h)``, as (B, n, P).
 
-        Also returns the mixed codes (B*P, (1|H)*r): every head's
+        Also returns the mixed codes (B, (1|H)*r, P): every head's
         gate-weighted code, summed over heads when the up stack is shared.
         """
         up, bias = self.mixture(self.blocks)
-        b, p = z.shape[:2]
-        zg = _gate_weighted(g, z, up.shape[0]).reshape(b * p, -1)
-        y = (zg @ up.reshape(-1, up.shape[2])).reshape(b, p, -1)
+        b, p = len(z), z.shape[3]
+        zg = _gate_weighted(g, z, up.shape[0]).reshape(b, -1, p)
+        y = _per_sample(up.reshape(-1, up.shape[2]).T, zg)
         if bias is not None:
-            y += (_sum_to(g, (b, len(bias))) @ bias)[:, None, :]
+            y += (_sum_to(g, (b, len(bias))) @ bias)[:, :, None]
         return y, zg
 
     def _mix_backward(self, gy: np.ndarray, g: np.ndarray, gate_in: np.ndarray,
                       z: np.ndarray, zg: np.ndarray):
-        """Backward of :meth:`_mix` for ``gy = dL/dy`` (B, P, n).
+        """Backward of :meth:`_mix` for ``gy = dL/dy`` (B, n, P).
 
         Adds the gradients of the up and bias stacks, and of the gate
         through :meth:`_gate_backward`. Returns dL/dz, shaped like ``z``, and
@@ -181,11 +191,10 @@ class GatedMixture(Layer):
         """
         up, bias = self.mixture(self.blocks)
         d_up, d_bias = self.mixture(self.grad_blocks)
-        b, p, hd, r = z.shape
-        gy_rows = gy.reshape(b * p, -1)
-        d_up += (zg.T @ gy_rows).reshape(up.shape)
-        dz_mix = (gy_rows @ up.reshape(-1, up.shape[2]).T).reshape(b, p, -1, r)
-        gy_sum = gy.sum(axis=1) if p > 1 else gy[:, 0]
+        b, hd, r, p = z.shape
+        d_up += sum_of_products(zg, gy).reshape(up.shape)
+        dz_mix = _per_sample(up.reshape(-1, up.shape[2]), gy).reshape(b, -1, r, p)
+        gy_sum = gy.sum(axis=2) if p > 1 else gy[:, :, 0]
         if bias is not None:
             d_bias += _sum_to(g.T @ gy_sum, bias.shape)
         dgate_in = self._gate_backward(g, gate_in, z, dz_mix, gy, gy_sum, up, bias)
@@ -203,12 +212,12 @@ class GatedMixture(Layer):
         """
         if self.gate_frozen:
             return np.zeros_like(gate_in)
-        b, p = z.shape[:2]
-        if p > 1 and z.shape[2] == 1:
+        b, hd, _, p = z.shape
+        if p > 1 and hd == 1:
             # many pixels, one code: contract codes with grad_out per sample first
-            s = (z[:, :, 0].transpose(0, 2, 1) @ gy).reshape(b, -1) @ up.reshape(len(up), -1).T
+            s = (z[:, 0] @ gy.transpose(0, 2, 1)).reshape(b, -1) @ up.reshape(len(up), -1).T
         else:
-            s = np.einsum("bphr,bphr->bh", z, dz_mix)
+            s = np.einsum("bhrp,bhrp->bh", z, dz_mix)
         if bias is not None:
             s += gy_sum @ bias.T
         dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
@@ -277,7 +286,7 @@ class InherNetLayer(GatedMixture):
         b = x.shape[0]
         z = x @ self._down_matrix()
         g = self.gate_values(x, z)
-        z = z.reshape(b, 1, len(self.blocks[self._names[0]]), -1)
+        z = z.reshape(b, len(self.blocks[self._names[0]]), -1, 1)
         y, zg = self._mix(g, z)
         self._x, self._z, self._g, self._zg = x, z, g, zg
         return y.reshape(b, -1)
@@ -287,7 +296,7 @@ class InherNetLayer(GatedMixture):
         x, z = self._x, self._z
         b = x.shape[0]
         code = self.gate_input == "code"
-        dz, dgate = self._mix_backward(grad_out[:, None, :], self._g,
+        dz, dgate = self._mix_backward(grad_out[:, :, None], self._g,
                                        z.reshape(b, -1) if code else x, z, self._zg)
         dz = dz.reshape(b, -1)
         if code:
@@ -344,28 +353,25 @@ class InherConv2DLayer(GatedMixture):
         oh = conv_output_size(x.shape[2], kh, self.stride, self.padding)
         ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
         cols = im2col(x, kh, kw, self.stride, self.padding)
-        z = cols @ k.reshape(r, -1).T                        # (B, OH*OW, r)
-        pooled = z.mean(axis=1)
+        z = (k.reshape(r, -1) @ cols)[:, None]               # (B, 1, r, OH*OW)
+        pooled = z[:, 0].mean(axis=2)
         g = self._gate(pooled)
-        z = z[:, :, None, :]
         y, zg = self._mix(g, z)
         self._x, self._cols, self._z, self._pooled, self._g, self._zg = \
             x, cols, z, pooled, g, zg
-        return y.transpose(0, 2, 1).reshape(b, -1, oh, ow)
+        return y.reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         self._require_forward()
         x, cols, z = self._x, self._cols, self._z
         k = self.params["shared_kernel"]
         r, _, kh, kw = k.shape
-        b, p = z.shape[:2]
-        gy = grad_out.reshape(b, -1, p).transpose(0, 2, 1)    # (B, OH*OW, N)
+        b, p = len(z), z.shape[3]
+        gy = grad_out.reshape(b, -1, p)                      # (B, N, OH*OW)
         dz, dpooled = self._mix_backward(gy, self._g, self._pooled, z, self._zg)
-        dz = dz[:, :, 0] + dpooled[:, None, :] / p
-        # per-sample products: merging (B, P) would copy the strided im2col rows
-        self.grads["shared_kernel"] += np.matmul(dz.transpose(0, 2, 1), cols).sum(
-            axis=0).reshape(k.shape)
-        return col2im(dz @ k.reshape(r, -1), x.shape, kh, kw, self.stride, self.padding)
+        dz = dz[:, 0] + dpooled[:, :, None] / p
+        self.grads["shared_kernel"] += sum_of_products(dz, cols).reshape(k.shape)
+        return col2im(k.reshape(r, -1).T @ dz, x.shape, kh, kw, self.stride, self.padding)
 
 
 def _svd_start(w: np.ndarray, r: int, h: int, mode: str, gate_input: str):
@@ -476,6 +482,7 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
     ``no-gate`` freezes the gate at uniform; ``no-svd`` redraws the shared
     factor and every head Kaiming-uniform from the streams (seed, init, 0)
     and (seed, init, h + 1); ``inverse`` and ``symmetric`` are dense-only.
+    A conv layer gates on its pooled code, so it takes only ``gate_input="code"``.
     """
     w, bias = factor_matrix(layer), layer.params.get("bias")
     if w is None:
@@ -484,6 +491,9 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if variant in ("symmetric", "inverse") and layer.kind != "dense":
         raise RangeError(f"variant {variant!r} is dense-only")
+    if gate_input != "code" and layer.kind != "dense":
+        raise RangeError(f"a conv layer gates on its pooled code: gate_input must be "
+                         f"'code', got {gate_input!r}")
     if variant == "inverse":
         return build_inverse(w, r, h, mode, bias)
     if variant == "symmetric":

@@ -10,6 +10,13 @@ vectors, so zeroing, norming and stepping the whole network are single
 vector operations. A central-difference oracle
 (:func:`finite_difference_grad`) provides the independent check for every
 analytic gradient in the package.
+
+Image batches are C-contiguous NCHW arrays, (B, C, H, W), and every conv
+layer returns one. Convolutions lower to GEMMs through :func:`im2col`,
+whose patch matrix is channels first, (B, C*kh*kw, OH*OW): a kernel
+(N, C*kh*kw) multiplies it as ``k @ cols`` into (B, N, OH*OW), already
+NCHW, and :func:`col2im` folds (B, C*kh*kw, OH*OW) gradients back onto
+the image one contiguous (OH, OW) plane per kernel offset.
 """
 
 from __future__ import annotations
@@ -177,21 +184,24 @@ class DenseLayer(Layer):
 
 
 class ReluLayer(Layer):
-    """Rectifier with subgradient 0 at the origin."""
+    """Rectifier with subgradient 0 at the origin; NaN, -0.0 and negatives give +0.0."""
 
     kind = "relu"
 
     def __init__(self):
         super().__init__()
-        self._mask = None
+        self._y = None
 
     def forward(self, x):
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        # fmax drops NaN; adding +0.0 turns the -0.0 its scalar loop can return into +0.0
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        self._y = y
+        return y
 
     def backward(self, grad_out):
-        self._require_forward("_mask")
-        return np.where(self._mask, grad_out, 0.0)
+        self._require_forward("_y")
+        return grad_out * (self._y > 0.0)
 
 
 def check_conv_geometry(stride: int, padding: int) -> None:
@@ -208,32 +218,51 @@ def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold (B, C, H, W) into (B, OH*OW, C*kh*kw) patch rows."""
+    """Unfold (B, C, H, W) into patch columns (B, C*kh*kw, OH*OW).
+
+    Row ``(c, i, j)`` of a sample is channel c of the padded image seen
+    through kernel offset (i, j), one column per output pixel in row-major
+    order. The array is the buffer the rows were written into, so each
+    row is a contiguous (OH, OW) plane.
+    """
     b, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b, oh * ow, c * kh * kw)
+    return cols.reshape(b, c * kh * kw, oh * ow)
 
 
 def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
            padding: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patch rows back onto the image."""
+    """Adjoint of :func:`im2col`: scatter-add (B, C*kh*kw, OH*OW) columns onto the image.
+
+    Each of the kh*kw adds reads one contiguous (OH, OW) plane per channel.
+    """
     b, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    six = cols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    planes = cols.reshape(b, c, kh, kw, oh, ow)
     xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += six[:, :, i, j]
+            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += planes[:, :, i, j]
     if padding:
         return xp[:, :, padding:-padding, padding:-padding]
     return xp
+
+
+def sum_of_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sum_i a[i] @ c[i].T`` over samples i of (B, M, P) and (B, K, P): an (M, K) matrix.
+
+    One GEMM when P is 1, else one per sample, so neither operand is copied.
+    """
+    if a.shape[2] == 1:
+        return a[:, :, 0].T @ c[:, :, 0]
+    return np.matmul(a, c.transpose(0, 2, 1)).sum(axis=0)
 
 
 class Conv2DLayer(Layer):
@@ -281,23 +310,21 @@ class Conv2DLayer(Layer):
         ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
         self._x = x
         self._cols = im2col(x, kh, kw, self.stride, self.padding)
-        flat = self._cols @ k.reshape(n, -1).T            # (B, OH*OW, N)
+        y = k.reshape(n, -1) @ self._cols                 # (B, N, OH*OW)
         if "bias" in self.params:
-            flat = flat + self.params["bias"]
-        return flat.transpose(0, 2, 1).reshape(b, n, oh, ow)
+            y += self.params["bias"][:, None]
+        return y.reshape(b, n, oh, ow)
 
     def backward(self, grad_out):
         self._require_forward()
         k = self.kernel
         n, _, kh, kw = k.shape
-        b = grad_out.shape[0]
-        gflat = grad_out.reshape(b, n, -1).transpose(0, 2, 1)   # (B, OH*OW, N)
-        self.grads["kernel"] += np.einsum("bpn,bpk->nk", gflat, self._cols,
-                                          optimize=True).reshape(k.shape)
+        gy = grad_out.reshape(len(grad_out), n, -1)          # (B, N, OH*OW)
+        self.grads["kernel"] += sum_of_products(gy, self._cols).reshape(k.shape)
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
-        gcols = gflat @ k.reshape(n, -1)
-        return col2im(gcols, self._x.shape, kh, kw, self.stride, self.padding)
+        return col2im(k.reshape(n, -1).T @ gy, self._x.shape, kh, kw, self.stride,
+                      self.padding)
 
 
 class FlatItems(dict):

@@ -142,10 +142,11 @@ class TheoryReport:
             f"preservation lower bound {self.preservation_lower_bound:.6f}",
         ]
         for entry in self.per_layer_breakdown:
+            k_down = "n/a" if entry["kappa_down"] is None else f"{entry['kappa_down']:.3e}"
             lines.append(
                 f"  layer {entry['layer']}: {entry['m']}x{entry['n']} r={entry['r']} "
                 f"H={entry['h']} epsilon={entry['epsilon']:.3e} "
-                f"kappa={entry['kappa']:.3e} kappa_down={entry['kappa_down']:.3e}")
+                f"kappa={entry['kappa']:.3e} kappa_down={k_down}")
         return lines
 
 
@@ -157,7 +158,7 @@ def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
     with the inherited network's gated layers; per-layer ranks are read off
     the built layers, so capped ranks report their effective value.
     ``kappa_down`` is the condition number of a layer's shared down factor
-    (NaN when every head has its own).
+    (``None``, JSON ``null``, when every head has its own).
     """
     matrices = [(i, factor_matrix(l)) for i, l in enumerate(teacher.layers)]
     decomposed = [(i, w) for i, w in matrices if w is not None]
@@ -173,7 +174,7 @@ def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
         sq = s * s
         energy = float(sq[:r_l].sum() / sq.sum())
         down = next(iter(KINDS[b_layer.kind].values()))   # a "{}" name is per head
-        k_down = float("nan") if "{}" in down else condition_number(
+        k_down = None if "{}" in down else condition_number(
             b_layer.params[down].reshape(len(b_layer.params[down]), -1))
         breakdown.append({
             "layer": i, "m": m, "n": n, "r": r_l, "h": h,

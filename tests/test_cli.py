@@ -239,6 +239,32 @@ class TestConvTeacher:
         assert payload["empirical_output_cosine_diagnostic"] is None
         assert [e["layer"] for e in payload["per_layer_breakdown"]] == [0, 2]
 
+    @pytest.mark.parametrize("command", ["inherit", "analyze"])
+    def test_input_gating_is_a_user_error(self, tmp_path, conv_teacher_ckpt, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--teacher", str(conv_teacher_ckpt), "--rank", "3",
+                       "--heads", "2", "--gate", "input", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 0: a conv layer gates on its pooled code")
+        assert "Traceback" not in err and not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON report")
+
+
+class TestAnalyzeStudent:
+    def test_inverse_student_report_is_strict_json(self, tmp_path, teacher_ckpt, capsys):
+        student = tmp_path / "inverse.ckpt"
+        assert run_cli("inherit", "--teacher", str(teacher_ckpt), "--rank", "3",
+                       "--heads", "2", "--variant", "inverse", "--out", str(student)) == 0
+        assert "kappa_down=n/a" in capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--teacher", str(teacher_ckpt), "--student", str(student),
+                       "--rank", "3", "--heads", "2", "--out", str(out)) == 0
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert [e["kappa_down"] for e in payload["per_layer_breakdown"]] == [None] * 3
+
 
 class TestInsightCommand:
     def test_insight3_writes_outputs(self, tmp_path, capsys):

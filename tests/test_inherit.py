@@ -325,6 +325,15 @@ class TestFusedHeadGradients:
         x = gen.standard_normal((2, 2, 5, 5))
         assert fd_relative_dev(layer, x, gen) < 1e-4
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv_stride_two_matches_finite_differences(self, padding):
+        gen = philox(950 + padding, 0)
+        layer = inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 3, stride=2,
+                             padding=padding, bias=gen.standard_normal(4))
+        jitter(layer, gen)
+        x = gen.standard_normal((2, 2, 5, 7))
+        assert fd_relative_dev(layer, x, gen) < 1e-4
+
     @pytest.mark.parametrize("variant,h", [("inverse", 1), ("inverse", 3), ("symmetric", 2)])
     @pytest.mark.parametrize("bias", [False, True])
     def test_ablation_kinds_match_finite_differences(self, variant, h, bias):
@@ -510,6 +519,16 @@ class TestFactorMatrix:
             inherit_layer(conv, 2, 2, variant)
         with pytest.raises(RangeError, match="layer 0: variant"):
             inherit_network(Network([conv]), 2, 2, variant=variant)
+
+
+    @pytest.mark.parametrize("variant", ["standard", "no-gate", "no-svd"])
+    def test_conv_rejects_input_gating(self, variant):
+        conv = Conv2DLayer(philox(67, 0).standard_normal((5, 2, 3, 3)))
+        with pytest.raises(RangeError, match="pooled code"):
+            inherit_layer(conv, 2, 2, variant, gate_input="input")
+        with pytest.raises(RangeError, match="layer 2: a conv layer gates on its pooled code"):
+            inherit_network(Network([DenseLayer(np.eye(3)), ReluLayer(), conv]), 2, 2,
+                            variant=variant, gate_input="input")
 
 
 class TestInheritNetwork:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import copy
+import itertools
 import pickle
 
 from inhernet.errors import RangeError, ShapeError, StateError
 from inhernet.experiments import perturb_heads
 from inhernet.inherit import inherit_conv, inherit_dense
-from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy,
-                         cross_entropy, finite_difference_grad, make_mlp,
+from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy, col2im,
+                         cross_entropy, finite_difference_grad, im2col, make_mlp,
                          mse_loss)
 from inhernet.rng import philox
 
@@ -166,6 +167,94 @@ class TestConv:
         layer = Conv2DLayer(np.ones((1, 1, 5, 5)))
         with pytest.raises(ShapeError):
             layer.forward(np.ones((1, 1, 3, 3)))
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_stride_two_gradients_match_finite_differences(self, padding):
+        gen = philox(10 + padding, 0)
+        layer = Conv2DLayer(gen.standard_normal((3, 2, 3, 3)), stride=2,
+                            padding=padding, bias=gen.standard_normal(3))
+        x = gen.standard_normal((2, 2, 5, 7))
+        y = gen.standard_normal(layer.forward(x).shape)
+        # a leading 1x1 identity conv checks the input gradient (col2im) too
+        lead = Conv2DLayer(np.eye(2)[:, :, None, None])
+        assert max_relative_fd_deviation(Network([lead, layer]), mse_loss, x, y) < 1e-4
+
+    @pytest.mark.parametrize("build", [
+        lambda k: Conv2DLayer(k, stride=2, padding=1, bias=np.ones(len(k))),
+        lambda k: inherit_conv(k, 2, 3, stride=2, padding=1, bias=np.ones(len(k)))],
+        ids=["conv2d", "inherit_conv"])
+    def test_output_is_c_contiguous_nchw(self, build):
+        gen = philox(12, 0)
+        layer = build(gen.standard_normal((4, 3, 3, 3)))
+        out = layer.forward(gen.standard_normal((2, 3, 7, 9)))
+        assert out.shape == (2, 4, 4, 5) and out.flags.c_contiguous
+
+
+def valid_size(k: int, stride: int, padding: int, at_least: int) -> int:
+    """The smallest image side >= ``at_least`` that the conv geometry tiles exactly."""
+    size = at_least
+    while (size + 2 * padding - k) % stride or size + 2 * padding < k:
+        size += 1
+    return size
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (2, 3)])
+    def test_col2im_is_the_adjoint(self, stride, padding, kh, kw):
+        gen = philox(13, 0)
+        h = valid_size(kh, stride, padding, 5)
+        w = valid_size(kw, stride, padding, h + 2)          # non-square
+        x = gen.standard_normal((2, 3, h, w))
+        cols = im2col(x, kh, kw, stride, padding)
+        g = gen.standard_normal(cols.shape)
+        lhs = float(np.sum(cols * g))
+        rhs = float(np.sum(x * col2im(g, x.shape, kh, kw, stride, padding)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_channels_first_layout(self):
+        gen = philox(14, 0)
+        x = gen.standard_normal((2, 3, 5, 7))
+        stride, padding, kh, kw = 2, 1, 3, 3
+        cols = im2col(x, kh, kw, stride, padding)
+        assert cols.shape == (2, 3 * kh * kw, 3 * 4) and cols.flags.c_contiguous
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        for c, i, j in itertools.product(range(3), range(kh), range(kw)):
+            row = cols[:, (c * kh + i) * kw + j].reshape(2, 3, 4)
+            assert np.array_equal(row, xp[:, c, i:i + 5:stride, j:j + 7:stride])
+
+
+class TestRelu:
+    def test_nan_signed_zero_and_negatives_give_positive_zero(self):
+        # lengths 1..17 reach both the vector loop and its scalar tail
+        for n in range(1, 18):
+            x = np.full(n, -0.0)
+            x[::3] = np.nan
+            x[1::3] = -2.5
+            y = ReluLayer().forward(x)
+            assert np.all(y == 0.0) and not np.signbit(y).any()
+
+    def test_forward_bit_equal_to_where(self):
+        x = philox(15, 0).standard_normal((37, 11))
+        y = ReluLayer().forward(x)
+        assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+    def test_backward_is_zero_on_inactive_units(self):
+        gen = philox(16, 0)
+        x = gen.standard_normal((9, 13))
+        x[0, :4] = [0.0, -0.0, np.nan, 1e-300]
+        layer = ReluLayer()
+        layer.forward(x)
+        g = gen.standard_normal(x.shape)
+        grad = layer.backward(g)
+        active = x > 0
+        assert np.array_equal(grad[active], g[active])
+        assert np.all(grad[~active] == 0.0)
+
+    def test_backward_before_forward(self):
+        with pytest.raises(StateError):
+            ReluLayer().backward(np.ones(3))
 
 
 class TestCrossEntropy:

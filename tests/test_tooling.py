@@ -1,9 +1,15 @@
-"""Static checks on the package source, run with the unit tests."""
+"""Checks on the package source and on the names profiling tools patch, run with the unit tests."""
 
 import ast
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from inhernet import nn
+from inhernet.inherit import inherit_conv
+from inhernet.rng import philox
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "inhernet"
 
@@ -29,3 +35,32 @@ def test_scan_finds_unused_names():
                          ids=lambda p: p.name)
 def test_module_imports_are_all_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_conv_layers_call_every_binding_of_im2col_and_col2im(monkeypatch):
+    """A tracer times im2col/col2im by rebinding them in every inhernet module
+    that holds them; a conv layer that reached them another way would make
+    those timings read 0."""
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (nn.im2col, nn.col2im):
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.startswith("inhernet."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        calls[mod_name, attr] = 0
+                        monkeypatch.setattr(mod, attr, counting((mod_name, attr), fn))
+    assert {(m, f) for m in ("inhernet.nn", "inhernet.inherit")
+            for f in ("im2col", "col2im")} <= set(calls)
+    gen = philox(17, 0)
+    kernel = gen.standard_normal((4, 2, 3, 3))
+    for layer in (nn.Conv2DLayer(kernel, padding=1), inherit_conv(kernel, 2, 2, padding=1)):
+        out = layer.forward(gen.standard_normal((2, 2, 5, 5)))
+        layer.backward(np.ones_like(out))
+    assert all(calls.values()), calls
