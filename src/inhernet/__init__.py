@@ -13,17 +13,17 @@ from .linalg import (SvdFactorization, condition_number, frobenius_norm,
                      softmax, truncated_svd)
 from .nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, cross_entropy,
                  finite_difference_grad, make_mlp, mse_loss)
-from .inherit import (InherConv2DLayer, InherNetLayer, build_inverse, factor_matrix,
-                      gradient_decomposition_check, inherit_conv, inherit_dense,
-                      inherit_layer, inherit_network, make_variant)
+from .inherit import (InherConv2DLayer, InherNetLayer, factor_matrix, inherit_conv,
+                      inherit_dense, inherit_layer, inherit_network)
 from .train import (GatingVarianceReport, RunLog, TrainConfig,
                     gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
-from .theory import (HeadGainsReport, LayerInfluence, TheoryReport,
-                     analyze_network, compression_ratio_paper,
-                     eckart_young_error, head_marginal_gains,
-                     output_cosine_similarity, param_count_actual,
-                     preservation_bound, rank_for_energy, spectral_energy)
+from .theory import (LayerInfluence, TheoryReport, analyze_network,
+                     compression_ratio_paper, eckart_young_error,
+                     output_cosine_similarity, preservation_bound,
+                     rank_for_energy, spectral_energy)
 from .io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
                  load_csv, save_checkpoint, save_dataset_csv)
+from .experiments import HeadGainsReport, head_marginal_gains
+from .verify import gradient_decomposition_check
 
 __version__ = "0.1.0"

@@ -10,6 +10,10 @@ Three trend experiments back the headline behavioral claims:
 3. SVD-initialized inheritors reach a near-teacher loss threshold in far
    fewer epochs than identically shaped randomly initialized ones.
 
+:func:`head_marginal_gains` checks a fourth trend on one fine-tuned layer:
+each added head lowers the approximation error by no more than the one
+before it.
+
 All experiments are bit-deterministic given their seed list. Seed sweeps
 fan out across processes when the INHERIT_THREADS environment variable is
 set above 1; results are keyed and sorted, never collected in completion
@@ -27,11 +31,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as _rng
-from .inherit import KINDS, GatedMixture, inherit_network
+from .errors import RangeError
+from .inherit import KINDS, GatedMixture, inherit_dense, inherit_network
 from .io import Dataset, SyntheticTask, atomic_write, gen_synthetic, write_csv
 from .nn import DenseLayer, Network, ReluLayer, make_mlp
 from .train import TrainConfig, evaluate, train
@@ -294,6 +300,65 @@ def run_insight(which: int, seeds: int = 5, out_dir=None, plot: bool = False) ->
     if which == 3:
         return run_insight3(seeds, out_dir, plot)
     raise ValueError(f"unknown insight {which}; expected 1, 2, or 3")
+
+
+# --- head count: marginal gain of each added head -----------------------------
+
+@dataclass
+class HeadGainsReport:
+    """Approximation error per head count with a marginal-gain trend flag."""
+
+    rank: int
+    head_counts: list[int]
+    errors_by_seed: list[list[float]]     # [seed][head index]
+    median_errors: list[float]
+    diminishing_by_seed: list[bool]
+    diminishing_majority: bool
+
+
+def head_marginal_gains(w: np.ndarray, r: int, h_max: int, task: SyntheticTask,
+                        config: TrainConfig, seeds: int = 5) -> HeadGainsReport:
+    """Train inherited layers for H = 1..h_max and report error trends.
+
+    Each (seed, H) run fine-tunes a freshly inherited layer on the task
+    with an identical schedule and budget; the report flags, per seed,
+    whether the marginal error reductions are nonincreasing in H. A trend
+    check only; no constant is estimated.
+
+    Layers gate on the raw input and carry head biases, and the harness
+    jitter breaks the replica symmetry of freshly copied heads; exact
+    copies would receive identical gradients and could never specialize.
+    """
+    if h_max < 2:
+        raise RangeError(f"h_max must be >= 2, got {h_max}")
+    head_counts = list(range(1, h_max + 1))
+    errors_by_seed = []
+    diminishing = []
+    for s in range(seeds):
+        data = gen_synthetic(replace(task, seed=task.seed + s))
+        row = []
+        for h in head_counts:
+            layer = inherit_dense(w, r, h, gate_input="input",
+                                  bias=np.zeros(w.shape[1]))
+            net = Network([layer])
+            perturb_heads(net, config.seed + s, gate_scale=GATE_JITTER)
+            cfg = replace(config, seed=config.seed + s)
+            log = train(net, data, cfg)
+            row.append(log.eval_loss[-1])
+        errors_by_seed.append(row)
+        gains = [row[i] - row[i + 1] for i in range(len(row) - 1)]
+        diminishing.append(all(gains[i] >= gains[i + 1] - 1e-12
+                               for i in range(len(gains) - 1)))
+    med = [float(np.median([errs[i] for errs in errors_by_seed]))
+           for i in range(len(head_counts))]
+    return HeadGainsReport(
+        rank=r,
+        head_counts=head_counts,
+        errors_by_seed=errors_by_seed,
+        median_errors=med,
+        diminishing_by_seed=diminishing,
+        diminishing_majority=sum(diminishing) * 2 > len(diminishing),
+    )
 
 
 # --- plain-text report writers -------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
-from .nn import (DenseLayer, Layer, Network, ReluLayer, check_conv_geometry, col2im,
+from .nn import (Layer, Network, ReluLayer, check_conv_geometry, col2im,
                  conv_output_size, im2col, kaiming_uniform, sum_of_products)
 
 COMBINER_MODES = ("convex", "paper")
@@ -160,6 +160,10 @@ class GatedMixture(Layer):
     @property
     def rank(self) -> int:
         return self.mixture(self.blocks)[0].shape[1]
+
+    def ungated(self) -> "GatedMixture":
+        """This layer's ``no-gate`` form: copies of its arrays, the gate frozen at uniform."""
+        return type(self).from_config({**self.config(), "gate_frozen": True}, self.params)
 
     def _gate(self, gate_in: np.ndarray) -> np.ndarray:
         """Per-sample gate weights (B, H); exactly uniform when the gate is frozen."""
@@ -424,14 +428,6 @@ def inherit_conv(k: np.ndarray, r: int, h: int, mode: str = "convex",
                             _tile(bias, h), np.zeros((r, h)), np.zeros(h), stride, padding)
 
 
-def build_inverse(w: np.ndarray, r: int, h: int, mode: str = "convex",
-                  bias: np.ndarray | None = None) -> InherNetLayer:
-    """Mirror of :func:`inherit_dense`: H gated downs, one shared up."""
-    down_base, w_up, div = _svd_start(w, r, h, mode, "input")
-    return InherNetLayer(_tile(down_base / div, h), w_up[None], _tile(bias, 1),
-                         np.zeros((w.shape[0], h)), np.zeros(h), "input", "inverse")
-
-
 def symmetric_rank_for(m: int, n: int, budget: int, bias: bool) -> int:
     """Largest branch rank whose two-branch parameter total fits the budget."""
     fixed = 2 * m + 2 + (2 * n if bias else 0)
@@ -443,19 +439,6 @@ def _standard_param_count(m: int, n: int, r: int, h: int, gate_input: str, bias:
     """Parameters of ``inherit_dense(w, r, h, gate_input=gate_input)`` for an m x n ``w``."""
     gate_width = r if gate_input == "code" else m
     return m * r + h * r * n + (h * n if bias else 0) + (gate_width + 1) * h
-
-
-def make_variant(w: np.ndarray, r: int, h: int, variant: str = "standard",
-                 mode: str = "convex", gate_input: str = "code",
-                 bias: np.ndarray | None = None, seed: int = 0) -> InherNetLayer:
-    """Build one of the ablation variants of an inherited dense layer.
-
-    ``no-svd`` keeps the architecture but draws Kaiming-uniform factors;
-    ``no-gate`` freezes gating at exactly uniform; ``symmetric`` uses two
-    (down, up) branches whose rank is the largest fitting the standard
-    variant's parameter budget; ``inverse`` mirrors the projections.
-    """
-    return inherit_layer(DenseLayer(w, bias), r, h, variant, mode, gate_input, seed)
 
 
 def factor_matrix(layer: Layer) -> np.ndarray | None:
@@ -481,7 +464,10 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
 
     ``no-gate`` freezes the gate at uniform; ``no-svd`` redraws the shared
     factor and every head Kaiming-uniform from the streams (seed, init, 0)
-    and (seed, init, h + 1); ``inverse`` and ``symmetric`` are dense-only.
+    and (seed, init, h + 1). The dense-only ``inverse`` mirrors the
+    projections (H gated downs, one shared up), and ``symmetric`` uses two
+    (down, up) branches of the largest rank that fits the standard
+    variant's parameter budget.
     A conv layer gates on its pooled code, so it takes only ``gate_input="code"``.
     """
     w, bias = factor_matrix(layer), layer.params.get("bias")
@@ -495,7 +481,9 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
         raise RangeError(f"a conv layer gates on its pooled code: gate_input must be "
                          f"'code', got {gate_input!r}")
     if variant == "inverse":
-        return build_inverse(w, r, h, mode, bias)
+        down, up, div = _svd_start(w, r, h, mode, "input")
+        return InherNetLayer(_tile(down / div, h), up[None], _tile(bias, 1),
+                             np.zeros((w.shape[0], h)), np.zeros(h), "input", "inverse")
     if variant == "symmetric":
         # two SVD-initialized branches, budget-matched to standard
         m, n = w.shape
@@ -512,8 +500,7 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
         student = inherit_conv(layer.params["kernel"], r, h, mode, layer.stride,
                                layer.padding, bias)
     if variant == "no-gate":
-        from .io import rebuild_layer   # io's kind registry imports this module
-        return rebuild_layer(student, gate_frozen=True)
+        return student.ungated()
     if variant == "no-svd":
         down, up = (student.blocks[name] for name in student._names[:2])
         down[0] = kaiming_uniform(down.shape[1:], fan_in=down[0].size // student.rank,
@@ -542,57 +529,3 @@ def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
         except RangeError as exc:
             raise RangeError(f"layer {i}: {exc}") from exc
     return Network(layers)
-
-
-def gradient_decomposition_check(layer: InherNetLayer, x: np.ndarray,
-                                 y: np.ndarray, loss_fn) -> float:
-    """Max absolute deviation between backward and the two-term assembly.
-
-    The total gradient over the head and gate parameter blocks must equal
-    the per-head gate-weighted gradients plus the gate-sensitivity terms,
-    assembled here sample by sample from scratch. Head-block terms weight
-    the unweighted pathwise gradient by the per-sample gate value; the
-    gate-block term sums, per head, the loss sensitivity to that head's
-    gate weight against the explicit softmax Jacobian. Per-sample terms
-    mean-reduce through the loss gradient's own batch normalization.
-    """
-    out = layer.forward(x)
-    _, gy = loss_fn(out, y)
-    layer.zero_grads()
-    layer.backward(gy)
-    lhs = {k: layer.grads[k].copy() for k in layer.params}
-
-    # Straight-line recomputation of the layer's intermediates.
-    z = x @ layer.params["w_down"]
-    b = x.shape[0]
-    heads = [layer.params[f"head_{h}"] for h in range(layer.n_heads)]
-    f_h = [z @ w for w in heads]
-    if layer.has_head_bias:
-        f_h = [f + layer.params[f"head_bias_{h}"] for h, f in enumerate(f_h)]
-    g = layer.gate_values(x, z)
-
-    dev = 0.0
-    for h in range(layer.n_heads):
-        rhs_w = np.zeros_like(heads[h])
-        rhs_b = np.zeros(layer.out_dim)
-        for i in range(b):
-            rhs_w += g[i, h] * np.outer(z[i], gy[i])
-            rhs_b += g[i, h] * gy[i]
-        dev = max(dev, float(np.max(np.abs(lhs[f"head_{h}"] - rhs_w))))
-        if layer.has_head_bias:
-            dev = max(dev, float(np.max(np.abs(lhs[f"head_bias_{h}"] - rhs_b))))
-    if not layer.gate_frozen:
-        gate_in = z if layer.gate_input == "code" else x
-        rhs_gw = np.zeros_like(layer.params["gate_weight"])
-        rhs_gb = np.zeros_like(layer.params["gate_bias"])
-        for h in range(layer.n_heads):
-            onehot = np.zeros(layer.n_heads)
-            onehot[h] = 1.0
-            for i in range(b):
-                delta = float(gy[i] @ f_h[h][i])
-                jac = g[i, h] * (onehot - g[i])
-                rhs_gw += delta * np.outer(gate_in[i], jac)
-                rhs_gb += delta * jac
-        dev = max(dev, float(np.max(np.abs(lhs["gate_weight"] - rhs_gw))))
-        dev = max(dev, float(np.max(np.abs(lhs["gate_bias"] - rhs_gb))))
-    return dev

@@ -71,6 +71,9 @@ class SyntheticTask:
             raise RangeError(f"unknown task kind {self.kind!r}")
         if self.n < 2 or self.dim < 1 or self.classes < 1 or self.per_class < 1:
             raise RangeError(f"task sizes must be positive, got {self}")
+        for name, low in (("out_dim", 1), ("noise", 0), ("map_rank", 0)):
+            if not getattr(self, name) >= low:      # "not >=" also rejects a NaN noise
+                raise RangeError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
@@ -128,15 +131,6 @@ LAYER_KINDS: dict[str, type[Layer]] = {
     "symmetric": InherNetLayer,
     "inherit_conv": InherConv2DLayer,
 }
-
-
-def rebuild_layer(layer: Layer, **changes) -> Layer:
-    """A new layer from copies of ``layer``'s arrays and its config with ``changes``.
-
-    ``rebuild_layer(layer, gate_frozen=True)`` is a gated layer's ``no-gate`` form.
-    """
-    config = {**layer.config(), **changes}
-    return LAYER_KINDS[config["kind"]].from_config(config, layer.params)
 
 
 def _layer_manifest(layer: Layer) -> dict:
@@ -258,8 +252,8 @@ def load_csv(path, schema: str = "regression") -> Dataset:
 
     With ``schema="classification"`` the last column holds integer class
     labels; otherwise every column is a feature and ``y`` is empty. Ragged
-    rows and non-numeric cells raise :class:`ParseError` with the
-    1-based line number.
+    rows, non-numeric cells and labels that are not finite integers raise
+    :class:`ParseError` with the 1-based line number.
     """
     if schema not in ("regression", "classification"):
         raise RangeError(f"unknown csv schema {schema!r}")
@@ -281,8 +275,12 @@ def load_csv(path, schema: str = "regression") -> Dataset:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     data = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     if schema == "classification":
-        return Dataset(x=data[:, :-1], y=data[:, -1].astype(np.int64),
-                       kind="classification")
+        labels = data[:, -1]
+        bad = np.flatnonzero(~(np.abs(labels) < 2.0 ** 63) | (labels != np.floor(labels)))
+        if bad.size:
+            raise ParseError(f"{path}: line {bad[0] + 2}: label {float(labels[bad[0]])!r} "
+                             f"is not a finite integer")
+        return Dataset(x=data[:, :-1], y=labels.astype(np.int64), kind="classification")
     return Dataset(x=data, y=np.empty((len(rows), 0)), kind="regression")
 
 

@@ -327,14 +327,6 @@ class Conv2DLayer(Layer):
                       self.padding)
 
 
-class FlatItems(dict):
-    """``{layer_index}.{name}`` -> array, every array a view of ``vector``."""
-
-    def __init__(self, items: dict[str, np.ndarray], vector: np.ndarray):
-        super().__init__(items)
-        self.vector = vector
-
-
 class Network:
     """An ordered stack of layers with a shared forward/backward walk.
 
@@ -404,18 +396,17 @@ class Network:
     def zero_grads(self) -> None:
         self.grad_vector().fill(0.0)
 
-    def param_items(self) -> FlatItems:
-        """Every trainable array, keyed ``{layer_index}.{name}``."""
-        vector = self.param_vector()
-        return FlatItems({f"{i}.{k}": p
-                          for i, layer in enumerate(self.layers)
-                          for k, p in layer.params.items()}, vector)
+    def param_items(self) -> dict[str, np.ndarray]:
+        """Every trainable array, keyed ``{layer_index}.{name}``: views of ``param_vector``."""
+        self._claim()
+        return {f"{i}.{k}": p for i, layer in enumerate(self.layers)
+                for k, p in layer.params.items()}
 
-    def grad_items(self) -> FlatItems:
-        vector = self.grad_vector()
-        return FlatItems({f"{i}.{k}": g
-                          for i, layer in enumerate(self.layers)
-                          for k, g in layer.grads.items()}, vector)
+    def grad_items(self) -> dict[str, np.ndarray]:
+        """Every gradient array, keyed like ``param_items``: views of ``grad_vector``."""
+        self._claim()
+        return {f"{i}.{k}": g for i, layer in enumerate(self.layers)
+                for k, g in layer.grads.items()}
 
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)

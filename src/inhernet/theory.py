@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DegenerateInputError, RangeError, ShapeError
-from .inherit import KINDS, GatedMixture, factor_matrix, inherit_dense
+from .inherit import KINDS, GatedMixture, factor_matrix
 from .linalg import condition_number
-from .nn import Layer, Network
+from .nn import Network
 
 
 def compression_ratio_paper(m: int, n: int, r: int, h: int) -> float:
@@ -28,11 +28,6 @@ def compression_ratio_paper(m: int, n: int, r: int, h: int) -> float:
     if min(m, n, r, h) < 1:
         raise RangeError(f"dimensions must be positive, got {(m, n, r, h)}")
     return (m * n) / (h * r * (m + n) + h * (r + 1))
-
-
-def param_count_actual(layer: Layer) -> int:
-    """Exact trainable-parameter enumeration of a built layer."""
-    return layer.param_count()
 
 
 def spectral_energy(full_spectrum, r: int) -> float:
@@ -224,67 +219,6 @@ def output_cosine_similarity(net_a: Network, net_b: Network, x: np.ndarray) -> f
     if not np.any(ok):
         raise DegenerateInputError("all outputs are zero vectors")
     return float(np.mean(num[ok] / den[ok]))
-
-
-@dataclass
-class HeadGainsReport:
-    """Approximation error per head count with a marginal-gain trend flag."""
-
-    rank: int
-    head_counts: list[int]
-    errors_by_seed: list[list[float]]     # [seed][head index]
-    median_errors: list[float]
-    diminishing_by_seed: list[bool]
-    diminishing_majority: bool
-
-
-def head_marginal_gains(w: np.ndarray, r: int, h_max: int, task,
-                        config, seeds: int = 5) -> HeadGainsReport:
-    """Train inherited layers for H = 1..h_max and report error trends.
-
-    Each (seed, H) run fine-tunes a freshly inherited layer on the task
-    with an identical schedule and budget; the report flags, per seed,
-    whether the marginal error reductions are nonincreasing in H. A trend
-    check only; no constant is estimated.
-
-    Layers gate on the raw input and carry head biases, and the harness
-    jitter breaks the replica symmetry of freshly copied heads; exact
-    copies would receive identical gradients and could never specialize.
-    """
-    from dataclasses import replace
-    from .io import gen_synthetic
-    from .train import train as run_train
-    from .experiments import perturb_heads, GATE_JITTER
-    if h_max < 2:
-        raise RangeError(f"h_max must be >= 2, got {h_max}")
-    head_counts = list(range(1, h_max + 1))
-    errors_by_seed = []
-    diminishing = []
-    for s in range(seeds):
-        data = gen_synthetic(replace(task, seed=task.seed + s))
-        row = []
-        for h in head_counts:
-            layer = inherit_dense(w, r, h, gate_input="input",
-                                  bias=np.zeros(w.shape[1]))
-            net = Network([layer])
-            perturb_heads(net, config.seed + s, gate_scale=GATE_JITTER)
-            cfg = replace(config, seed=config.seed + s)
-            log = run_train(net, data, cfg)
-            row.append(log.eval_loss[-1])
-        errors_by_seed.append(row)
-        gains = [row[i] - row[i + 1] for i in range(len(row) - 1)]
-        diminishing.append(all(gains[i] >= gains[i + 1] - 1e-12
-                               for i in range(len(gains) - 1)))
-    med = [float(np.median([errs[i] for errs in errors_by_seed]))
-           for i in range(len(head_counts))]
-    return HeadGainsReport(
-        rank=r,
-        head_counts=head_counts,
-        errors_by_seed=errors_by_seed,
-        median_errors=med,
-        diminishing_by_seed=diminishing,
-        diminishing_majority=sum(diminishing) * 2 > len(diminishing),
-    )
 
 
 def _check_spectrum(full_spectrum) -> np.ndarray:

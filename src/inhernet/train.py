@@ -23,9 +23,9 @@ import numpy as np
 from . import rng as _rng
 from .errors import NumericalError, RangeError, ShapeError
 from .inherit import GatedMixture
-from .io import rebuild_layer, write_csv
+from .io import write_csv
 from .linalg import log_softmax
-from .nn import FlatItems, Network, accuracy, cross_entropy, mse_loss
+from .nn import Network, accuracy, cross_entropy, mse_loss
 
 SCHEDULES = ("constant", "inverse_sqrt", "step")
 LOSSES = ("mse", "ce", "ce+kd")
@@ -50,6 +50,10 @@ class TrainConfig:
     threshold: float | None = None       # eval-loss level for epochs_to_threshold
 
     def __post_init__(self):
+        if self.epochs < 0:
+            raise RangeError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.base_lr <= 0:
             raise RangeError(f"base learning rate must be positive, got {self.base_lr}")
         if self.temperature <= 0:
@@ -95,25 +99,20 @@ def learning_rate(config: TrainConfig, t: int) -> float:
     return config.base_lr * config.decay_factor ** passed
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             t: int, config: TrainConfig) -> None:
-    """In-place update ``theta <- theta - eta_t * g``.
+def sgd_step(net: Network, t: int, config: TrainConfig) -> None:
+    """In-place update ``theta <- theta - eta_t * g`` of every parameter of ``net``.
 
-    When both dicts come from one network's ``param_items`` and
-    ``grad_items``, the update runs once over the flat vectors their
-    arrays view; otherwise it runs array by array. A non-finite gradient
-    raises before its array is touched, naming the first offending key.
+    One finiteness check and one axpy over the network's flat vectors. A
+    non-finite gradient raises before any parameter is touched, naming the
+    first offending ``{layer}.{name}`` key.
     """
     eta = learning_rate(config, t)
-    if isinstance(params, FlatItems) and isinstance(grads, FlatItems):
-        pairs = [(params.vector, grads.vector)]
-    else:
-        pairs = [(p, grads[key]) for key, p in params.items()]
-    for p, g in pairs:
-        if not np.all(np.isfinite(g)):
-            key = next(k for k, v in grads.items() if not np.all(np.isfinite(v)))
-            raise NumericalError(f"non-finite gradient in {key!r} at step {t}")
-        p -= eta * g
+    g = net.grad_vector()
+    if not np.all(np.isfinite(g)):
+        key = next(k for k, v in net.grad_items().items() if not np.all(np.isfinite(v)))
+        raise NumericalError(f"non-finite gradient in {key!r} at step {t}")
+    theta = net.param_vector()
+    theta -= eta * g
 
 
 def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
@@ -192,8 +191,6 @@ def train(net: Network, data, config: TrainConfig,
         if teacher is None:
             raise RangeError("loss 'ce+kd' requires a teacher network")
         teacher_logits = teacher.forward(train_ds.x)
-    # Views of the network's flat vectors, which persist across steps.
-    params, grads = net.param_items(), net.grad_items()
     t = 0
     for epoch in range(config.epochs):
         start = time.perf_counter()
@@ -213,7 +210,7 @@ def train(net: Network, data, config: TrainConfig,
             net.zero_grads()
             net.backward(grad)
             step_norms.append(grad_norm(net))
-            sgd_step(params, grads, t, config)
+            sgd_step(net, t, config)
             epoch_losses.append(loss)
         ev_loss, ev_acc = evaluate(net, eval_ds.x, eval_ds.y, config)
         log.train_loss.append(float(np.mean(epoch_losses)))
@@ -263,7 +260,7 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
     if not isinstance(layer, GatedMixture) or layer.gate_frozen:
         raise ShapeError("gating variance measurement expects a layer with a trainable gate")
     adaptive = Network([layer])
-    uniform = Network([rebuild_layer(layer, gate_frozen=True)])
+    uniform = Network([layer.ungated()])
     g_a = collect(adaptive)
     g_u = collect(uniform)
 

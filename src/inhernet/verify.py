@@ -18,18 +18,14 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CorruptionError, FormatError
-from .inherit import (build_inverse, factor_matrix, gradient_decomposition_check,
-                      inherit_conv, inherit_dense, inherit_layer, make_variant)
-from .io import load_checkpoint, save_checkpoint
-from .linalg import frobenius_norm, softmax, truncated_svd, condition_number
-from .nn import (Conv2DLayer, Network, ReluLayer, finite_difference_grad, make_mlp,
-                 mse_loss)
-from .theory import (compression_ratio_paper, eckart_young_error,
-                     param_count_actual, preservation_bound, rank_for_energy,
-                     LayerInfluence)
-from .train import TrainConfig, kd_loss, learning_rate, train
-from .io import SyntheticTask, gen_synthetic
 from .experiments import spectral_mlp
+from .inherit import InherNetLayer, factor_matrix, inherit_conv, inherit_dense, inherit_layer
+from .io import SyntheticTask, gen_synthetic, load_checkpoint, save_checkpoint
+from .linalg import frobenius_norm, softmax, truncated_svd, condition_number
+from .nn import Conv2DLayer, DenseLayer, Network, finite_difference_grad, make_mlp, mse_loss
+from .theory import (compression_ratio_paper, eckart_young_error, preservation_bound,
+                     rank_for_energy, LayerInfluence)
+from .train import TrainConfig, kd_loss, learning_rate, train
 
 SUITES = ("svd", "gradients", "theory")
 
@@ -55,6 +51,61 @@ def _fd_relative_dev(net: Network, loss_fn, x, y) -> float:
             worst = max(worst, float((np.abs(g - fd[key])[mask]
                                       / np.abs(g)[mask]).max()))
     return worst
+
+
+def gradient_decomposition_check(layer: InherNetLayer, x: np.ndarray,
+                                 y: np.ndarray, loss_fn) -> float:
+    """Max absolute deviation between an ``inherit_dense`` layer's backward and
+    the two-term assembly.
+
+    The total gradient over the head and gate parameter blocks must equal
+    the per-head gate-weighted gradients plus the gate-sensitivity terms,
+    assembled here sample by sample from scratch. Head-block terms weight
+    the unweighted pathwise gradient by the per-sample gate value; the
+    gate-block term sums, per head, the loss sensitivity to that head's
+    gate weight against the explicit softmax Jacobian. Per-sample terms
+    mean-reduce through the loss gradient's own batch normalization.
+    """
+    out = layer.forward(x)
+    _, gy = loss_fn(out, y)
+    layer.zero_grads()
+    layer.backward(gy)
+    lhs = {k: layer.grads[k].copy() for k in layer.params}
+
+    # Straight-line recomputation of the layer's intermediates.
+    z = x @ layer.params["w_down"]
+    b = x.shape[0]
+    heads = [layer.params[f"head_{h}"] for h in range(layer.n_heads)]
+    f_h = [z @ w for w in heads]
+    if layer.has_head_bias:
+        f_h = [f + layer.params[f"head_bias_{h}"] for h, f in enumerate(f_h)]
+    g = layer.gate_values(x, z)
+
+    dev = 0.0
+    for h in range(layer.n_heads):
+        rhs_w = np.zeros_like(heads[h])
+        rhs_b = np.zeros(layer.out_dim)
+        for i in range(b):
+            rhs_w += g[i, h] * np.outer(z[i], gy[i])
+            rhs_b += g[i, h] * gy[i]
+        dev = max(dev, float(np.max(np.abs(lhs[f"head_{h}"] - rhs_w))))
+        if layer.has_head_bias:
+            dev = max(dev, float(np.max(np.abs(lhs[f"head_bias_{h}"] - rhs_b))))
+    if not layer.gate_frozen:
+        gate_in = z if layer.gate_input == "code" else x
+        rhs_gw = np.zeros_like(layer.params["gate_weight"])
+        rhs_gb = np.zeros_like(layer.params["gate_bias"])
+        for h in range(layer.n_heads):
+            onehot = np.zeros(layer.n_heads)
+            onehot[h] = 1.0
+            for i in range(b):
+                delta = float(gy[i] @ f_h[h][i])
+                jac = g[i, h] * (onehot - g[i])
+                rhs_gw += delta * np.outer(gate_in[i], jac)
+                rhs_gb += delta * jac
+        dev = max(dev, float(np.max(np.abs(lhs["gate_weight"] - rhs_gw))))
+        dev = max(dev, float(np.max(np.abs(lhs["gate_bias"] - rhs_gb))))
+    return dev
 
 
 def suite_svd() -> list[CheckResult]:
@@ -176,9 +227,9 @@ def suite_gradients() -> list[CheckResult]:
                            dev < 1e-4, f"max relative deviation {dev:.2e}"))
 
     w = gen.standard_normal((8, 5))
-    inv = build_inverse(w, 3, 2, bias=gen.standard_normal(5))
+    inv = inherit_layer(DenseLayer(w, gen.standard_normal(5)), 3, 2, "inverse")
     inv.params["gate_weight"] += 0.4 * gen.standard_normal((8, 2))
-    sym = make_variant(w, 3, 2, "symmetric", bias=gen.standard_normal(5))
+    sym = inherit_layer(DenseLayer(w, gen.standard_normal(5)), 3, 2, "symmetric")
     sym.params["gate_weight"] += 0.4 * gen.standard_normal((8, 2))
     worst = max(_fd_relative_dev(Network([inv]), mse_loss,
                                  gen.standard_normal((6, 8)),
@@ -235,16 +286,16 @@ def suite_theory() -> list[CheckResult]:
     exact = (compression_ratio_paper(100, 100, 5, 3) == 10000 / 3018
              and compression_ratio_paper(4, 4, 4, 1) == 16 / 37)
     layer = inherit_dense(gen.standard_normal((100, 100)), 5, 3)
-    count_ok = param_count_actual(layer) == 2018
+    count_ok = layer.param_count() == 2018
     out.append(CheckResult("theory", "compression arithmetic is exact",
                            exact and count_ok,
                            f"ratio(100,100,5,3)={compression_ratio_paper(100, 100, 5, 3):.6f}, "
-                           f"count={param_count_actual(layer)}"))
+                           f"count={layer.param_count()}"))
 
     # closed-form denominator counts a down per head; the built layer shares one
     m, n, r, h = 30, 20, 4, 3
     formula_count = h * r * (m + n) + h * (r + 1)
-    shared = param_count_actual(inherit_dense(gen.standard_normal((m, n)), r, h))
+    shared = inherit_dense(gen.standard_normal((m, n)), r, h).param_count()
     out.append(CheckResult("theory", "per-head vs shared-down accounting differ for H>1",
                            shared < formula_count,
                            f"shared {shared} < formula {formula_count}"))
@@ -322,15 +373,11 @@ def suite_theory() -> list[CheckResult]:
 
 def inherit_by_energy(teacher: Network, epsilon: float, h: int = 1) -> Network:
     """Inherit each dense and conv layer at the smallest rank keeping 1 - epsilon energy."""
-    layers = []
-    for lay in teacher.layers:
-        w = factor_matrix(lay)
-        if w is None:
-            layers.append(ReluLayer())
-        else:
-            r = rank_for_energy(np.linalg.svd(w, compute_uv=False), epsilon)
-            layers.append(inherit_layer(lay, r, h))
-    return Network(layers)
+    def rank(layer) -> int:      # a ReLU's is never read: inherit_layer gives it a new ReLU
+        w = factor_matrix(layer)
+        return 0 if w is None else rank_for_energy(np.linalg.svd(w, compute_uv=False), epsilon)
+
+    return Network([inherit_layer(layer, rank(layer), h) for layer in teacher.layers])
 
 
 def _roundtrip_all_variants() -> tuple[bool, str]:
@@ -340,10 +387,10 @@ def _roundtrip_all_variants() -> tuple[bool, str]:
     nets = {
         "standard": Network([inherit_dense(w, 3, 2, bias=bias)]),
         "paper": Network([inherit_dense(w, 3, 2, mode="paper")]),
-        "no-gate": Network([make_variant(w, 3, 2, "no-gate", bias=bias)]),
-        "no-svd": Network([make_variant(w, 3, 2, "no-svd", seed=4)]),
-        "symmetric": Network([make_variant(w, 3, 2, "symmetric", bias=bias)]),
-        "inverse": Network([make_variant(w, 3, 2, "inverse", bias=bias)]),
+        "no-gate": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "no-gate")]),
+        "no-svd": Network([inherit_layer(DenseLayer(w), 3, 2, "no-svd", seed=4)]),
+        "symmetric": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "symmetric")]),
+        "inverse": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "inverse")]),
         "conv": Network([inherit_conv(gen.standard_normal((5, 2, 3, 3)), 3, 2,
                                       bias=gen.standard_normal(5))]),
         "mlp": make_mlp([5, 8, 3], seed=2),

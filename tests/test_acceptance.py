@@ -12,18 +12,16 @@ import pytest
 
 from inhernet.experiments import (run_insight1, run_insight2, run_insight3,
                                   spectral_mlp)
-from inhernet.inherit import (gradient_decomposition_check, inherit_conv,
-                              inherit_dense, make_variant)
+from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer
 from inhernet.io import SyntheticTask, gen_synthetic, load_checkpoint, \
     save_checkpoint
 from inhernet.linalg import frobenius_norm, truncated_svd
-from inhernet.nn import (Conv2DLayer, Network, finite_difference_grad,
+from inhernet.nn import (Conv2DLayer, DenseLayer, Network, finite_difference_grad,
                          make_mlp, mse_loss)
 from inhernet.rng import philox
-from inhernet.theory import (compression_ratio_paper, eckart_young_error,
-                             param_count_actual, rank_for_energy)
+from inhernet.theory import compression_ratio_paper, eckart_young_error, rank_for_energy
 from inhernet.train import TrainConfig, train
-from inhernet.verify import inherit_by_energy
+from inhernet.verify import gradient_decomposition_check, inherit_by_energy
 
 
 def report(criterion, passed, detail):
@@ -159,10 +157,10 @@ def test_criterion_3_gradient_decomposition():
 def test_criterion_4_compression_arithmetic():
     ratio = compression_ratio_paper(100, 100, 5, 3)
     layer = inherit_dense(philox(1004, 0).standard_normal((100, 100)), 5, 3)
-    count = param_count_actual(layer)
+    count = layer.param_count()
     differs = all(
-        param_count_actual(inherit_dense(philox(1004, 1).standard_normal((30, 20)),
-                                         4, h)) != 4 * h * 50 + h * 5
+        inherit_dense(philox(1004, 1).standard_normal((30, 20)), 4, h).param_count()
+        != 4 * h * 50 + h * 5
         for h in (2, 3))
     report(4, ratio == 10000 / 3018 and count == 2018 and differs,
            f"ratio(100,100,5,3) = {ratio} (= 10000/3018), "
@@ -274,10 +272,10 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         "standard": Network([inherit_dense(w, 3, 2, bias=bias)]),
         "paper": Network([inherit_dense(w, 3, 3, mode="paper")]),
         "input-gate": Network([inherit_dense(w, 3, 2, gate_input="input")]),
-        "no-gate": Network([make_variant(w, 3, 2, "no-gate", bias=bias)]),
-        "no-svd": Network([make_variant(w, 3, 2, "no-svd", seed=6)]),
-        "symmetric": Network([make_variant(w, 3, 2, "symmetric", bias=bias)]),
-        "inverse": Network([make_variant(w, 3, 2, "inverse", bias=bias)]),
+        "no-gate": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "no-gate")]),
+        "no-svd": Network([inherit_layer(DenseLayer(w), 3, 2, "no-svd", seed=6)]),
+        "symmetric": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "symmetric")]),
+        "inverse": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "inverse")]),
         "conv": Network([inherit_conv(gen.standard_normal((5, 2, 3, 3)), 3, 2,
                                       bias=gen.standard_normal(5))]),
     }

@@ -137,6 +137,16 @@ class TestInheritCommand:
         assert "layer" in capsys.readouterr().err
 
 
+class TestTrainCommand:
+    def test_zero_batch_size_is_a_user_error(self, teacher_ckpt, capsys):
+        code = run_cli("train", "--net", str(teacher_ckpt), "--n", "300", "--dim", "8",
+                       "--classes", "3", "--epochs", "1", "--batch-size", "0")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "batch_size" in err
+        assert "Traceback" not in err
+
+
 class TestDistillCommand:
     def test_zero_kd_weight_matches_plain_training(self, tmp_path, teacher_ckpt):
         student = tmp_path / "student.ckpt"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from inhernet import experiments
-from inhernet.inherit import inherit_conv, inherit_dense, make_variant
-from inhernet.nn import Network
+from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer
+from inhernet.nn import DenseLayer, Network
 from inhernet.rng import philox
 
 
@@ -29,8 +29,8 @@ class TestPerturbHeads:
         ("symmetric", ["down_{}", "up_{}"], ["bias"])])
     def test_every_per_head_factor_moves_and_no_bias(self, variant, factors, biases):
         gen = philox(70, 0)
-        layer = make_variant(gen.standard_normal((6, 5)), 3, 3, variant,
-                             bias=gen.standard_normal(5))
+        layer = inherit_layer(DenseLayer(gen.standard_normal((6, 5)), gen.standard_normal(5)),
+                              3, 3, variant)
         before = {k: v.copy() for k, v in layer.params.items()}
         experiments.perturb_heads(Network([layer]), seed=1)
         heads = 2 if variant == "symmetric" else 3

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from inhernet.errors import RangeError, ShapeError
 from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, VARIANTS, InherConv2DLayer,
-                              InherNetLayer, _standard_param_count, build_inverse,
-                              factor_matrix, gradient_decomposition_check, inherit_conv,
-                              inherit_dense, inherit_layer, inherit_network, make_variant)
+                              InherNetLayer, _standard_param_count, factor_matrix,
+                              inherit_conv, inherit_dense, inherit_layer, inherit_network)
 from inhernet.linalg import truncated_svd
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer,
                          finite_difference_grad, mse_loss)
 from inhernet.rng import philox
+from inhernet.verify import gradient_decomposition_check
 
 
 def eq3_oracle(layer: InherNetLayer, x):
@@ -230,7 +230,7 @@ class TestInheritConv:
 class TestGradientDecomposition:
     def test_frozen_gating_head_term_alone(self):
         gen = philox(16, 0)
-        layer = make_variant(gen.standard_normal((7, 5)), 3, 3, "no-gate")
+        layer = inherit_layer(DenseLayer(gen.standard_normal((7, 5))), 3, 3, "no-gate")
         x = gen.standard_normal((6, 7))
         y = gen.standard_normal((6, 5))
         assert gradient_decomposition_check(layer, x, y, mse_loss) < 1e-8
@@ -301,8 +301,8 @@ class TestFusedHeadGradients:
         gen = philox(800 + h, 0)
         w = gen.standard_normal((7, 5))
         variant = "no-gate" if frozen else "standard"
-        layer = make_variant(w, 3, h, variant, gate_input=gate_input,
-                             bias=gen.standard_normal(5) if bias else None)
+        layer = inherit_layer(DenseLayer(w, gen.standard_normal(5) if bias else None), 3, h,
+                              variant, gate_input=gate_input)
         assert layer.gate_frozen == frozen and layer.has_head_bias == bias
         jitter(layer, gen)
         x = gen.standard_normal((6, 7))
@@ -338,8 +338,8 @@ class TestFusedHeadGradients:
     @pytest.mark.parametrize("bias", [False, True])
     def test_ablation_kinds_match_finite_differences(self, variant, h, bias):
         gen = philox(850 + h, 0)
-        layer = make_variant(gen.standard_normal((7, 5)), 3, h, variant,
-                             bias=gen.standard_normal(5) if bias else None)
+        layer = inherit_layer(DenseLayer(gen.standard_normal((7, 5)),
+                                         gen.standard_normal(5) if bias else None), 3, h, variant)
         assert layer.kind == variant and layer.has_head_bias == bias
         jitter(layer, gen)
         assert fd_relative_dev(layer, gen.standard_normal((6, 7)), gen) < 1e-4
@@ -373,8 +373,9 @@ class TestGradientGrid:
         gate_input = data.draw(st.sampled_from(GATE_INPUTS), "gate_input")
         bias = data.draw(st.booleans(), "bias")
         gen = philox(data.draw(st.integers(0, 2**16), "seed"), 0)
-        layer = make_variant(gen.standard_normal((m, n)), r, h, variant, mode, gate_input,
-                             gen.standard_normal(n) if bias else None, seed=3)
+        layer = inherit_layer(DenseLayer(gen.standard_normal((m, n)),
+                                         gen.standard_normal(n) if bias else None),
+                              r, h, variant, mode, gate_input, seed=3)
         jitter(layer, gen)
         x = gen.standard_normal((4, m))
         assert fd_relative_dev(layer, x, gen) < 1e-4
@@ -388,14 +389,14 @@ class TestInverse:
         gen = philox(18, 0)
         w = gen.standard_normal((8, 5))
         std = inherit_dense(w, 3, 1)
-        inv = build_inverse(w, 3, 1)
+        inv = inherit_layer(DenseLayer(w), 3, 1, "inverse")
         x = gen.standard_normal((10, 8))
         assert np.max(np.abs(std.forward(x) - inv.forward(x))) < 1e-10
 
     def test_exact_rank_init(self):
         gen = philox(19, 0)
         w = exact_rank_matrix(gen, 9, 6, 2)
-        inv = build_inverse(w, 2, 3)
+        inv = inherit_layer(DenseLayer(w), 2, 3, "inverse")
         x = gen.standard_normal((8, 9))
         assert np.max(np.abs(inv.forward(x) - x @ w)) < 1e-10
 
@@ -403,13 +404,13 @@ class TestInverse:
         gen = philox(20, 0)
         w = gen.standard_normal((10, 7))
         std = inherit_dense(w, 4, 3)
-        inv = build_inverse(w, 4, 3)
+        inv = inherit_layer(DenseLayer(w), 4, 3, "inverse")
         x = gen.standard_normal((12, 10))
         assert np.max(np.abs(std.forward(x) - inv.forward(x))) < 1e-10
 
     def test_aggregation_precedes_up_projection(self):
         gen = philox(21, 0)
-        inv = build_inverse(gen.standard_normal((6, 4)), 2, 3)
+        inv = inherit_layer(DenseLayer(gen.standard_normal((6, 4))), 2, 3, "inverse")
         inv.params["gate_weight"][...] = gen.standard_normal((6, 3))
         for h in range(3):
             inv.params[f"down_{h}"] += 0.3 * gen.standard_normal((6, 2))
@@ -425,7 +426,7 @@ class TestInverse:
 class TestVariants:
     def test_no_gate_is_mean_of_heads(self):
         gen = philox(22, 0)
-        layer = make_variant(gen.standard_normal((7, 5)), 3, 4, "no-gate")
+        layer = inherit_layer(DenseLayer(gen.standard_normal((7, 5))), 3, 4, "no-gate")
         for h in range(4):
             layer.params[f"head_{h}"] += gen.standard_normal((3, 5))
         x = gen.standard_normal((6, 7))
@@ -437,21 +438,21 @@ class TestVariants:
     def test_no_svd_same_parameter_count(self):
         gen = philox(23, 0)
         w = gen.standard_normal((9, 6))
-        std = make_variant(w, 3, 2, "standard")
-        rnd = make_variant(w, 3, 2, "no-svd", seed=5)
+        std = inherit_layer(DenseLayer(w), 3, 2, "standard")
+        rnd = inherit_layer(DenseLayer(w), 3, 2, "no-svd", seed=5)
         assert std.param_count() == rnd.param_count()
         assert not np.allclose(std.params["w_down"], rnd.params["w_down"])
 
     def test_no_svd_deterministic_per_seed(self):
         w = philox(24, 0).standard_normal((6, 4))
-        a = make_variant(w, 2, 2, "no-svd", seed=9)
-        b = make_variant(w, 2, 2, "no-svd", seed=9)
+        a = inherit_layer(DenseLayer(w), 2, 2, "no-svd", seed=9)
+        b = inherit_layer(DenseLayer(w), 2, 2, "no-svd", seed=9)
         assert np.array_equal(a.params["w_down"], b.params["w_down"])
 
     def test_symmetric_parameter_budget(self):
         w = philox(25, 0).standard_normal((64, 64))
-        std = make_variant(w, 48, 3, "standard")
-        sym = make_variant(w, 48, 3, "symmetric")
+        std = inherit_layer(DenseLayer(w), 48, 3, "standard")
+        sym = inherit_layer(DenseLayer(w), 48, 3, "symmetric")
         budget = std.param_count()
         assert sym.param_count() <= budget
         assert abs(sym.param_count() - budget) / budget < 0.02
@@ -460,8 +461,8 @@ class TestVariants:
         from inhernet.inherit import symmetric_rank_for
         gen = philox(26, 0)
         w = gen.standard_normal((8, 6))
-        std = make_variant(w, 2, 2, "standard")
-        sym = make_variant(w, 2, 2, "symmetric")
+        std = inherit_layer(DenseLayer(w), 2, 2, "standard")
+        sym = inherit_layer(DenseLayer(w), 2, 2, "symmetric")
         r_sym = sym.rank
         assert r_sym == symmetric_rank_for(8, 6, std.param_count(), bias=False)
         x = gen.standard_normal((5, 8))
@@ -470,7 +471,7 @@ class TestVariants:
 
     def test_unknown_variant(self):
         with pytest.raises(RangeError):
-            make_variant(np.eye(4), 2, 2, "bogus")
+            inherit_layer(DenseLayer(np.eye(4)), 2, 2, "bogus")
 
     def test_standard_count_closed_form(self):
         gen = philox(61, 0)
@@ -485,7 +486,7 @@ class TestVariants:
         w = philox(62, 0).standard_normal((6, 4))
         for r in (0, 5):
             with pytest.raises(RangeError, match="rank"):
-                make_variant(w, r, 2, variant)
+                inherit_layer(DenseLayer(w), r, 2, variant)
 
 
 class TestFactorMatrix:

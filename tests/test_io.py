@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inhernet.errors import CorruptionError, FormatError, ParseError, RangeError
-from inhernet.inherit import inherit_conv, inherit_dense, inherit_network, make_variant
+from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
                          load_csv, save_checkpoint, save_dataset_csv)
 from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
@@ -36,10 +36,10 @@ class TestCheckpoint:
             "standard": Network([inherit_dense(w, 3, 2, bias=bias)]),
             "paper-input": Network([inherit_dense(w, 3, 3, mode="paper",
                                                   gate_input="input")]),
-            "no-gate": Network([make_variant(w, 3, 2, "no-gate", bias=bias)]),
-            "no-svd": Network([make_variant(w, 3, 2, "no-svd", seed=4)]),
-            "symmetric": Network([make_variant(w, 3, 2, "symmetric", bias=bias)]),
-            "inverse": Network([make_variant(w, 3, 2, "inverse", bias=bias)]),
+            "no-gate": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "no-gate")]),
+            "no-svd": Network([inherit_layer(DenseLayer(w), 3, 2, "no-svd", seed=4)]),
+            "symmetric": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "symmetric")]),
+            "inverse": Network([inherit_layer(DenseLayer(w, bias), 3, 2, "inverse")]),
             "conv": Network([inherit_conv(gen.standard_normal((5, 2, 3, 3)),
                                           3, 2, stride=2, padding=1,
                                           bias=gen.standard_normal(5))]),
@@ -159,9 +159,9 @@ def every_kind_checkpoint(tmp_path_factory):
     w, b = gen.standard_normal((5, 4)), gen.standard_normal(4)
     k = gen.standard_normal((3, 2, 3, 3))
     net = Network([DenseLayer(w, b), ReluLayer(), Conv2DLayer(k, 1, 1, gen.standard_normal(3)),
-                   inherit_dense(w, 2, 2, bias=b), make_variant(w, 2, 2, "no-gate"),
-                   make_variant(w, 2, 3, "inverse", bias=b),
-                   make_variant(w, 2, 2, "symmetric", bias=b),
+                   inherit_dense(w, 2, 2, bias=b), inherit_layer(DenseLayer(w), 2, 2, "no-gate"),
+                   inherit_layer(DenseLayer(w, b), 2, 3, "inverse"),
+                   inherit_layer(DenseLayer(w, b), 2, 2, "symmetric"),
                    inherit_conv(k, 2, 2, padding=1, bias=gen.standard_normal(3))])
     path = tmp_path_factory.mktemp("fuzz") / "every.ckpt"
     save_checkpoint(net, path, extra={"fuzz": True})
@@ -250,7 +250,7 @@ class TestV1VariantsFixture:
     ``symmetric`` layer (bias) and a jittered ``no-gate`` inherited dense
     layer; the .npz holds inputs and the outputs the writing code computed
     for them, plus every parameter its ``no-svd`` builders drew for one
-    dense layer (``make_variant``, seed 11) and one two-conv network
+    dense layer (``inherit_layer``, seed 11) and one two-conv network
     (``inherit_network``, seed 13).
     """
 
@@ -284,8 +284,8 @@ class TestV1VariantsFixture:
 
     def test_no_svd_builders_draw_the_stored_parameters(self):
         ref = np.load(DATA / "v1_variants_outputs.npz")
-        dense = make_variant(ref["no_svd_teacher.w"], 3, 2, "no-svd",
-                             bias=ref["no_svd_teacher.bias"], seed=11)
+        dense = inherit_layer(DenseLayer(ref["no_svd_teacher.w"], ref["no_svd_teacher.bias"]),
+                              3, 2, "no-svd", seed=11)
         teacher = Network([
             Conv2DLayer(ref["no_svd_teacher.kernel_0"], 1, 1, ref["no_svd_teacher.conv_bias_0"]),
             ReluLayer(),
@@ -345,6 +345,11 @@ class TestSyntheticTasks:
         with pytest.raises(RangeError):
             SyntheticTask(kind="nope", seed=1, n=10, dim=2)
 
+    @pytest.mark.parametrize("field, value", [("out_dim", 0), ("noise", -1.0), ("map_rank", -1)])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(RangeError, match=field):
+            SyntheticTask(kind="piecewise", seed=1, n=10, dim=2, **{field: value})
+
 
 class TestCsv:
     def test_empty_body_with_header(self, tmp_path):
@@ -378,6 +383,13 @@ class TestCsv:
         path.write_text("a,b\n1,2\n3,zebra\n")
         with pytest.raises(ParseError, match="line 3"):
             load_csv(path)
+
+    @pytest.mark.parametrize("label", ["1.5", "inf"])
+    def test_label_not_a_finite_integer_reports_line(self, tmp_path, label):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"x0,label\n0.5,0\n1.0,{label}\n")
+        with pytest.raises(ParseError, match=f"line 3: label {label} is not a finite integer"):
+            load_csv(path, schema="classification")
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from inhernet.errors import DegenerateInputError, RangeError, ShapeError
-from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_network, make_variant
+from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import SyntheticTask
 from inhernet.linalg import frobenius_norm, truncated_svd
-from inhernet.nn import Conv2DLayer, Network, ReluLayer
+from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer
 from inhernet.rng import philox
 from inhernet.theory import (LayerInfluence, analyze_network,
                              compression_ratio_paper, eckart_young_error,
-                             head_marginal_gains, output_cosine_similarity,
-                             param_count_actual, preservation_bound,
+                             output_cosine_similarity, preservation_bound,
                              rank_for_energy, spectral_energy)
 from inhernet.train import TrainConfig
 from inhernet.verify import inherit_by_energy
-from inhernet.experiments import spectral_mlp
+from inhernet.experiments import head_marginal_gains, spectral_mlp
 
 
 class TestCompressionRatio:
@@ -35,16 +34,16 @@ class TestCompressionRatio:
 class TestParamCount:
     def test_code_gating_no_bias(self):
         layer = inherit_dense(philox(1, 0).standard_normal((100, 100)), 5, 3)
-        assert param_count_actual(layer) == 2018
+        assert layer.param_count() == 2018
 
     def test_no_gate_two_factor_count(self):
-        layer = make_variant(philox(2, 0).standard_normal((20, 12)), 4, 1, "no-gate")
-        assert param_count_actual(layer) == 20 * 4 + 4 * 12
+        layer = inherit_layer(DenseLayer(philox(2, 0).standard_normal((20, 12))), 4, 1, "no-gate")
+        assert layer.param_count() == 20 * 4 + 4 * 12
 
     def test_input_gating_count(self):
         layer = inherit_dense(philox(3, 0).standard_normal((10, 8)), 3, 2,
                               gate_input="input")
-        assert param_count_actual(layer) == 10 * 3 + 2 * 3 * 8 + 10 * 2 + 2
+        assert layer.param_count() == 10 * 3 + 2 * 3 * 8 + 10 * 2 + 2
 
     def test_shared_down_differs_from_formula_denominator(self):
         # the closed-form denominator charges a down-projection per head
@@ -52,15 +51,15 @@ class TestParamCount:
         for h in (2, 3, 5):
             layer = inherit_dense(philox(4, 0).standard_normal((m, n)), r, h)
             formula = h * r * (m + n) + h * (r + 1)
-            assert param_count_actual(layer) < formula
+            assert layer.param_count() < formula
         one = inherit_dense(philox(4, 0).standard_normal((m, n)), r, 1)
-        assert param_count_actual(one) == 1 * r * (m + n) + 1 * (r + 1)
+        assert one.param_count() == 1 * r * (m + n) + 1 * (r + 1)
 
     def test_compression_condition_inequality(self):
         m, n, r, h = 40, 30, 3, 2
         layer = inherit_dense(philox(5, 0).standard_normal((m, n)), r, h)
         gate = r * h + h
-        assert (param_count_actual(layer) < m * n) == \
+        assert (layer.param_count() < m * n) == \
             (r * (m + h * n) + gate < m * n)
 
 

@@ -26,6 +26,30 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def nested_imports(source: str) -> list[int]:
+    """Line numbers of the import statements inside a function or method body."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def package_modules_imported(source: str) -> set[str]:
+    """The ``inhernet`` modules a module imports, by relative or absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "inhernet"
+                                                 or node.module.startswith("inhernet.")):
+            module = (node.module or "").removeprefix("inhernet").lstrip(".")
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("inhernet."))
+    return names
+
+
 def test_scan_finds_unused_names():
     source = "import os.path\nimport numpy as np\nfrom x import a, b as c\nprint(a, np)\n"
     assert unused_imports(source) == ["c", "os"]
@@ -35,6 +59,29 @@ def test_scan_finds_unused_names():
                          ids=lambda p: p.name)
 def test_module_imports_are_all_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_scans_find_nested_and_package_imports():
+    source = ("import os\nimport inhernet.nn\nfrom . import rng as r, io\n"
+              "from inhernet import cli\nfrom inhernet.train import x\nfrom .errors import e\n"
+              "class A:\n    def f(self):\n        from .verify import v\n"
+              "def g():\n    def h():\n        import json\n")
+    assert nested_imports(source) == [9, 12]
+    assert package_modules_imported(source) == {"nn", "rng", "io", "cli", "train", "errors",
+                                                "verify"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function_body(path):
+    assert nested_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["theory.py", "inherit.py"])
+def test_closed_form_modules_import_no_harness(name):
+    """The closed-form accounting and the inheritance builders sit below the
+    training harness, the persistence layer and the command line."""
+    harness = {"train", "experiments", "io", "verify", "cli"}
+    assert package_modules_imported((SRC / name).read_text()) & harness == set()
 
 
 def test_conv_layers_call_every_binding_of_im2col_and_col2im(monkeypatch):

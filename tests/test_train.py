@@ -47,29 +47,21 @@ class TestSgdStep:
         # minimize 0.5 * (theta - 5)^2 under the diminishing schedule and
         # compare against a literal scalar simulation
         c = cfg(schedule="inverse_sqrt", base_lr=0.5)
-        theta = np.array([0.0])
-        params = {"t": theta}
+        net = Network([DenseLayer(np.zeros((1, 1)))])
+        theta = net.param_vector()
         expected = 0.0
         for t in range(1, 1001):
-            g = theta[0] - 5.0
-            sgd_step(params, {"t": np.array([g])}, t, c)
+            net.grad_vector()[0] = theta[0] - 5.0
+            sgd_step(net, t, c)
             expected = expected - 0.5 / np.sqrt(t) * (expected - 5.0)
         assert abs(theta[0] - 5.0) < 0.05
         assert abs(theta[0] - expected) < 1e-12
 
     def test_nonfinite_gradient_aborts_with_step(self):
+        net = Network([DenseLayer(np.ones((1, 2)))])
+        net.grad_vector()[...] = [np.inf, 0.0]
         with pytest.raises(NumericalError, match="step 7"):
-            sgd_step({"w": np.ones(2)}, {"w": np.array([np.inf, 0.0])}, 7, cfg())
-
-    def test_flat_step_matches_array_by_array(self):
-        nets = [make_mlp([3, 5, 2], seed=6) for _ in range(2)]
-        g = philox(4, 0).standard_normal(nets[0].param_count())
-        for net in nets:
-            net.grad_vector()[...] = g
-        grads = {k: g.copy() for k, g in nets[1].grad_items().items()}
-        sgd_step(nets[0].param_items(), nets[0].grad_items(), 3, cfg())
-        sgd_step(dict(nets[1].param_items()), grads, 3, cfg())
-        assert np.array_equal(nets[0].param_vector(), nets[1].param_vector())
+            sgd_step(net, 7, cfg())
 
     def test_nonfinite_flat_gradient_names_layer_key(self):
         net = Network([DenseLayer(np.ones((3, 4)), np.zeros(4)), ReluLayer(),
@@ -77,7 +69,7 @@ class TestSgdStep:
         before = net.param_vector().copy()
         net.layers[2].grads["head_1"][0, 2] = np.nan
         with pytest.raises(NumericalError, match=r"'2\.head_1' at step 12"):
-            sgd_step(net.param_items(), net.grad_items(), 12, cfg())
+            sgd_step(net, 12, cfg())
         assert np.array_equal(net.param_vector(), before)
 
 
@@ -158,6 +150,9 @@ class TestKdLoss:
             cfg(base_lr=-1.0)
         with pytest.raises(RangeError):
             cfg(lambda_kd=-0.1)
+        for field, value in (("batch_size", 0), ("batch_size", -4), ("epochs", -3)):
+            with pytest.raises(RangeError, match=field):
+                cfg(**{field: value})
 
 
 class TestTrain:
