@@ -74,6 +74,11 @@ def _map_jobs(fn, jobs: list):
         return list(pool.map(fn, jobs))
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise RangeError(f"seeds must be >= 1, got {seeds}")
+
+
 def perturb_heads(net: Network, seed: int, head_scale: float = HEAD_JITTER,
                   gate_scale: float = 0.0) -> None:
     """Break the head replica symmetry of freshly inherited layers in place: jitter
@@ -146,6 +151,7 @@ def _insight1_job(args):
 
 def run_insight1(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     """Sweep rank with and without distillation; report the per-rank deltas."""
+    _check_seeds(seeds)
     data = toy_classification_data()
     teacher = build_toy_teacher(data)
     jobs = [(teacher, r, s, kd)
@@ -196,6 +202,7 @@ def _insight2_job(args):
 
 def run_insight2(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     """Grid over (rank, head count); compare the two sweep ranges."""
+    _check_seeds(seeds)
     data = toy_classification_data()
     teacher = build_toy_teacher(data)
     jobs = [(teacher, r, h, s)
@@ -264,6 +271,7 @@ def run_insight3(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     evaluation loss (the rank-r truncation level); runs that never reach it
     are censored at epochs + 1.
     """
+    _check_seeds(seeds)
     jobs = [(v, s) for v in ("standard", "no-svd") for s in range(seeds)]
     rows = [{"variant": v, "seed": s, "epochs_to_threshold": e, "censored": c,
              "final_eval_loss": fl, "threshold": t}
@@ -331,6 +339,7 @@ def head_marginal_gains(w: np.ndarray, r: int, h_max: int, task: SyntheticTask,
     """
     if h_max < 2:
         raise RangeError(f"h_max must be >= 2, got {h_max}")
+    _check_seeds(seeds)
     head_counts = list(range(1, h_max + 1))
     errors_by_seed = []
     diminishing = []

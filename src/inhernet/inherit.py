@@ -15,7 +15,9 @@ manifest kind fixes that and its array names (:data:`KINDS`):
 * ``inherit_conv``: a shared spatial kernel ``shared_kernel`` (r filters)
   and per-head 1x1 expansions ``head_{h}`` (N, r) and ``head_bias_{h}``;
   the gate reads the spatial mean of the code map. A dense layer is the
-  one-pixel case of this layer.
+  one-pixel case of this layer. The shared stage runs through
+  :func:`~inhernet.nn.kn2row`, which its few output channels make cheaper
+  than the teacher conv's im2col.
 
 The ablation kinds gate on the input; a frozen gate (``no-gate``) is
 exactly uniform and has no parameters. The gated sum runs in code space:
@@ -44,8 +46,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
-from .nn import (Layer, Network, ReluLayer, check_conv_geometry, col2im,
-                 conv_output_size, im2col, kaiming_uniform, sum_of_products)
+from .nn import (Layer, Network, ReluLayer, check_conv_geometry, kaiming_uniform, kn2row,
+                 kn2row_backward, sum_of_products)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
@@ -174,8 +176,10 @@ class GatedMixture(Layer):
     def _mix(self, g: np.ndarray, z: np.ndarray):
         """``y = sum_h g_h * (up_h^T z_h + bias_h)``, as (B, n, P).
 
-        Also returns the mixed codes (B, (1|H)*r, P): every head's
-        gate-weighted code, summed over heads when the up stack is shared.
+        The mixed codes ``zg`` (B, (1|H)*r, P) are every head's gate-weighted
+        code, summed over heads when the up stack is shared. The backward
+        recomputes them from ``g`` and ``z`` rather than have a layer cache
+        H copies of its code.
         """
         up, bias = self.mixture(self.blocks)
         b, p = len(z), z.shape[3]
@@ -183,10 +187,10 @@ class GatedMixture(Layer):
         y = _per_sample(up.reshape(-1, up.shape[2]).T, zg)
         if bias is not None:
             y += (_sum_to(g, (b, len(bias))) @ bias)[:, :, None]
-        return y, zg
+        return y
 
     def _mix_backward(self, gy: np.ndarray, g: np.ndarray, gate_in: np.ndarray,
-                      z: np.ndarray, zg: np.ndarray):
+                      z: np.ndarray):
         """Backward of :meth:`_mix` for ``gy = dL/dy`` (B, n, P).
 
         Adds the gradients of the up and bias stacks, and of the gate
@@ -196,6 +200,7 @@ class GatedMixture(Layer):
         up, bias = self.mixture(self.blocks)
         d_up, d_bias = self.mixture(self.grad_blocks)
         b, hd, r, p = z.shape
+        zg = _gate_weighted(g, z, up.shape[0]).reshape(b, -1, p)
         d_up += sum_of_products(zg, gy).reshape(up.shape)
         dz_mix = _per_sample(up.reshape(-1, up.shape[2]), gy).reshape(b, -1, r, p)
         gy_sum = gy.sum(axis=2) if p > 1 else gy[:, :, 0]
@@ -291,8 +296,8 @@ class InherNetLayer(GatedMixture):
         z = x @ self._down_matrix()
         g = self.gate_values(x, z)
         z = z.reshape(b, len(self.blocks[self._names[0]]), -1, 1)
-        y, zg = self._mix(g, z)
-        self._x, self._z, self._g, self._zg = x, z, g, zg
+        y = self._mix(g, z)
+        self._x, self._z, self._g = x, z, g
         return y.reshape(b, -1)
 
     def backward(self, grad_out):
@@ -301,7 +306,7 @@ class InherNetLayer(GatedMixture):
         b = x.shape[0]
         code = self.gate_input == "code"
         dz, dgate = self._mix_backward(grad_out[:, :, None], self._g,
-                                       z.reshape(b, -1) if code else x, z, self._zg)
+                                       z.reshape(b, -1) if code else x, z)
         dz = dz.reshape(b, -1)
         if code:
             dz += dgate
@@ -320,7 +325,8 @@ class InherConv2DLayer(GatedMixture):
     the r-channel code map; ``heads`` (H, N, r) are channel-mixing matrices
     applied as 1x1 convolutions and ``head_bias`` (H, N) their biases. The
     gate reads the spatial mean of the code map, one gate vector per
-    sample.
+    sample. The shared stage lowers through kn2row, so the layer keeps the
+    padded input for its backward, not a patch matrix.
     """
 
     kind = "inherit_conv"
@@ -342,7 +348,7 @@ class InherConv2DLayer(GatedMixture):
         self.stride, self.padding = stride, padding
         self._store_stacks(self.kind, shared_kernel, heads, head_bias, shared_kernel.shape[1],
                            gate_weight, gate_bias)
-        self._x = None
+        self._xp = None
 
     def mixture(self, blocks: dict[str, np.ndarray]):
         """The (H, N, r) heads as an up stack (H, r, N), a transposed view."""
@@ -350,32 +356,29 @@ class InherConv2DLayer(GatedMixture):
 
     def forward(self, x):
         k = self.params["shared_kernel"]
-        r, c, kh, kw = k.shape
+        c = k.shape[1]
         if x.ndim != 4 or x.shape[1] != c:
             raise ShapeError(f"inherited conv expects (B, {c}, H, W), got {x.shape}")
-        b = x.shape[0]
-        oh = conv_output_size(x.shape[2], kh, self.stride, self.padding)
-        ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
-        cols = im2col(x, kh, kw, self.stride, self.padding)
-        z = (k.reshape(r, -1) @ cols)[:, None]               # (B, 1, r, OH*OW)
+        code, xp = kn2row(x, k, self.stride, self.padding)      # (B, r, OH, OW)
+        b, r, oh, ow = code.shape
+        z = code.reshape(b, 1, r, oh * ow)
         pooled = z[:, 0].mean(axis=2)
         g = self._gate(pooled)
-        y, zg = self._mix(g, z)
-        self._x, self._cols, self._z, self._pooled, self._g, self._zg = \
-            x, cols, z, pooled, g, zg
+        y = self._mix(g, z)
+        self._xp, self._z, self._pooled, self._g = xp, z, pooled, g
         return y.reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
-        self._require_forward()
-        x, cols, z = self._x, self._cols, self._z
-        k = self.params["shared_kernel"]
-        r, _, kh, kw = k.shape
+        self._require_forward("_xp")
+        z = self._z
         b, p = len(z), z.shape[3]
         gy = grad_out.reshape(b, -1, p)                      # (B, N, OH*OW)
-        dz, dpooled = self._mix_backward(gy, self._g, self._pooled, z, self._zg)
+        dz, dpooled = self._mix_backward(gy, self._g, self._pooled, z)
         dz = dz[:, 0] + dpooled[:, :, None] / p
-        self.grads["shared_kernel"] += sum_of_products(dz, cols).reshape(k.shape)
-        return col2im(k.reshape(r, -1).T @ dz, x.shape, kh, kw, self.stride, self.padding)
+        dk, dx = kn2row_backward(dz, self._xp, self.params["shared_kernel"], self.stride,
+                                 self.padding)
+        self.grads["shared_kernel"] += dk
+        return dx
 
 
 def _svd_start(w: np.ndarray, r: int, h: int, mode: str, gate_input: str):

@@ -252,8 +252,8 @@ def load_csv(path, schema: str = "regression") -> Dataset:
 
     With ``schema="classification"`` the last column holds integer class
     labels; otherwise every column is a feature and ``y`` is empty. Ragged
-    rows, non-numeric cells and labels that are not finite integers raise
-    :class:`ParseError` with the 1-based line number.
+    rows, non-numeric cells and labels that are not nonnegative finite
+    integers raise :class:`ParseError` with the 1-based line number.
     """
     if schema not in ("regression", "classification"):
         raise RangeError(f"unknown csv schema {schema!r}")
@@ -276,10 +276,13 @@ def load_csv(path, schema: str = "regression") -> Dataset:
     data = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     if schema == "classification":
         labels = data[:, -1]
-        bad = np.flatnonzero(~(np.abs(labels) < 2.0 ** 63) | (labels != np.floor(labels)))
+        integral = (np.abs(labels) < 2.0 ** 63) & (labels == np.floor(labels))
+        bad = np.flatnonzero(~integral | (labels < 0))
         if bad.size:
-            raise ParseError(f"{path}: line {bad[0] + 2}: label {float(labels[bad[0]])!r} "
-                             f"is not a finite integer")
+            i = bad[0]
+            why = "is negative; class labels count from 0" if integral[i] else \
+                "is not a finite integer"
+            raise ParseError(f"{path}: line {i + 2}: label {float(labels[i])!r} {why}")
         return Dataset(x=data[:, :-1], y=labels.astype(np.int64), kind="classification")
     return Dataset(x=data, y=np.empty((len(rows), 0)), kind="regression")
 

@@ -12,11 +12,15 @@ vector operations. A central-difference oracle
 analytic gradient in the package.
 
 Image batches are C-contiguous NCHW arrays, (B, C, H, W), and every conv
-layer returns one. Convolutions lower to GEMMs through :func:`im2col`,
-whose patch matrix is channels first, (B, C*kh*kw, OH*OW): a kernel
-(N, C*kh*kw) multiplies it as ``k @ cols`` into (B, N, OH*OW), already
-NCHW, and :func:`col2im` folds (B, C*kh*kw, OH*OW) gradients back onto
-the image one contiguous (OH, OW) plane per kernel offset.
+layer returns one. A teacher convolution lowers to GEMMs through
+:func:`im2col`, whose patch matrix is channels first, (B, C*kh*kw, OH*OW):
+a kernel (N, C*kh*kw) multiplies it as ``k @ cols`` into (B, N, OH*OW),
+already NCHW, and :func:`col2im` folds (B, C*kh*kw, OH*OW) gradients back
+onto the image one contiguous (OH, OW) plane per kernel offset. The shared
+stage of an inherited convolution has only r output channels, and lowers
+through :func:`kn2row` and :func:`kn2row_backward` instead: one GEMM of the
+kernel stacked per offset against the padded image, then kh*kw shifted
+adds of r-channel planes, with no patch matrix built or kept.
 """
 
 from __future__ import annotations
@@ -217,6 +221,19 @@ def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` (B, C, H, W) with ``padding`` zero rows and columns on every side.
+
+    A C-contiguous float64 array; ``x`` itself when it is one and ``padding`` is 0.
+    """
+    if not padding:
+        return np.ascontiguousarray(x, dtype=np.float64)
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    xp[:, :, padding:-padding, padding:-padding] = x
+    return xp
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Unfold (B, C, H, W) into patch columns (B, C*kh*kw, OH*OW).
 
@@ -228,7 +245,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     b, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    xp = _pad(x, padding)
     cols = np.empty((b, c, kh, kw, oh, ow), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
@@ -253,6 +270,71 @@ def col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
     if padding:
         return xp[:, :, padding:-padding, padding:-padding]
     return xp
+
+
+def _kernel_stack(kernel: np.ndarray) -> np.ndarray:
+    """A kernel (R, C, kh, kw) stacked per offset as (kh*kw*R, C): row (i, j, r) is k[r, :, i, j]."""
+    r, c, kh, kw = kernel.shape
+    return kernel.transpose(2, 3, 0, 1).reshape(kh * kw * r, c)
+
+
+def kn2row(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
+    """Convolve (B, C, H, W) with ``kernel`` (R, C, kh, kw) by kernel-to-row lowering.
+
+    One GEMM of the kernel stacked per offset, (kh*kw*R, C), against each
+    padded image seen as (C, Hp*Wp) gives every offset's R-channel response
+    at every padded pixel. The output (B, R, OH, OW) sums kh*kw shifted
+    planes of it, reading every ``stride``-th pixel. Returns the output and
+    the padded input, which :func:`kn2row_backward` reads (Vasudevan,
+    Anderson and Gregg 2017, arXiv:1704.04428).
+
+    Its shifted adds move kh*kw*R values per output pixel where
+    :func:`im2col` copies kh*kw*C, and it keeps an image rather than a
+    patch matrix, so it suits a code narrower than its input: the shared
+    stage of an inherited conv. It loses at R >= C: its forward is slower
+    than im2col's there, and at R = C forward plus backward gains nothing.
+    A stride s runs the GEMM at stride 1, s*s times the work the output
+    needs.
+    """
+    b, c, h, w = x.shape
+    r, _, kh, kw = kernel.shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    xp = _pad(x, padding)
+    hp, wp = xp.shape[2:]
+    planes = (_kernel_stack(kernel) @ xp.reshape(b, c, hp * wp)).reshape(b, kh, kw, r, hp, wp)
+    y = planes[:, 0, 0, :, :stride * oh:stride, :stride * ow:stride].copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                y += planes[:, i, j, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return y, xp
+
+
+def kn2row_backward(grad_out: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
+                    stride: int, padding: int):
+    """Gradients of :func:`kn2row` for ``grad_out`` (B, R, OH, OW): (dL/dkernel, dL/dx).
+
+    ``grad_out`` is written at each offset into a zeroed (B, kh*kw*R, Hp*Wp)
+    stack, the adjoint of the shifted sum. Its products with the padded
+    input give the kernel gradient; the stacked kernel's transpose times it
+    gives the padded input's gradient, returned cropped to the input.
+    """
+    b, c, hp, wp = xp.shape
+    r, _, kh, kw = kernel.shape
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    gy = grad_out.reshape(b, r, oh, ow)
+    stack = np.zeros((b, kh, kw, r, hp, wp), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            stack[:, i, j, :, i:i + stride * oh:stride, j:j + stride * ow:stride] = gy
+    stack = stack.reshape(b, kh * kw * r, hp * wp)
+    dk = sum_of_products(stack, xp.reshape(b, c, hp * wp))
+    dk = dk.reshape(kh, kw, r, c).transpose(2, 3, 0, 1)
+    dxp = (_kernel_stack(kernel).T @ stack).reshape(b, c, hp, wp)
+    if padding:
+        return dk, dxp[:, :, padding:-padding, padding:-padding]
+    return dk, dxp
 
 
 def sum_of_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -54,12 +54,15 @@ class TrainConfig:
             raise RangeError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr <= 0:
-            raise RangeError(f"base learning rate must be positive, got {self.base_lr}")
-        if self.temperature <= 0:
-            raise RangeError(f"temperature must be positive, got {self.temperature}")
-        if self.lambda_ce < 0 or self.lambda_kd < 0:
-            raise RangeError("loss weights must be nonnegative")
+        # chained comparisons, which NaN fails
+        for name in ("base_lr", "temperature", "decay_factor"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise RangeError(f"{name} must be positive and finite, got {value}")
+        for name in ("lambda_ce", "lambda_kd"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise RangeError(f"{name} must be nonnegative and finite, got {value}")
         if self.schedule not in SCHEDULES:
             raise RangeError(f"unknown schedule {self.schedule!r}")
         if self.loss not in LOSSES:

@@ -289,3 +289,8 @@ class TestInsightCommand:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("insight", "--which", "3", "--frobnicate", "1")
+
+    def test_zero_seeds_is_an_error_without_traceback(self, capsys):
+        assert run_cli("insight", "--which", "3", "--seeds", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seeds" in err and "Traceback" not in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from inhernet import experiments
+from inhernet.errors import RangeError
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer
 from inhernet.nn import DenseLayer, Network
 from inhernet.rng import philox
@@ -58,3 +59,16 @@ class TestPerturbHeads:
         for layer, params in zip(layers, want):
             for key, value in params.items():
                 assert np.array_equal(layer.params[key], value), key
+
+
+class TestSeedCount:
+    @pytest.mark.parametrize("run", [
+        experiments.run_insight1, experiments.run_insight2, experiments.run_insight3,
+        lambda seeds: experiments.head_marginal_gains(
+            np.eye(4), 2, 2, experiments.TOY_TASK,
+            experiments.TrainConfig(base_lr=0.1, epochs=1, batch_size=8, seed=0), seeds=seeds)],
+        ids=["insight1", "insight2", "insight3", "head_marginal_gains"])
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_fewer_than_one_seed_is_rejected(self, run, seeds):
+        with pytest.raises(RangeError, match="seeds"):
+            run(seeds=seeds)

@@ -391,6 +391,13 @@ class TestCsv:
         with pytest.raises(ParseError, match=f"line 3: label {label} is not a finite integer"):
             load_csv(path, schema="classification")
 
+    @pytest.mark.parametrize("label", ["-2", "-1.0"])
+    def test_negative_label_reports_line(self, tmp_path, label):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"x0,label\n0.5,0\n0.7,1\n1.0,{label}\n2.0,1.5\n")
+        with pytest.raises(ParseError, match=f"line 4: label {float(label)!r} is negative"):
+            load_csv(path, schema="classification")
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -9,8 +9,8 @@ from inhernet.errors import RangeError, ShapeError, StateError
 from inhernet.experiments import perturb_heads
 from inhernet.inherit import inherit_conv, inherit_dense
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy, col2im,
-                         cross_entropy, finite_difference_grad, im2col, make_mlp,
-                         mse_loss)
+                         cross_entropy, finite_difference_grad, im2col, kn2row,
+                         kn2row_backward, make_mlp, mse_loss)
 from inhernet.rng import philox
 
 
@@ -223,6 +223,67 @@ class TestIm2col:
         for c, i, j in itertools.product(range(3), range(kh), range(kw)):
             row = cols[:, (c * kh + i) * kw + j].reshape(2, 3, 4)
             assert np.array_equal(row, xp[:, c, i:i + 5:stride, j:j + 7:stride])
+
+
+KN2ROW_GEOMETRY = pytest.mark.parametrize("stride,padding,kh,kw", [
+    (s, p, kh, kw) for s in (1, 2) for p in (0, 1, 2) for kh, kw in ((1, 1), (3, 3), (2, 3))])
+
+
+class TestKn2row:
+    def case(self, stride, padding, kh, kw, c=3, r=2):
+        gen = philox(16, 0)
+        h = valid_size(kh, stride, padding, 5)
+        w = valid_size(kw, stride, padding, h + 2)          # non-square
+        return gen, gen.standard_normal((2, c, h, w)), gen.standard_normal((r, c, kh, kw))
+
+    @KN2ROW_GEOMETRY
+    def test_forward_matches_the_im2col_oracle(self, stride, padding, kh, kw):
+        _, x, k = self.case(stride, padding, kh, kw)
+        y, xp = kn2row(x, k, stride, padding)
+        want = k.reshape(len(k), -1) @ im2col(x, kh, kw, stride, padding)
+        assert y.ndim == 4 and y.shape[:2] == want.shape[:2] and y.flags.c_contiguous
+        assert np.linalg.norm(y.reshape(want.shape) - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.array_equal(xp, np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)))
+
+    @KN2ROW_GEOMETRY
+    def test_input_gradient_is_the_adjoint(self, stride, padding, kh, kw):
+        gen, x, k = self.case(stride, padding, kh, kw)
+        y, xp = kn2row(x, k, stride, padding)
+        g = gen.standard_normal(y.shape)
+        _, dx = kn2row_backward(g, xp, k, stride, padding)
+        lhs, rhs = float(np.sum(y * g)), float(np.sum(x * dx))
+        assert dx.shape == x.shape
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("stride,padding,kh,kw", [(1, 1, 3, 3), (2, 0, 2, 3), (2, 2, 1, 1)])
+    def test_kernel_gradient_matches_finite_differences(self, stride, padding, kh, kw):
+        gen, x, k = self.case(stride, padding, kh, kw)
+        g = gen.standard_normal(kn2row(x, k, stride, padding)[0].shape)
+        dk, _ = kn2row_backward(g, kn2row(x, k, stride, padding)[1], k, stride, padding)
+        step, fd = 1e-6, np.zeros_like(k)
+        for idx in np.ndindex(k.shape):
+            kp, km = k.copy(), k.copy()
+            kp[idx] += step
+            km[idx] -= step
+            fd[idx] = (np.sum(kn2row(x, kp, stride, padding)[0] * g)
+                       - np.sum(kn2row(x, km, stride, padding)[0] * g)) / (2 * step)
+        assert np.abs(dk - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+    def test_inherited_conv_caches_no_patch_matrix(self):
+        """One 256-image forward at r=4: what the layer keeps for its backward,
+        apart from the input it was handed, stays under twice that input."""
+        gen = philox(17, 0)
+        x = gen.standard_normal((256, 16, 16, 16))
+        layer = inherit_conv(gen.standard_normal((16, 16, 3, 3)), 4, 3, padding=1)
+        layer.forward(x)
+        cached = sum(v.nbytes for v in vars(layer).values()
+                     if isinstance(v, np.ndarray) and v is not x)
+        assert cached < 2 * x.nbytes
+
+    def test_inherited_conv_backward_before_forward(self):
+        layer = inherit_conv(philox(18, 0).standard_normal((3, 2, 3, 3)), 2, 2, padding=1)
+        with pytest.raises(StateError):
+            layer.backward(np.ones((1, 3, 4, 4)))
 
 
 class TestRelu:

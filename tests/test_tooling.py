@@ -84,10 +84,15 @@ def test_closed_form_modules_import_no_harness(name):
     assert package_modules_imported((SRC / name).read_text()) & harness == set()
 
 
-def test_conv_layers_call_every_binding_of_im2col_and_col2im(monkeypatch):
-    """A tracer times im2col/col2im by rebinding them in every inhernet module
-    that holds them; a conv layer that reached them another way would make
-    those timings read 0."""
+@pytest.mark.parametrize("build,lowering", [
+    (lambda k: nn.Conv2DLayer(k, padding=1), (nn.im2col, nn.col2im)),
+    (lambda k: inherit_conv(k, 2, 2, padding=1), (nn.kn2row, nn.kn2row_backward))],
+    ids=["conv2d", "inherit_conv"])
+def test_conv_layers_reach_their_lowering_through_a_module_binding(monkeypatch, build, lowering):
+    """A tracer times a lowering function by rebinding it in every inhernet
+    module that holds it; a conv layer that reached it another way would make
+    that timing read 0. The teacher conv lowers through im2col/col2im, the
+    inherited conv through kn2row/kn2row_backward."""
     calls = {}
 
     def counting(key, fn):
@@ -96,18 +101,18 @@ def test_conv_layers_call_every_binding_of_im2col_and_col2im(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in (nn.im2col, nn.col2im):
+    for fn in lowering:
         for mod_name, mod in list(sys.modules.items()):
             if mod is not None and mod_name.startswith("inhernet."):
                 for attr, value in list(vars(mod).items()):
                     if value is fn:
-                        calls[mod_name, attr] = 0
-                        monkeypatch.setattr(mod, attr, counting((mod_name, attr), fn))
-    assert {(m, f) for m in ("inhernet.nn", "inhernet.inherit")
-            for f in ("im2col", "col2im")} <= set(calls)
+                        key = fn.__name__, mod_name, attr
+                        calls[key] = 0
+                        monkeypatch.setattr(mod, attr, counting(key, fn))
+    assert {(fn.__name__, "inhernet.nn", fn.__name__) for fn in lowering} <= set(calls)
     gen = philox(17, 0)
-    kernel = gen.standard_normal((4, 2, 3, 3))
-    for layer in (nn.Conv2DLayer(kernel, padding=1), inherit_conv(kernel, 2, 2, padding=1)):
-        out = layer.forward(gen.standard_normal((2, 2, 5, 5)))
-        layer.backward(np.ones_like(out))
-    assert all(calls.values()), calls
+    layer = build(gen.standard_normal((4, 2, 3, 3)))
+    out = layer.forward(gen.standard_normal((2, 2, 5, 5)))
+    layer.backward(np.ones_like(out))
+    for fn in lowering:
+        assert sum(n for (name, *_), n in calls.items() if name == fn.__name__), calls

@@ -154,6 +154,16 @@ class TestKdLoss:
             with pytest.raises(RangeError, match=field):
                 cfg(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("base_lr", np.nan), ("base_lr", np.inf), ("base_lr", 0.0),
+        ("temperature", np.nan), ("temperature", np.inf), ("temperature", -1.0),
+        ("lambda_kd", np.nan), ("lambda_kd", np.inf), ("lambda_ce", np.nan),
+        ("lambda_ce", -0.5), ("decay_factor", -1.0), ("decay_factor", 0.0),
+        ("decay_factor", np.nan), ("decay_factor", np.inf)])
+    def test_non_finite_and_sign_flipping_settings_name_their_field(self, field, value):
+        with pytest.raises(RangeError, match=field):
+            cfg(schedule="step", milestones=(2,), **{field: value})
+
 
 class TestTrain:
     def test_zero_epochs_leaves_net_unchanged(self):
