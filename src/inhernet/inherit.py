@@ -20,12 +20,17 @@ manifest kind fixes that and its array names (:data:`KINDS`):
   than the teacher conv's im2col.
 
 The ablation kinds gate on the input; a frozen gate (``no-gate``) is
-exactly uniform and has no parameters. The gated sum runs in code space:
-the gate-weighted codes of all heads form one (B, H*r) matrix (summed over
+exactly uniform and has no parameters. Each layer mixes its heads in the
+space that is cheaper for its shape, and no step loops over heads in
+Python. A dense layer has one code per sample, so it mixes codes: the
+gate-weighted codes of all heads form one (B, H*r) matrix (summed over
 heads first when U is shared) and one GEMM against the stacked U gives the
-output; no step loops over heads in Python. A convolution keeps its codes
-channels first, (B, H*r, OH*OW), and multiplies them per sample, so its
-output is NCHW without a transpose. Inheritance starts every head
+output. A convolution has one code per output pixel, so it mixes weights:
+each sample's gate sums the heads into one (N, r) matrix, as CondConv
+routes expert kernels into one per-example kernel, and that matrix
+multiplies the sample's (r, OH*OW) code map. Its output is NCHW without a
+transpose, and no per-head copy of the code map exists on either pass.
+Inheritance starts every head
 from the teacher's truncated SVD: D = ``U_r sqrt(S_r)``, U = ``sqrt(S_r)
 V_r^T`` (a conv kernel, reshaped to (N, c*kh*kw), is the transpose of W).
 In ``convex`` mode (default) each head holds the full factor, so any
@@ -47,7 +52,7 @@ from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
 from .nn import (Layer, Network, ReluLayer, check_conv_geometry, kaiming_uniform, kn2row,
-                 kn2row_backward, sum_of_products)
+                 kn2row_backward)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
@@ -86,28 +91,21 @@ def _sum_to(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """``g_h * a_h`` for every head, from ``a`` (B, 1|H, r, P), summed over heads if ``k`` is 1."""
-    b, h = a.shape[:2]
-    if k == 1 and h > 1:
-        return np.matmul(g[:, None, :], a.reshape(b, h, -1)).reshape(b, 1, *a.shape[2:])
-    return g[:, :, None, None] * a
-
-
-def _per_sample(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``m @ a[i]`` for every sample of ``a`` (B, K, P); one GEMM when P is 1."""
-    if a.shape[2] == 1:
-        return (a[:, :, 0] @ m.T)[:, :, None]
-    return m @ a
+    """``g_h * a_h`` for every head, from ``a`` (B, 1|H, r), summed over heads if ``k`` is 1."""
+    if k == 1 and a.shape[1] > 1:
+        return np.matmul(g[:, None, :], a)
+    return g[:, :, None] * a
 
 
 class GatedMixture(Layer):
-    """Storage, persistence, gate and mixing code of the gated layers.
+    """Storage, persistence and softmax gate of the gated layers.
 
     A subclass stores its down, up and bias stacks through
-    ``_store_stacks`` and hands the mixing core its up stack as
-    (1|H, r, n), with the bias stack, through ``mixture``. Codes ``z`` are
-    (B, 1|H, r, P) and outputs (B, n, P), channels first: P = 1 for a dense
-    layer, one column per output pixel for a convolution.
+    ``_store_stacks``, draws its per-sample gate (B, H) from ``_gate`` and
+    mixes its heads in the form its shape makes cheaper. Its backward
+    reduces the output gradient to the gate scores ``s = dL/dg`` (B, H) and
+    hands them to ``_gate_backward``, the one place the softmax-gate
+    backward is written.
     """
 
     def _store_stacks(self, kind: str, down, up, bias, gate_width: int,
@@ -159,10 +157,6 @@ class GatedMixture(Layer):
         return {**super().config(), "n_heads": self.n_heads, "has_head_bias": self.has_head_bias,
                 "gate_frozen": self.gate_frozen}
 
-    @property
-    def rank(self) -> int:
-        return self.mixture(self.blocks)[0].shape[1]
-
     def ungated(self) -> "GatedMixture":
         """This layer's ``no-gate`` form: copies of its arrays, the gate frozen at uniform."""
         return type(self).from_config({**self.config(), "gate_frozen": True}, self.params)
@@ -173,62 +167,14 @@ class GatedMixture(Layer):
             return np.full((gate_in.shape[0], self.n_heads), 1.0 / self.n_heads)
         return softmax(gate_in @ self.params["gate_weight"] + self.params["gate_bias"])
 
-    def _mix(self, g: np.ndarray, z: np.ndarray):
-        """``y = sum_h g_h * (up_h^T z_h + bias_h)``, as (B, n, P).
+    def _gate_backward(self, g: np.ndarray, gate_in: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Backward of the softmax gate for the scores ``s = dL/dg`` (B, H).
 
-        The mixed codes ``zg`` (B, (1|H)*r, P) are every head's gate-weighted
-        code, summed over heads when the up stack is shared. The backward
-        recomputes them from ``g`` and ``z`` rather than have a layer cache
-        H copies of its code.
-        """
-        up, bias = self.mixture(self.blocks)
-        b, p = len(z), z.shape[3]
-        zg = _gate_weighted(g, z, up.shape[0]).reshape(b, -1, p)
-        y = _per_sample(up.reshape(-1, up.shape[2]).T, zg)
-        if bias is not None:
-            y += (_sum_to(g, (b, len(bias))) @ bias)[:, :, None]
-        return y
-
-    def _mix_backward(self, gy: np.ndarray, g: np.ndarray, gate_in: np.ndarray,
-                      z: np.ndarray):
-        """Backward of :meth:`_mix` for ``gy = dL/dy`` (B, n, P).
-
-        Adds the gradients of the up and bias stacks, and of the gate
-        through :meth:`_gate_backward`. Returns dL/dz, shaped like ``z``, and
-        dL/d ``gate_in``.
-        """
-        up, bias = self.mixture(self.blocks)
-        d_up, d_bias = self.mixture(self.grad_blocks)
-        b, hd, r, p = z.shape
-        zg = _gate_weighted(g, z, up.shape[0]).reshape(b, -1, p)
-        d_up += sum_of_products(zg, gy).reshape(up.shape)
-        dz_mix = _per_sample(up.reshape(-1, up.shape[2]), gy).reshape(b, -1, r, p)
-        gy_sum = gy.sum(axis=2) if p > 1 else gy[:, :, 0]
-        if bias is not None:
-            d_bias += _sum_to(g.T @ gy_sum, bias.shape)
-        dgate_in = self._gate_backward(g, gate_in, z, dz_mix, gy, gy_sum, up, bias)
-        return _gate_weighted(g, dz_mix, hd), dgate_in
-
-    def _gate_backward(self, g: np.ndarray, gate_in: np.ndarray, z: np.ndarray,
-                       dz_mix: np.ndarray, gy: np.ndarray, gy_sum: np.ndarray,
-                       up: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-        """Backward of the softmax gate.
-
-        The gate score ``s_h = dL/dg_h`` is grad_out . (z_h @ up_h + bias_h),
-        summed over pixels, where ``dz_mix`` holds grad_out @ up_h^T. Adds
-        the gate's gradients; returns dL/d ``gate_in``, zero for a frozen
-        gate.
+        Adds the gate's gradients; returns dL/d ``gate_in``, zero for a
+        frozen gate.
         """
         if self.gate_frozen:
             return np.zeros_like(gate_in)
-        b, hd, _, p = z.shape
-        if p > 1 and hd == 1:
-            # many pixels, one code: contract codes with grad_out per sample first
-            s = (z[:, 0] @ gy.transpose(0, 2, 1)).reshape(b, -1) @ up.reshape(len(up), -1).T
-        else:
-            s = np.einsum("bhrp,bhrp->bh", z, dz_mix)
-        if bias is not None:
-            s += gy_sum @ bias.T
         dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
         self.grads["gate_weight"] += gate_in.T @ dlogits
         self.grads["gate_bias"] += dlogits.sum(axis=0)
@@ -241,7 +187,9 @@ class InherNetLayer(GatedMixture):
     ``down`` (1|H, m, r), ``up`` (1|H, r, n) and ``bias`` (1|H, n) are
     stacks, and ``kind`` fixes which of them are per head. The gate reads
     the code ``x @ w_down`` (``gate_input="code"``, ``inherit_dense`` only)
-    or the input ``x``.
+    or the input ``x``. The heads mix in code space: the codes (B, 1|H, r),
+    weighted by the gate, meet the stacked up matrix in one GEMM over the
+    batch.
     """
 
     settings = ("kind", "gate_input")
@@ -266,6 +214,7 @@ class InherNetLayer(GatedMixture):
         self._x = None
 
     def mixture(self, blocks: dict[str, np.ndarray]):
+        """The up and bias stacks (bias None) among ``blocks`` or ``grad_blocks``."""
         return blocks[self._names[1]], blocks.get(self._names[2])
 
     def _down_matrix(self) -> np.ndarray:
@@ -285,6 +234,10 @@ class InherNetLayer(GatedMixture):
     def out_dim(self) -> int:
         return self.blocks[self._names[1]].shape[2]
 
+    @property
+    def rank(self) -> int:
+        return self.blocks[self._names[1]].shape[1]
+
     def gate_values(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self._gate(z if self.gate_input == "code" else x)
 
@@ -295,19 +248,31 @@ class InherNetLayer(GatedMixture):
         b = x.shape[0]
         z = x @ self._down_matrix()
         g = self.gate_values(x, z)
-        z = z.reshape(b, len(self.blocks[self._names[0]]), -1, 1)
-        y = self._mix(g, z)
+        z = z.reshape(b, len(self.blocks[self._names[0]]), -1)
+        up, bias = self.mixture(self.blocks)
+        y = _gate_weighted(g, z, len(up)).reshape(b, -1) @ up.reshape(-1, up.shape[2])
+        if bias is not None:
+            y += _sum_to(g, (b, len(bias))) @ bias
         self._x, self._z, self._g = x, z, g
-        return y.reshape(b, -1)
+        return y
 
     def backward(self, grad_out):
+        """Recomputes the gate-weighted codes from the cached gate and codes
+        rather than cache H copies of the code."""
         self._require_forward()
-        x, z = self._x, self._z
-        b = x.shape[0]
+        x, z, g = self._x, self._z, self._g
+        b, hd, r = z.shape
+        up, bias = self.mixture(self.blocks)
+        d_up, d_bias = self.mixture(self.grad_blocks)
+        d_up += (_gate_weighted(g, z, len(up)).reshape(b, -1).T @ grad_out).reshape(up.shape)
+        dz_mix = (grad_out @ up.reshape(-1, up.shape[2]).T).reshape(b, -1, r)  # grad_out @ up_h^T
+        s = np.einsum("bhr,bhr->bh", z, dz_mix)
+        if bias is not None:
+            d_bias += _sum_to(g.T @ grad_out, bias.shape)
+            s += grad_out @ bias.T
         code = self.gate_input == "code"
-        dz, dgate = self._mix_backward(grad_out[:, :, None], self._g,
-                                       z.reshape(b, -1) if code else x, z)
-        dz = dz.reshape(b, -1)
+        dgate = self._gate_backward(g, z.reshape(b, -1) if code else x, s)
+        dz = _gate_weighted(g, dz_mix, hd).reshape(b, -1)
         if code:
             dz += dgate
         d_down = self.grad_blocks[self._names[0]]
@@ -325,8 +290,12 @@ class InherConv2DLayer(GatedMixture):
     the r-channel code map; ``heads`` (H, N, r) are channel-mixing matrices
     applied as 1x1 convolutions and ``head_bias`` (H, N) their biases. The
     gate reads the spatial mean of the code map, one gate vector per
-    sample. The shared stage lowers through kn2row, so the layer keeps the
-    padded input for its backward, not a patch matrix.
+    sample. The heads mix in weight space: each sample's gate sums the
+    heads into one (N, r) matrix ``M``, which multiplies that sample's (r,
+    OH*OW) code map, and the backward draws the heads' and the gate's
+    gradients from one per-sample product grad_out @ code^T. The shared
+    stage lowers through kn2row, so the layer keeps the padded input for
+    its backward, not a patch matrix.
     """
 
     kind = "inherit_conv"
@@ -350,9 +319,9 @@ class InherConv2DLayer(GatedMixture):
                            gate_weight, gate_bias)
         self._xp = None
 
-    def mixture(self, blocks: dict[str, np.ndarray]):
-        """The (H, N, r) heads as an up stack (H, r, N), a transposed view."""
-        return blocks["heads"].transpose(0, 2, 1), blocks.get("head_bias")
+    @property
+    def rank(self) -> int:
+        return self.blocks["heads"].shape[2]
 
     def forward(self, x):
         k = self.params["shared_kernel"]
@@ -361,20 +330,32 @@ class InherConv2DLayer(GatedMixture):
             raise ShapeError(f"inherited conv expects (B, {c}, H, W), got {x.shape}")
         code, xp = kn2row(x, k, self.stride, self.padding)      # (B, r, OH, OW)
         b, r, oh, ow = code.shape
-        z = code.reshape(b, 1, r, oh * ow)
-        pooled = z[:, 0].mean(axis=2)
+        z = code.reshape(b, r, oh * ow)
+        pooled = z.mean(axis=2)
         g = self._gate(pooled)
-        y = self._mix(g, z)
-        self._xp, self._z, self._pooled, self._g = xp, z, pooled, g
+        heads, bias = self.blocks["heads"], self.blocks.get("head_bias")
+        m = (g @ heads.reshape(len(heads), -1)).reshape(b, -1, r)    # (B, N, r)
+        y = m @ z
+        if bias is not None:
+            y += (g @ bias)[:, :, None]
+        self._xp, self._z, self._pooled, self._g, self._m = xp, z, pooled, g, m
         return y.reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         self._require_forward("_xp")
-        z = self._z
-        b, p = len(z), z.shape[3]
-        gy = grad_out.reshape(b, -1, p)                      # (B, N, OH*OW)
-        dz, dpooled = self._mix_backward(gy, self._g, self._pooled, z)
-        dz = dz[:, 0] + dpooled[:, :, None] / p
+        z, g = self._z, self._g
+        b, r, p = z.shape
+        heads, bias = self.blocks["heads"], self.blocks.get("head_bias")
+        gy = grad_out.reshape(b, -1, p)                           # (B, N, OH*OW)
+        c = (gy @ z.transpose(0, 2, 1)).reshape(b, -1)            # (B, N*r)
+        self.grad_blocks["heads"] += (g.T @ c).reshape(heads.shape)
+        s = c @ heads.reshape(len(heads), -1).T
+        if bias is not None:
+            gy_sum = gy.sum(axis=2)
+            self.grad_blocks["head_bias"] += g.T @ gy_sum
+            s += gy_sum @ bias.T
+        dz = self._m.transpose(0, 2, 1) @ gy
+        dz += self._gate_backward(g, self._pooled, s)[:, :, None] / p
         dk, dx = kn2row_backward(dz, self._xp, self.params["shared_kernel"], self.stride,
                                  self.padding)
         self.grads["shared_kernel"] += dk

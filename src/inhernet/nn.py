@@ -495,12 +495,21 @@ class Network:
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
-    """Mean squared error over every entry; returns (loss, grad wrt pred)."""
+    """Mean squared error over every entry; returns (loss, grad wrt pred).
+
+    The gradient is formed in place in the difference, with the same two
+    roundings as ``2.0 * diff / diff.size``.
+    """
     if pred.shape != target.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.size
+    if pred.size == 0:
+        raise ShapeError(f"mean squared error of an empty batch (shape {pred.shape})")
+    diff = np.subtract(pred, target, dtype=np.float64)
+    flat = diff.reshape(-1)
+    loss = float(flat @ flat / flat.size)
+    diff *= 2.0
+    diff /= diff.size
+    return loss, diff
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):

@@ -10,7 +10,8 @@ Each step works on the network's flat vectors (see :class:`~inhernet.nn.Network`
 zeroing the gradients is one fill, the gradient norm one dot product and
 the SGD update one finiteness check plus one axpy. For distillation the
 frozen teacher runs once per ``train`` call, over the whole training
-split, and every step indexes its cached logits by the batch indices.
+split, and so does its log-softmax at the distillation temperature; every
+step indexes both by the batch indices.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ def sgd_step(net: Network, t: int, config: TrainConfig) -> None:
 
 
 def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
-            labels: np.ndarray, config: TrainConfig):
+            labels: np.ndarray, config: TrainConfig,
+            teacher_log_probs: np.ndarray | None = None):
     """Combined task + distillation loss and its gradient wrt student logits.
 
     ``L = lambda_ce * CE(student, labels)
@@ -128,6 +130,11 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
     averaged over the batch. The temperature-squared factor keeps the KD
     gradient magnitude comparable across temperatures; differentiating the
     softened log-softmax contributes the remaining 1/tau.
+
+    ``teacher_log_probs``, when given, is ``log_softmax(teacher_logits /
+    tau)`` already formed by the caller: :func:`train` forms it once for
+    the whole training split and passes each batch its rows, which are
+    bit-identical to a per-batch log-softmax.
     """
     if student_logits.shape != teacher_logits.shape:
         raise ShapeError(f"logit shapes differ: {student_logits.shape} "
@@ -137,7 +144,7 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
     ce, ce_grad = cross_entropy(student_logits, labels)
     # Both softened distributions come from log-softmax, so a saturated
     # teacher (p underflowing to 0) contributes 0 * finite, never 0 * log(0).
-    log_p = log_softmax(teacher_logits / tau)
+    log_p = log_softmax(teacher_logits / tau) if teacher_log_probs is None else teacher_log_probs
     log_q = log_softmax(student_logits / tau)
     p = np.exp(log_p)
     kl = float(np.sum(p * (log_p - log_q)) / b)
@@ -146,8 +153,9 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
     return loss, grad
 
 
-def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray,
-                config: TrainConfig, teacher_logits: np.ndarray | None):
+def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
+                teacher_logits: np.ndarray | None = None,
+                teacher_log_probs: np.ndarray | None = None):
     logits = net.forward(x)
     if config.loss == "mse":
         return mse_loss(logits, y), logits
@@ -155,7 +163,7 @@ def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray,
         return cross_entropy(logits, y), logits
     if teacher_logits is None:
         raise RangeError("loss 'ce+kd' requires a teacher network")
-    return kd_loss(logits, teacher_logits, y, config), logits
+    return kd_loss(logits, teacher_logits, y, config, teacher_log_probs), logits
 
 
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
@@ -194,6 +202,7 @@ def train(net: Network, data, config: TrainConfig,
         if teacher is None:
             raise RangeError("loss 'ce+kd' requires a teacher network")
         teacher_logits = teacher.forward(train_ds.x)
+        teacher_log_probs = log_softmax(teacher_logits / config.temperature)
     t = 0
     for epoch in range(config.epochs):
         start = time.perf_counter()
@@ -204,8 +213,9 @@ def train(net: Network, data, config: TrainConfig,
             idx = perm[lo:lo + config.batch_size]
             xb, yb = train_ds.x[idx], train_ds.y[idx]
             t += 1
-            (loss, grad), _ = _batch_loss(
-                net, xb, yb, config, None if teacher_logits is None else teacher_logits[idx])
+            kd_rows = () if teacher_logits is None else (teacher_logits[idx],
+                                                         teacher_log_probs[idx])
+            (loss, grad), _ = _batch_loss(net, xb, yb, config, *kd_rows)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch + 1}, step {t}; "
@@ -253,8 +263,7 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
         rows = []
         for lo in range(0, n, config.batch_size):
             idx = perm[lo:lo + config.batch_size]
-            (_, grad), _ = _batch_loss(net, train_ds.x[idx], train_ds.y[idx],
-                                       config, None)
+            (_, grad), _ = _batch_loss(net, train_ds.x[idx], train_ds.y[idx], config)
             net.zero_grads()
             net.backward(grad)
             rows.append(net.grad_vector().copy())

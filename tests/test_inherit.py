@@ -205,6 +205,37 @@ class TestInheritConv:
         x = gen.standard_normal((1, 3, 8, 8))
         assert np.max(np.abs(layer.forward(x) - oracle.forward(x))) < 1e-8
 
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_matches_per_head_oracle(self, h, bias, stride, padding):
+        """The conv twin of the dense per-sample oracle: at every pixel,
+        sum_h g_h * (head_h @ code + head_bias_h) with g from the pooled code."""
+        gen = philox(16, h)
+        k = gen.standard_normal((5, 3, 3, 3))
+        layer = inherit_conv(k, 4, h, stride=stride, padding=padding,
+                             bias=gen.standard_normal(5) if bias else None)
+        layer.params["gate_weight"][...] = gen.standard_normal((4, h))
+        layer.params["gate_bias"][...] = gen.standard_normal(h)
+        jitter(layer, gen)
+        x = gen.standard_normal((3, 3, 7, 7))
+        out = layer.forward(x)
+        code = Conv2DLayer(layer.params["shared_kernel"], stride, padding).forward(x)
+        expected = np.zeros_like(out)
+        for i in range(len(x)):
+            logits = code[i].mean(axis=(1, 2)) @ layer.params["gate_weight"] \
+                + layer.params["gate_bias"]
+            g = np.exp(logits - logits.max())
+            g /= g.sum()
+            assert np.ptp(g) > 0.05 or h == 1
+            for oi, oj in itertools.product(*map(range, code.shape[2:])):
+                for j in range(h):
+                    term = layer.params[f"head_{j}"] @ code[i, :, oi, oj]
+                    if bias:
+                        term = term + layer.params[f"head_bias_{j}"]
+                    expected[i, :, oi, oj] += g[j] * term
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_factor_shapes(self):
         k = philox(15, 0).standard_normal((6, 3, 3, 3))
         layer = inherit_conv(k, 4, 2)

@@ -363,6 +363,25 @@ class TestCrossEntropy:
         assert accuracy(logits, np.array([1, 0])) == 1.0
 
 
+class TestMse:
+    def test_gradient_bit_equal_to_the_plain_form(self):
+        # 7 * 13 * 3 entries: dividing by a size that is not a power of two rounds
+        gen = philox(31, 0)
+        pred, target = gen.standard_normal((7, 13, 3)), gen.standard_normal((7, 13, 3))
+        loss, grad = mse_loss(pred, target)
+        diff = pred - target
+        assert np.array_equal(grad, 2.0 * diff / diff.size)
+        assert abs(loss - float(np.mean(diff * diff))) <= 1e-14 * loss
+
+    def test_empty_batch_names_the_batch(self):
+        with pytest.raises(ShapeError, match="empty batch"):
+            mse_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_integer_inputs_give_a_float_gradient(self):
+        loss, grad = mse_loss(np.array([[3, 1]]), np.array([[1, 1]]))
+        assert loss == 2.0 and grad.dtype == np.float64 and np.array_equal(grad, [[2.0, 0.0]])
+
+
 class TestFiniteDifference:
     def test_quadratic_toy(self):
         # f(w) = w^2 via mse of a 1x1 layer against 0 on input 1: grad = 2w

@@ -1,6 +1,8 @@
 """Checks on the package source and on the names profiling tools patch, run with the unit tests."""
 
 import ast
+import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -9,9 +11,13 @@ import pytest
 
 from inhernet import nn
 from inhernet.inherit import inherit_conv
+from inhernet.io import SyntheticTask, gen_synthetic
 from inhernet.rng import philox
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "inhernet"
+# the package's ``train`` function shadows its module of the same name
+trainmod = importlib.import_module("inhernet.train")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "inhernet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -116,3 +122,31 @@ def test_conv_layers_reach_their_lowering_through_a_module_binding(monkeypatch, 
     layer.backward(np.ones_like(out))
     for fn in lowering:
         assert sum(n for (name, *_), n in calls.items() if name == fn.__name__), calls
+
+
+def test_train_reaches_kd_loss_through_its_module_binding(monkeypatch):
+    """A tracer times the distillation loss by rebinding ``train.kd_loss``;
+    a step that reached the loss another way would make that timing read 0."""
+    calls = []
+    kd_loss = trainmod.kd_loss
+    monkeypatch.setattr(trainmod, "kd_loss", lambda *a: calls.append(1) or kd_loss(*a))
+    data = gen_synthetic(SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2))
+    config = trainmod.TrainConfig(base_lr=0.1, epochs=2, batch_size=16, seed=0,
+                                  loss="ce+kd")
+    trainmod.train(nn.make_mlp([4, 2], seed=1), data, config, teacher=nn.make_mlp([4, 2], seed=3))
+    assert len(calls) == 2 * -(-len(data[0].x) // 16)
+
+
+def test_bench_records_name_benchmark_metrics():
+    """Every committed benchmark record parses, and its summary speaks only
+    of the workloads and metrics the benchmark declares."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        summary = json.loads(path.read_text())["summary"]
+        assert set(summary) <= workloads, path.name
+        for workload, entry in summary.items():
+            assert set(entry["metrics"]) <= metrics, (path.name, workload)

@@ -7,6 +7,7 @@ from inhernet.io import SyntheticTask, gen_synthetic
 from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp
 from inhernet.rng import philox
 from inhernet.io import Dataset
+from inhernet.linalg import log_softmax
 from inhernet.train import (RUNLOG_COLUMNS, RunLog, TrainConfig, evaluate,
                             gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
 
@@ -138,6 +139,19 @@ class TestKdLoss:
             fd[idx] = (kd_loss(sp, t, labels, c)[0]
                        - kd_loss(sm, t, labels, c)[0]) / (2 * step)
         assert np.max(np.abs(grad - fd)) < 1e-7
+
+    def test_rows_of_a_whole_split_log_softmax_are_bit_identical(self):
+        # train forms the teacher's log-softmax once and hands each step its rows
+        gen = philox(4, 0)
+        teacher = 3.0 * gen.standard_normal((1600, 4))
+        c = cfg(loss="ce+kd", lambda_ce=0.5, lambda_kd=3.0, temperature=2.0)
+        whole = log_softmax(teacher / c.temperature)
+        for rows in np.array_split(gen.permutation(1600), 50):
+            s = gen.standard_normal((len(rows), 4))
+            labels = gen.integers(0, 4, size=len(rows))
+            plain = kd_loss(s, teacher[rows], labels, c)
+            cached = kd_loss(s, teacher[rows], labels, c, whole[rows])
+            assert plain[0] == cached[0] and np.array_equal(plain[1], cached[1])
 
     def test_class_dim_mismatch(self):
         with pytest.raises(ShapeError):
