@@ -3,8 +3,8 @@
 Subcommands: train-teacher, inherit, train, distill, eval, analyze,
 verify, insight. Every command prints its resolved configuration before
 running, writes output files atomically, and is bit-reproducible for a
-fixed seed (wall-clock columns excepted). Seed sweeps honor the
-INHERIT_THREADS environment variable.
+fixed seed (wall-clock columns excepted). Seed sweeps use every CPU the
+process may run on.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _add_train_flags(p: argparse.ArgumentParser, lr: float, epochs: int) -> None
     p.add_argument("--lr", type=float, default=lr)
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--schedule", choices=("constant", "inverse_sqrt", "step"),
-                   default="inverse_sqrt")
+    # no --milestones flag, so the step schedule is not offered
+    p.add_argument("--schedule", choices=("constant", "inverse_sqrt"), default="inverse_sqrt")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--log", default=None, help="write the run log CSV here")

@@ -15,9 +15,10 @@ each added head lowers the approximation error by no more than the one
 before it.
 
 All experiments are bit-deterministic given their seed list. Seed sweeps
-fan out across processes when the INHERIT_THREADS environment variable is
-set above 1; results are keyed and sorted, never collected in completion
-order.
+use every CPU the process may run on (``taskset`` or a cpuset narrows
+that set), one spawned worker process each, or run in-process on one CPU;
+results come back in job order. Each worker imports the caller's main
+module, so a script that runs a sweep does so under ``__main__``.
 
 Symmetry note: freshly inherited expert heads are exact copies, and exact
 copies receive identical gradients forever, so gating can never
@@ -29,6 +30,7 @@ layers.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -59,18 +61,19 @@ HEAD_JITTER = 0.3
 GATE_JITTER = 0.5
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("INHERIT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _map_jobs(fn, jobs: list):
-    workers = worker_count()
-    if workers == 1 or len(jobs) <= 1:
+def _map_jobs(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, one worker process per CPU; ``fn`` must pickle."""
+    workers = min(len(jobs), _cpus())
+    if workers <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -138,15 +141,13 @@ def spectral_mlp(dims: list[int], seed: int, decay: float = 0.8,
 
 # --- insight 1: distillation vs rank -----------------------------------------
 
-def _insight1_job(args):
-    teacher, r, seed, use_kd = args
+def _toy_job(args) -> float:
+    """Final eval accuracy of an input-gated, jittered inheritor trained by ``cfg``."""
+    teacher, r, h, cfg = args
     data = toy_classification_data()
-    net = inherit_network(teacher, r=r, h=3, cap_rank=True, gate_input="input")
-    perturb_heads(net, seed)
-    cfg = TrainConfig(base_lr=0.01, epochs=100, batch_size=32, seed=seed,
-                      loss="ce+kd" if use_kd else "ce")
-    log = train(net, data, cfg, teacher=teacher if use_kd else None)
-    return (r, seed, use_kd, log.eval_acc[-1])
+    net = inherit_network(teacher, r=r, h=h, cap_rank=True, gate_input="input")
+    perturb_heads(net, cfg.seed)
+    return train(net, data, cfg, teacher=teacher).eval_acc[-1]
 
 
 def run_insight1(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
@@ -154,11 +155,11 @@ def run_insight1(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     _check_seeds(seeds)
     data = toy_classification_data()
     teacher = build_toy_teacher(data)
-    jobs = [(teacher, r, s, kd)
-            for r in INSIGHT1_RANKS for s in range(seeds) for kd in (False, True)]
-    acc = {}
-    for r, s, kd, a in _map_jobs(_insight1_job, jobs):
-        acc[(r, s, kd)] = a
+    keys = [(r, s, kd) for r in INSIGHT1_RANKS for s in range(seeds) for kd in (False, True)]
+    jobs = [(teacher, r, 3, TrainConfig(base_lr=0.01, epochs=100, batch_size=32, seed=s,
+                                        loss="ce+kd" if kd else "ce"))
+            for r, s, kd in keys]
+    acc = dict(zip(keys, _map_jobs(_toy_job, jobs)))
     rows = []
     for r in INSIGHT1_RANKS:
         for s in range(seeds):
@@ -190,28 +191,17 @@ def run_insight1(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
 
 # --- insight 2: rank vs head count --------------------------------------------
 
-def _insight2_job(args):
-    teacher, r, h, seed = args
-    data = toy_classification_data()
-    net = inherit_network(teacher, r=r, h=h, cap_rank=True, gate_input="input")
-    perturb_heads(net, seed)
-    cfg = TrainConfig(base_lr=0.03, epochs=80, batch_size=32, seed=seed, loss="ce")
-    log = train(net, data, cfg)
-    return (r, h, seed, log.eval_acc[-1])
-
-
 def run_insight2(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     """Grid over (rank, head count); compare the two sweep ranges."""
     _check_seeds(seeds)
     data = toy_classification_data()
     teacher = build_toy_teacher(data)
-    jobs = [(teacher, r, h, s)
-            for r in INSIGHT1_RANKS for h in INSIGHT2_HEADS for s in range(seeds)]
-    acc = {}
-    for r, h, s, a in _map_jobs(_insight2_job, jobs):
-        acc[(r, h, s)] = a
-    rows = [{"r": r, "h": h, "seed": s, "acc": acc[(r, h, s)]}
-            for r in INSIGHT1_RANKS for h in INSIGHT2_HEADS for s in range(seeds)]
+    keys = [(r, h, s) for r in INSIGHT1_RANKS for h in INSIGHT2_HEADS for s in range(seeds)]
+    jobs = [(teacher, r, h, TrainConfig(base_lr=0.03, epochs=80, batch_size=32, seed=s,
+                                        loss="ce"))
+            for r, h, s in keys]
+    acc = dict(zip(keys, _map_jobs(_toy_job, jobs)))
+    rows = [{"r": r, "h": h, "seed": s, "acc": acc[(r, h, s)]} for r, h, s in keys]
     mid = INSIGHT2_MID_RANK
     h3_ge_h1 = sum(1 for s in range(seeds) if acc[(mid, 3, s)] >= acc[(mid, 1, s)])
     range_wins = 0
@@ -312,6 +302,15 @@ def run_insight(which: int, seeds: int = 5, out_dir=None, plot: bool = False) ->
 
 # --- head count: marginal gain of each added head -----------------------------
 
+def _head_gain_job(args) -> float:
+    """Final eval loss of one input-gated, jittered ``h``-head layer fine-tuned on ``task``."""
+    w, r, h, task, cfg = args
+    data = gen_synthetic(task)
+    net = Network([inherit_dense(w, r, h, gate_input="input", bias=np.zeros(w.shape[1]))])
+    perturb_heads(net, cfg.seed, gate_scale=GATE_JITTER)
+    return train(net, data, cfg).eval_loss[-1]
+
+
 @dataclass
 class HeadGainsReport:
     """Approximation error per head count with a marginal-gain trend flag."""
@@ -341,23 +340,12 @@ def head_marginal_gains(w: np.ndarray, r: int, h_max: int, task: SyntheticTask,
         raise RangeError(f"h_max must be >= 2, got {h_max}")
     _check_seeds(seeds)
     head_counts = list(range(1, h_max + 1))
-    errors_by_seed = []
-    diminishing = []
-    for s in range(seeds):
-        data = gen_synthetic(replace(task, seed=task.seed + s))
-        row = []
-        for h in head_counts:
-            layer = inherit_dense(w, r, h, gate_input="input",
-                                  bias=np.zeros(w.shape[1]))
-            net = Network([layer])
-            perturb_heads(net, config.seed + s, gate_scale=GATE_JITTER)
-            cfg = replace(config, seed=config.seed + s)
-            log = train(net, data, cfg)
-            row.append(log.eval_loss[-1])
-        errors_by_seed.append(row)
-        gains = [row[i] - row[i + 1] for i in range(len(row) - 1)]
-        diminishing.append(all(gains[i] >= gains[i + 1] - 1e-12
-                               for i in range(len(gains) - 1)))
+    jobs = [(w, r, h, replace(task, seed=task.seed + s), replace(config, seed=config.seed + s))
+            for s in range(seeds) for h in head_counts]
+    errors = _map_jobs(_head_gain_job, jobs)
+    errors_by_seed = [errors[i:i + h_max] for i in range(0, len(errors), h_max)]
+    gains = [[row[i] - row[i + 1] for i in range(h_max - 1)] for row in errors_by_seed]
+    diminishing = [all(a >= b - 1e-12 for a, b in zip(g, g[1:])) for g in gains]
     med = [float(np.median([errs[i] for errs in errors_by_seed]))
            for i in range(len(head_counts))]
     return HeadGainsReport(

@@ -456,8 +456,8 @@ class Network:
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x)
-            except ShapeError as exc:
-                raise ShapeError(f"layer {i}: {exc}") from exc
+            except (ShapeError, NumericalError) as exc:
+                raise type(exc)(f"layer {i}: {exc}") from exc
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

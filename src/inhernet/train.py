@@ -66,6 +66,11 @@ class TrainConfig:
                 raise RangeError(f"{name} must be nonnegative and finite, got {value}")
         if self.schedule not in SCHEDULES:
             raise RangeError(f"unknown schedule {self.schedule!r}")
+        ms = self.milestones
+        if self.schedule == "step" and not ms:
+            raise RangeError("schedule 'step' needs milestones, got none")
+        if not all(isinstance(m, (int, np.integer)) and lo < m for lo, m in zip((0, *ms), ms)):
+            raise RangeError(f"milestones must be strictly increasing integers >= 1, got {ms}")
         if self.loss not in LOSSES:
             raise RangeError(f"unknown loss {self.loss!r}")
 
@@ -158,12 +163,12 @@ def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
                 teacher_log_probs: np.ndarray | None = None):
     logits = net.forward(x)
     if config.loss == "mse":
-        return mse_loss(logits, y), logits
+        return mse_loss(logits, y)
     if config.loss == "ce":
-        return cross_entropy(logits, y), logits
+        return cross_entropy(logits, y)
     if teacher_logits is None:
         raise RangeError("loss 'ce+kd' requires a teacher network")
-    return kd_loss(logits, teacher_logits, y, config, teacher_log_probs), logits
+    return kd_loss(logits, teacher_logits, y, config, teacher_log_probs)
 
 
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
@@ -215,7 +220,10 @@ def train(net: Network, data, config: TrainConfig,
             t += 1
             kd_rows = () if teacher_logits is None else (teacher_logits[idx],
                                                          teacher_log_probs[idx])
-            (loss, grad), _ = _batch_loss(net, xb, yb, config, *kd_rows)
+            try:
+                loss, grad = _batch_loss(net, xb, yb, config, *kd_rows)
+            except NumericalError as exc:
+                raise NumericalError(f"at epoch {epoch + 1}, step {t}: {exc}") from exc
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"loss became non-finite at epoch {epoch + 1}, step {t}; "
@@ -263,7 +271,7 @@ def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceRepo
         rows = []
         for lo in range(0, n, config.batch_size):
             idx = perm[lo:lo + config.batch_size]
-            (_, grad), _ = _batch_loss(net, train_ds.x[idx], train_ds.y[idx], config)
+            _, grad = _batch_loss(net, train_ds.x[idx], train_ds.y[idx], config)
             net.zero_grads()
             net.backward(grad)
             rows.append(net.grad_vector().copy())

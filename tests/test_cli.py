@@ -290,6 +290,12 @@ class TestInsightCommand:
         with pytest.raises(SystemExit):
             run_cli("insight", "--which", "3", "--frobnicate", "1")
 
+    def test_step_schedule_is_not_offered(self, tmp_path, capsys):
+        """The command line has no milestones, so a step schedule could never decay."""
+        with pytest.raises(SystemExit):
+            run_cli("train-teacher", "--schedule", "step", "--out", str(tmp_path / "t.npz"))
+        assert "invalid choice: 'step'" in capsys.readouterr().err
+
     def test_zero_seeds_is_an_error_without_traceback(self, capsys):
         assert run_cli("insight", "--which", "3", "--seeds", "0") == 1
         err = capsys.readouterr().err

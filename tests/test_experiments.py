@@ -4,23 +4,53 @@ import pytest
 from inhernet import experiments
 from inhernet.errors import RangeError
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer
+from inhernet.io import SyntheticTask
 from inhernet.nn import DenseLayer, Network
 from inhernet.rng import philox
+from inhernet.train import TrainConfig
 
 
 class TestJobMap:
-    def test_process_pool_returns_the_serial_results_in_job_order(self, monkeypatch):
-        jobs = [-3, 1, -4, 1, -5, 9, -2, 6]
-        monkeypatch.setenv("INHERIT_THREADS", "2")
-        assert experiments.worker_count() == 2
-        assert experiments._map_jobs(abs, jobs) == [abs(j) for j in jobs]
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of the pools ``_map_jobs`` opens."""
+        opened = []
 
-    def test_worker_count_falls_back_to_one(self, monkeypatch):
-        for value in ("two", "1.5", ""):
-            monkeypatch.setenv("INHERIT_THREADS", value)
-            assert experiments.worker_count() == 1
-        monkeypatch.delenv("INHERIT_THREADS")
-        assert experiments.worker_count() == 1
+        class Pool(experiments.ProcessPoolExecutor):
+            def __init__(self, workers, **kw):
+                opened.append(workers)
+                super().__init__(workers, **kw)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        return opened
+
+    def test_process_pool_returns_the_serial_results_in_job_order(self, monkeypatch, pools):
+        jobs = [-3, 1, -4, 1, -5, 9, -2, 6]
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        assert experiments._map_jobs(abs, jobs) == [abs(j) for j in jobs]
+        assert experiments._map_jobs(abs, [-7]) == [7]
+        assert pools == [2]
+
+    def test_one_cpu_runs_in_process(self, monkeypatch, pools):
+        monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+        assert experiments._map_jobs(abs, [-1, -2]) == [1, 2]
+        assert pools == []
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: experiments.run_insight3(seeds=2),
+        lambda: experiments.head_marginal_gains(
+            philox(72, 0).standard_normal((6, 3)), 2, 3,
+            SyntheticTask(kind="piecewise", seed=31, n=200, dim=6, classes=2, out_dim=3),
+            TrainConfig(base_lr=0.02, epochs=5, batch_size=32, seed=4,
+                        schedule="constant", loss="mse"), seeds=2)],
+        ids=["insight3", "head_marginal_gains"])
+    def test_sweeps_are_identical_on_one_and_two_cpus(self, monkeypatch, pools, sweep):
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+            results.append(sweep())
+        assert pools == [2]
+        assert results[0] == results[1]
 
 
 class TestPerturbHeads:

@@ -82,6 +82,15 @@ def test_no_import_inside_a_function_body(path):
     assert nested_imports(path.read_text()) == []
 
 
+def test_package_reads_no_environment_variables():
+    """What the package does follows from its arguments and from what it can
+    observe, such as the CPUs it may run on; an environment variable would be
+    an option that no caller passes and no test sets."""
+    found = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in ("os.environ", "os.getenv", "os.putenv") if name in path.read_text()]
+    assert found == []
+
+
 @pytest.mark.parametrize("name", ["theory.py", "inherit.py"])
 def test_closed_form_modules_import_no_harness(name):
     """The closed-form accounting and the inheritance builders sit below the

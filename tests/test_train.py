@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from inhernet.errors import NumericalError, RangeError, ShapeError
-from inhernet.inherit import inherit_dense
+from inhernet.experiments import build_toy_teacher, perturb_heads, toy_classification_data
+from inhernet.inherit import inherit_dense, inherit_network
 from inhernet.io import SyntheticTask, gen_synthetic
 from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp
 from inhernet.rng import philox
@@ -178,8 +179,25 @@ class TestKdLoss:
         with pytest.raises(RangeError, match=field):
             cfg(schedule="step", milestones=(2,), **{field: value})
 
+    @pytest.mark.parametrize("kw", [
+        {"schedule": "step"}, {"schedule": "step", "milestones": (0, 5)},
+        {"schedule": "step", "milestones": (5, 5)}, {"schedule": "step", "milestones": (10, 2)},
+        {"schedule": "step", "milestones": (2.5,)}, {"milestones": (0, -3)}])
+    def test_milestones_must_be_given_and_strictly_increasing_positive_integers(self, kw):
+        with pytest.raises(RangeError, match="milestones"):
+            cfg(**kw)
+
 
 class TestTrain:
+    def test_diverging_run_names_the_layer_and_the_step(self):
+        data = toy_classification_data()
+        net = inherit_network(build_toy_teacher(data), r=8, h=3, cap_rank=True,
+                              gate_input="input")
+        perturb_heads(net, 0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match=r"^at epoch 1, step \d+: layer \d+: softmax input"):
+            train(net, data, cfg(base_lr=1e6, loss="ce", batch_size=32))
+
     def test_zero_epochs_leaves_net_unchanged(self):
         task = SyntheticTask(kind="piecewise", seed=3, n=100, dim=4, classes=1,
                              out_dim=2)
