@@ -7,8 +7,7 @@ numerically at desk scale.
 """
 
 from .errors import (CorruptionError, DegenerateInputError, FormatError,
-                     NumericalError, ParseError, RangeError, ShapeError,
-                     StateError)
+                     NumericalError, RangeError, ShapeError, StateError)
 from .linalg import (SvdFactorization, condition_number, frobenius_norm,
                      softmax, truncated_svd)
 from .nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, cross_entropy,
@@ -21,8 +20,7 @@ from .theory import (LayerInfluence, TheoryReport, analyze_network,
                      compression_ratio_paper, eckart_young_error,
                      output_cosine_similarity, preservation_bound,
                      rank_for_energy, spectral_energy)
-from .io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
-                 load_csv, save_checkpoint, save_dataset_csv)
+from .io import Dataset, SyntheticTask, gen_synthetic, load_checkpoint, save_checkpoint
 from .experiments import HeadGainsReport, head_marginal_gains
 from .verify import gradient_decomposition_check
 

@@ -17,20 +17,17 @@ import sys
 import numpy as np
 
 from . import experiments, verify
-from .errors import (CorruptionError, DegenerateInputError, FormatError,
-                     NumericalError, ParseError, RangeError, ShapeError)
-from .inherit import VARIANTS, factor_matrix, inherit_network
+from .errors import NumericalError, RangeError
+from .inherit import COMBINER_MODES, GATE_INPUTS, VARIANTS, factor_matrix, inherit_network
 from .io import SyntheticTask, atomic_write, gen_synthetic, load_checkpoint, \
     save_checkpoint
 from .nn import make_mlp
 from .theory import LayerInfluence, analyze_network, output_cosine_similarity
-from .train import TrainConfig, evaluate, train
+from .train import SCHEDULES, TrainConfig, evaluate, train
 
 GATE_HELP = ("what a dense layer's gate reads; conv layers gate on the pooled code, "
              "so 'input' is an error for a conv teacher")
-USER_ERRORS = (ShapeError, RangeError, NumericalError, FormatError,
-               CorruptionError, ParseError, DegenerateInputError,
-               FileNotFoundError, ValueError)
+USER_ERRORS = (ValueError, NumericalError, FileNotFoundError)
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
@@ -55,8 +52,7 @@ def _add_train_flags(p: argparse.ArgumentParser, lr: float, epochs: int) -> None
     p.add_argument("--lr", type=float, default=lr)
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=32)
-    # no --milestones flag, so the step schedule is not offered
-    p.add_argument("--schedule", choices=("constant", "inverse_sqrt"), default="inverse_sqrt")
+    p.add_argument("--schedule", choices=SCHEDULES, default="inverse_sqrt")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--log", default=None, help="write the run log CSV here")
@@ -86,6 +82,18 @@ def _print_config(args) -> None:
             print(f"  {key} = {value}")
 
 
+def _train_config(args, loss: str, **kd) -> TrainConfig:
+    """The config of ``train-teacher``, ``train`` and ``distill`` from their shared flags."""
+    return TrainConfig(base_lr=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                       seed=args.seed, schedule=args.schedule, loss=loss,
+                       threshold=args.threshold, **kd)
+
+
+def _print_final(log) -> None:
+    if log.eval_loss:
+        print(f"final eval loss {log.eval_loss[-1]:.6f} acc {log.eval_acc[-1]:.4f}")
+
+
 def _write_log(log, path) -> None:
     if path is not None:
         log.to_csv(path)
@@ -96,16 +104,10 @@ def cmd_train_teacher(args) -> int:
     data = _task_data(args)
     dims = [int(v) for v in args.arch.split(",")]
     net = make_mlp(dims, seed=args.seed)
-    cfg = TrainConfig(base_lr=args.lr, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=args.seed,
-                      schedule=args.schedule, loss=args.loss,
-                      threshold=args.threshold)
-    log = train(net, data, cfg)
+    log = train(net, data, _train_config(args, args.loss))
     save_checkpoint(net, args.out, extra={"arch": dims, "seed": args.seed,
                                           "loss": args.loss})
-    if log.eval_loss:
-        print(f"final eval loss {log.eval_loss[-1]:.6f} "
-              f"acc {log.eval_acc[-1]:.4f}")
+    _print_final(log)
     print(f"teacher written to {args.out}")
     _write_log(log, args.log)
     return 0
@@ -130,15 +132,8 @@ def cmd_inherit(args) -> int:
 
 def cmd_train(args) -> int:
     net, _ = load_checkpoint(args.net)
-    data = _task_data(args)
-    cfg = TrainConfig(base_lr=args.lr, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=args.seed,
-                      schedule=args.schedule, loss=args.loss,
-                      threshold=args.threshold)
-    log = train(net, data, cfg)
-    if log.eval_loss:
-        print(f"final eval loss {log.eval_loss[-1]:.6f} "
-              f"acc {log.eval_acc[-1]:.4f}")
+    log = train(net, _task_data(args), _train_config(args, args.loss))
+    _print_final(log)
     if log.epochs_to_threshold is not None:
         print(f"reached threshold at epoch {log.epochs_to_threshold}")
     if args.out:
@@ -152,15 +147,10 @@ def cmd_distill(args) -> int:
     teacher, _ = load_checkpoint(args.teacher)
     student, _ = load_checkpoint(args.student)
     data = _task_data(args)
-    cfg = TrainConfig(base_lr=args.lr, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=args.seed,
-                      schedule=args.schedule, loss="ce+kd",
-                      lambda_ce=args.lambda_ce, lambda_kd=args.lambda_kd,
-                      temperature=args.tau, threshold=args.threshold)
+    cfg = _train_config(args, "ce+kd", lambda_ce=args.lambda_ce, lambda_kd=args.lambda_kd,
+                        temperature=args.tau)
     log = train(student, data, cfg, teacher=teacher)
-    if log.eval_loss:
-        print(f"final eval loss {log.eval_loss[-1]:.6f} "
-              f"acc {log.eval_acc[-1]:.4f}")
+    _print_final(log)
     if args.out:
         save_checkpoint(student, args.out)
         print(f"distilled network written to {args.out}")
@@ -252,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--heads", type=int, default=3)
-    p.add_argument("--mode", choices=("convex", "paper"), default="convex")
-    p.add_argument("--gate", choices=("code", "input"), default="code", help=GATE_HELP)
+    p.add_argument("--mode", choices=COMBINER_MODES, default="convex")
+    p.add_argument("--gate", choices=GATE_INPUTS, default="code", help=GATE_HELP)
     p.add_argument("--variant", choices=VARIANTS, default="standard")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-rank", action="store_true",
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analyze this checkpoint instead of a fresh inheritance")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--heads", type=int, default=3)
-    p.add_argument("--gate", choices=("code", "input"), default="code", help=GATE_HELP)
+    p.add_argument("--gate", choices=GATE_INPUTS, default="code", help=GATE_HELP)
     p.add_argument("--cap-rank", action="store_true")
     p.add_argument("--alphas", default=None,
                    help="comma-separated per-layer influence weights")
@@ -301,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the named property suite")
-    p.add_argument("--suite", choices=("svd", "gradients", "theory", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--checkpoint", default=None,
                    help="additionally validate this checkpoint file")
     p.set_defaults(func=cmd_verify)

@@ -27,7 +27,3 @@ class FormatError(ValueError):
 
 class CorruptionError(ValueError):
     """A file matches the format but its contents are internally inconsistent."""
-
-
-class ParseError(ValueError):
-    """Delimited text could not be parsed; message carries the line number."""

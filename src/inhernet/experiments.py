@@ -39,7 +39,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import RangeError
-from .inherit import KINDS, GatedMixture, inherit_dense, inherit_network
+from .inherit import GatedMixture, inherit_dense, inherit_network
 from .io import Dataset, SyntheticTask, atomic_write, gen_synthetic, write_csv
 from .nn import DenseLayer, Network, ReluLayer, make_mlp
 from .train import TrainConfig, evaluate, train
@@ -82,17 +82,17 @@ def _check_seeds(seeds: int) -> None:
         raise RangeError(f"seeds must be >= 1, got {seeds}")
 
 
-def perturb_heads(net: Network, seed: int, head_scale: float = HEAD_JITTER,
-                  gate_scale: float = 0.0) -> None:
+def perturb_heads(net: Network, seed: int, gate_scale: float = 0.0) -> None:
     """Break the head replica symmetry of freshly inherited layers in place: jitter
-    every per-head factor stack that ``inherit.KINDS`` names (not the bias stacks)."""
+    every entry of the down and up blocks that ``inherit.KINDS`` makes per head
+    (not the bias) with Gaussian noise at ``HEAD_JITTER`` times its RMS."""
     gen = _rng.philox(seed, 7)
     for layer in net.layers:
         if not isinstance(layer, GatedMixture):
             continue
-        for block, view in list(KINDS[layer.kind].items())[:2]:   # the down and up stacks
-            for p in layer.blocks[block] if "{}" in view else ():  # one entry per head
-                p += head_scale * np.linalg.norm(p) / np.sqrt(p.size) * \
+        for block in ("down", "up"):
+            for p in layer.blocks[block] if "{}" in layer.stacked[block] else ():
+                p += HEAD_JITTER * np.linalg.norm(p) / np.sqrt(p.size) * \
                     gen.standard_normal(p.shape)
         if gate_scale > 0.0 and not layer.gate_frozen:
             gw = layer.params["gate_weight"]

@@ -5,19 +5,22 @@ Every gated layer computes one map, a mixture of H low-rank experts
 ``g = softmax(gate_in @ gate_weight + gate_bias)`` (the factorised mixture
 of sparsely-gated MoE layers and of low-rank adapters). D, U and b are
 stacks whose leading axis is 1 (shared by every head) or H (one per head);
-which side is per head is all that separates the variants. A layer's
-manifest kind fixes that and its array names (:data:`KINDS`):
+which side is per head is all that separates the variants. Every gated
+layer stores the three stacks as the blocks ``down``, ``up`` and ``bias``;
+its manifest kind fixes which of them are per head and the array names
+they are saved and exposed under (:data:`KINDS`):
 
 * ``inherit_dense``: shared ``w_down``, per-head ``head_{h}`` and
   ``head_bias_{h}``; the gate reads the code ``x @ w_down`` or the input.
 * ``inverse``: per-head ``down_{h}``, shared ``w_up`` and ``bias``.
 * ``symmetric``: two branches ``down_{i}``/``up_{i}``, shared ``bias``.
-* ``inherit_conv``: a shared spatial kernel ``shared_kernel`` (r filters)
-  and per-head 1x1 expansions ``head_{h}`` (N, r) and ``head_bias_{h}``;
-  the gate reads the spatial mean of the code map. A dense layer is the
-  one-pixel case of this layer. The shared stage runs through
-  :func:`~inhernet.nn.kn2row`, which its few output channels make cheaper
-  than the teacher conv's im2col.
+* ``inherit_conv``: the down stack is a shared spatial kernel
+  ``shared_kernel`` (r filters), the up stack per-head 1x1 expansions
+  ``head_{h}`` (N, r) with biases ``head_bias_{h}``; the gate reads the
+  spatial mean of the code map. A dense layer is the one-pixel case of
+  this layer. The shared stage runs through :func:`~inhernet.nn.kn2row`,
+  which its few output channels make cheaper than the teacher conv's
+  im2col.
 
 The ablation kinds gate on the input; a frozen gate (``no-gate``) is
 exactly uniform and has no parameters. Each layer mixes its heads in the
@@ -58,15 +61,16 @@ COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
 VARIANTS = ("standard", "no-svd", "no-gate", "symmetric", "inverse")
 
-# Manifest kind -> block name and array name of the down, up and bias
-# stacks. An array name with "{}" makes the stack per head, one array per
-# head; any other names the one entry of a shared stack.
+STACKS = ("down", "up", "bias")
+
+# Manifest kind -> array names of the down, up and bias blocks, which checkpoint
+# format v1 fixes. A name with "{}" makes the block per head, one array per
+# head; any other names the one entry of a shared block.
 KINDS = {
-    "inherit_dense": {"w_down": "w_down", "heads": "head_{}", "head_bias": "head_bias_{}"},
-    "inverse": {"downs": "down_{}", "w_up": "w_up", "bias": "bias"},
-    "symmetric": {"downs": "down_{}", "ups": "up_{}", "bias": "bias"},
-    "inherit_conv": {"shared_kernel": "shared_kernel", "heads": "head_{}",
-                     "head_bias": "head_bias_{}"},
+    "inherit_dense": ("w_down", "head_{}", "head_bias_{}"),
+    "inverse": ("down_{}", "w_up", "bias"),
+    "symmetric": ("down_{}", "up_{}", "bias"),
+    "inherit_conv": ("shared_kernel", "head_{}", "head_bias_{}"),
 }
 
 
@@ -101,7 +105,8 @@ class GatedMixture(Layer):
     """Storage, persistence and softmax gate of the gated layers.
 
     A subclass stores its down, up and bias stacks through
-    ``_store_stacks``, draws its per-sample gate (B, H) from ``_gate`` and
+    ``_store_stacks`` as the blocks ``down``, ``up`` and ``bias`` (absent
+    without a bias), draws its per-sample gate (B, H) from ``_gate`` and
     mixes its heads in the form its shape makes cheaper. Its backward
     reduces the output gradient to the gate scores ``s = dL/dg`` (B, H) and
     hands them to ``_gate_backward``, the one place the softmax-gate
@@ -115,10 +120,9 @@ class GatedMixture(Layer):
         Without ``gate_weight`` the gate is frozen at uniform and has no
         parameters.
         """
-        self.kind, self.stacked = kind, KINDS[kind]
-        self._names = tuple(self.stacked)
+        self.kind, self.stacked = kind, dict(zip(STACKS, KINDS[kind]))
         blocks = {name: np.asarray(a, dtype=np.float64)
-                  for name, a in zip(self._names, (down, up, bias)) if a is not None}
+                  for name, a in zip(STACKS, (down, up, bias)) if a is not None}
         h = next(len(blocks[k]) for k, v in self.stacked.items() if "{}" in v)
         if h < 1:
             raise RangeError("at least one expert head is required")
@@ -146,7 +150,7 @@ class GatedMixture(Layer):
                                ("has_head_bias", "bias" in arrays), ("n_heads", 2)):
                 fields.setdefault(key, value)
         h = fields["n_heads"]
-        down, up, bias = KINDS[fields["kind"]].values()
+        down, up, bias = KINDS[fields["kind"]]
         gate = {} if fields["gate_frozen"] else {
             "gate_weight": arrays["gate_weight"], "gate_bias": arrays["gate_bias"]}
         return cls(_stack(arrays, down, h), _stack(arrays, up, h),
@@ -213,30 +217,22 @@ class InherNetLayer(GatedMixture):
                            gate_weight, gate_bias)
         self._x = None
 
-    def mixture(self, blocks: dict[str, np.ndarray]):
-        """The up and bias stacks (bias None) among ``blocks`` or ``grad_blocks``."""
-        return blocks[self._names[1]], blocks.get(self._names[2])
-
     def _down_matrix(self) -> np.ndarray:
         """The down stack as one (m, (1|H)*r) matrix; a view when shared."""
-        down = self.blocks[self._names[0]]
+        down = self.blocks["down"]
         return down.transpose(1, 0, 2).reshape(down.shape[1], -1)
 
     @property
-    def w_down(self) -> np.ndarray:
-        return self.params["w_down"]
-
-    @property
     def in_dim(self) -> int:
-        return self.blocks[self._names[0]].shape[1]
+        return self.blocks["down"].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.blocks[self._names[1]].shape[2]
+        return self.blocks["up"].shape[2]
 
     @property
     def rank(self) -> int:
-        return self.blocks[self._names[1]].shape[1]
+        return self.blocks["up"].shape[1]
 
     def gate_values(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self._gate(z if self.gate_input == "code" else x)
@@ -248,8 +244,8 @@ class InherNetLayer(GatedMixture):
         b = x.shape[0]
         z = x @ self._down_matrix()
         g = self.gate_values(x, z)
-        z = z.reshape(b, len(self.blocks[self._names[0]]), -1)
-        up, bias = self.mixture(self.blocks)
+        z = z.reshape(b, len(self.blocks["down"]), -1)
+        up, bias = self.blocks["up"], self.blocks.get("bias")
         y = _gate_weighted(g, z, len(up)).reshape(b, -1) @ up.reshape(-1, up.shape[2])
         if bias is not None:
             y += _sum_to(g, (b, len(bias))) @ bias
@@ -262,20 +258,20 @@ class InherNetLayer(GatedMixture):
         self._require_forward()
         x, z, g = self._x, self._z, self._g
         b, hd, r = z.shape
-        up, bias = self.mixture(self.blocks)
-        d_up, d_bias = self.mixture(self.grad_blocks)
-        d_up += (_gate_weighted(g, z, len(up)).reshape(b, -1).T @ grad_out).reshape(up.shape)
+        up, bias = self.blocks["up"], self.blocks.get("bias")
+        self.grad_blocks["up"] += (_gate_weighted(g, z, len(up)).reshape(b, -1).T
+                                   @ grad_out).reshape(up.shape)
         dz_mix = (grad_out @ up.reshape(-1, up.shape[2]).T).reshape(b, -1, r)  # grad_out @ up_h^T
         s = np.einsum("bhr,bhr->bh", z, dz_mix)
         if bias is not None:
-            d_bias += _sum_to(g.T @ grad_out, bias.shape)
+            self.grad_blocks["bias"] += _sum_to(g.T @ grad_out, bias.shape)
             s += grad_out @ bias.T
         code = self.gate_input == "code"
         dgate = self._gate_backward(g, z.reshape(b, -1) if code else x, s)
         dz = _gate_weighted(g, dz_mix, hd).reshape(b, -1)
         if code:
             dz += dgate
-        d_down = self.grad_blocks[self._names[0]]
+        d_down = self.grad_blocks["down"]
         d_down += (x.T @ dz).reshape(x.shape[1], *d_down.shape[::2]).transpose(1, 0, 2)
         gx = dz @ self._down_matrix().T
         if not code:
@@ -286,9 +282,9 @@ class InherNetLayer(GatedMixture):
 class InherConv2DLayer(GatedMixture):
     """Inherited convolution: a shared spatial stage plus H gated 1x1 heads.
 
-    ``shared_kernel`` is a one-entry stack (1, r, c, kh, kw) that produces
-    the r-channel code map; ``heads`` (H, N, r) are channel-mixing matrices
-    applied as 1x1 convolutions and ``head_bias`` (H, N) their biases. The
+    ``down`` is a one-entry stack (1, r, c, kh, kw), the spatial kernel that
+    produces the r-channel code map; ``up`` (H, N, r) are channel-mixing
+    matrices applied as 1x1 convolutions and ``bias`` (H, N) their biases. The
     gate reads the spatial mean of the code map, one gate vector per
     sample. The heads mix in weight space: each sample's gate sums the
     heads into one (N, r) matrix ``M``, which multiplies that sample's (r,
@@ -301,30 +297,28 @@ class InherConv2DLayer(GatedMixture):
     kind = "inherit_conv"
     settings = ("stride", "padding")
 
-    def __init__(self, shared_kernel: np.ndarray, heads: np.ndarray,
-                 head_bias: np.ndarray | None = None, gate_weight: np.ndarray | None = None,
-                 gate_bias: np.ndarray | None = None, stride: int = 1, padding: int = 0):
+    def __init__(self, down: np.ndarray, up: np.ndarray, bias: np.ndarray | None = None,
+                 gate_weight: np.ndarray | None = None, gate_bias: np.ndarray | None = None,
+                 stride: int = 1, padding: int = 0):
         super().__init__()
-        shared_kernel = np.asarray(shared_kernel, dtype=np.float64)
-        heads = np.asarray(heads, dtype=np.float64)
+        down, up = np.asarray(down, dtype=np.float64), np.asarray(up, dtype=np.float64)
         check_conv_geometry(stride, padding)
-        if shared_kernel.ndim != 5 or heads.ndim != 3 or heads.shape[2] != shared_kernel.shape[1]:
-            raise ShapeError(f"head stack {heads.shape} does not read the code of "
-                             f"kernel stack {shared_kernel.shape}")
-        if head_bias is not None and np.shape(head_bias)[1:] != heads.shape[1:2]:
-            raise ShapeError(f"head bias stack {np.shape(head_bias)} does not match "
-                             f"{heads.shape[1]} output channels")
+        if down.ndim != 5 or up.ndim != 3 or up.shape[2] != down.shape[1]:
+            raise ShapeError(f"head stack {up.shape} does not read the code of "
+                             f"kernel stack {down.shape}")
+        if bias is not None and np.shape(bias)[1:] != up.shape[1:2]:
+            raise ShapeError(f"head bias stack {np.shape(bias)} does not match "
+                             f"{up.shape[1]} output channels")
         self.stride, self.padding = stride, padding
-        self._store_stacks(self.kind, shared_kernel, heads, head_bias, shared_kernel.shape[1],
-                           gate_weight, gate_bias)
+        self._store_stacks(self.kind, down, up, bias, down.shape[1], gate_weight, gate_bias)
         self._xp = None
 
     @property
     def rank(self) -> int:
-        return self.blocks["heads"].shape[2]
+        return self.blocks["up"].shape[2]
 
     def forward(self, x):
-        k = self.params["shared_kernel"]
+        k = self.blocks["down"][0]
         c = k.shape[1]
         if x.ndim != 4 or x.shape[1] != c:
             raise ShapeError(f"inherited conv expects (B, {c}, H, W), got {x.shape}")
@@ -333,8 +327,8 @@ class InherConv2DLayer(GatedMixture):
         z = code.reshape(b, r, oh * ow)
         pooled = z.mean(axis=2)
         g = self._gate(pooled)
-        heads, bias = self.blocks["heads"], self.blocks.get("head_bias")
-        m = (g @ heads.reshape(len(heads), -1)).reshape(b, -1, r)    # (B, N, r)
+        up, bias = self.blocks["up"], self.blocks.get("bias")
+        m = (g @ up.reshape(len(up), -1)).reshape(b, -1, r)          # (B, N, r)
         y = m @ z
         if bias is not None:
             y += (g @ bias)[:, :, None]
@@ -345,20 +339,20 @@ class InherConv2DLayer(GatedMixture):
         self._require_forward("_xp")
         z, g = self._z, self._g
         b, r, p = z.shape
-        heads, bias = self.blocks["heads"], self.blocks.get("head_bias")
+        up, bias = self.blocks["up"], self.blocks.get("bias")
         gy = grad_out.reshape(b, -1, p)                           # (B, N, OH*OW)
         c = (gy @ z.transpose(0, 2, 1)).reshape(b, -1)            # (B, N*r)
-        self.grad_blocks["heads"] += (g.T @ c).reshape(heads.shape)
-        s = c @ heads.reshape(len(heads), -1).T
+        self.grad_blocks["up"] += (g.T @ c).reshape(up.shape)
+        s = c @ up.reshape(len(up), -1).T
         if bias is not None:
             gy_sum = gy.sum(axis=2)
-            self.grad_blocks["head_bias"] += g.T @ gy_sum
+            self.grad_blocks["bias"] += g.T @ gy_sum
             s += gy_sum @ bias.T
         dz = self._m.transpose(0, 2, 1) @ gy
         dz += self._gate_backward(g, self._pooled, s)[:, :, None] / p
-        dk, dx = kn2row_backward(dz, self._xp, self.params["shared_kernel"], self.stride,
+        dk, dx = kn2row_backward(dz, self._xp, self.blocks["down"][0], self.stride,
                                  self.padding)
-        self.grads["shared_kernel"] += dk
+        self.grad_blocks["down"] += dk[None]
         return dx
 
 
@@ -486,7 +480,7 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
     if variant == "no-gate":
         return student.ungated()
     if variant == "no-svd":
-        down, up = (student.blocks[name] for name in student._names[:2])
+        down, up = student.blocks["down"], student.blocks["up"]
         down[0] = kaiming_uniform(down.shape[1:], fan_in=down[0].size // student.rank,
                                   gen=_rng.philox(seed, _rng.STREAM_INIT, 0))
         for j in range(student.n_heads):

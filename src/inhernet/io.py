@@ -14,12 +14,13 @@ Checkpoint container layout (all integers little-endian):
 The blob length must equal the sum of declared parameter counts times 8;
 loading a saved network restores every parameter bit-exactly. Synthetic
 tasks regenerate bit-identically from ``(kind, seed, sizes)`` because all
-draws flow through the counter-based generator.
+draws flow through the counter-based generator. Result tables (run logs,
+experiment rows) are written as CSV by :func:`write_csv`; nothing here
+reads CSV back.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import CorruptionError, FormatError, ParseError, RangeError
+from .errors import CorruptionError, FormatError, RangeError
 from .inherit import InherConv2DLayer, InherNetLayer
 from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer
 
@@ -245,64 +246,9 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
-# --- delimited text -----------------------------------------------------------
-
-def load_csv(path, schema: str = "regression") -> Dataset:
-    """Parse a headered CSV of float64 rows.
-
-    With ``schema="classification"`` the last column holds integer class
-    labels; otherwise every column is a feature and ``y`` is empty. Ragged
-    rows, non-numeric cells and labels that are not nonnegative finite
-    integers raise :class:`ParseError` with the 1-based line number.
-    """
-    if schema not in ("regression", "classification"):
-        raise RangeError(f"unknown csv schema {schema!r}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: missing header row") from None
-        width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ParseError(f"{path}: line {lineno}: expected {width} fields, "
-                                 f"got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    if schema == "classification":
-        labels = data[:, -1]
-        integral = (np.abs(labels) < 2.0 ** 63) & (labels == np.floor(labels))
-        bad = np.flatnonzero(~integral | (labels < 0))
-        if bad.size:
-            i = bad[0]
-            why = "is negative; class labels count from 0" if integral[i] else \
-                "is not a finite integer"
-            raise ParseError(f"{path}: line {i + 2}: label {float(labels[i])!r} {why}")
-        return Dataset(x=data[:, :-1], y=labels.astype(np.int64), kind="classification")
-    return Dataset(x=data, y=np.empty((len(rows), 0)), kind="regression")
-
-
 def write_csv(path, header, rows) -> None:
     """Write a headered CSV atomically, floats as ``repr`` so they read back exactly."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def save_dataset_csv(ds: Dataset, path) -> None:
-    """Write a dataset as CSV with round-trip-exact float formatting."""
-    header = [f"x{i}" for i in range(ds.x.shape[1])]
-    rows = [[float(v) for v in xi] for xi in ds.x]
-    if ds.kind == "classification":
-        header.append("label")
-        rows = [xi + [float(yi)] for xi, yi in zip(rows, ds.y)]
-    elif ds.y.ndim == 2 and ds.y.shape[1] > 0:
-        header += [f"y{i}" for i in range(ds.y.shape[1])]
-        rows = [xi + [float(v) for v in yi] for xi, yi in zip(rows, ds.y)]
-    write_csv(path, header, rows)

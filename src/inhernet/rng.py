@@ -16,7 +16,6 @@ STREAM_DATA = 0
 STREAM_SPLIT = 1
 STREAM_SHUFFLE = 2
 STREAM_INIT = 3
-STREAM_EVAL = 4
 
 
 def philox(seed: int, stream: int = 0, index: int = 0) -> np.random.Generator:

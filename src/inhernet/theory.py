@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DegenerateInputError, RangeError, ShapeError
-from .inherit import KINDS, GatedMixture, factor_matrix
+from .inherit import GatedMixture, factor_matrix
 from .linalg import condition_number
 from .nn import Network
 
@@ -168,9 +168,9 @@ def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
         s = np.linalg.svd(w, compute_uv=False)
         sq = s * s
         energy = float(sq[:r_l].sum() / sq.sum())
-        down = next(iter(KINDS[b_layer.kind].values()))   # a "{}" name is per head
-        k_down = None if "{}" in down else condition_number(
-            b_layer.params[down].reshape(len(b_layer.params[down]), -1))
+        down = b_layer.blocks["down"]
+        k_down = None if "{}" in b_layer.stacked["down"] else condition_number(
+            down[0].reshape(len(down[0]), -1))
         breakdown.append({
             "layer": i, "m": m, "n": n, "r": r_l, "h": h,
             "rho_paper": compression_ratio_paper(m, n, r_l, h),

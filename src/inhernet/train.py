@@ -1,10 +1,12 @@
 """SGD training engine with a diminishing step schedule and KD losses.
 
-The optimizer is plain SGD; the default schedule divides the base rate by
-the square root of the step index, counting optimizer steps (not epochs)
-from 1. Shuffling draws a fresh permutation per epoch from the
-counter-based stream keyed by (seed, epoch), so identical configs produce
-bit-identical loss trajectories.
+The optimizer is plain SGD at a constant rate or, by default, at the base
+rate divided by the square root of the step index, counting optimizer
+steps (not epochs) from 1. Shuffling draws a fresh permutation per epoch
+from the counter-based stream keyed by (seed, epoch), so identical configs
+produce bit-identical loss trajectories. A step that meets NaN or Inf, in
+a layer, the network output, the loss or the gradient, raises
+:class:`~inhernet.errors.NumericalError` prefixed ``at epoch E, step T:``.
 
 Each step works on the network's flat vectors (see :class:`~inhernet.nn.Network`):
 zeroing the gradients is one fill, the gradient norm one dot product and
@@ -28,7 +30,7 @@ from .io import write_csv
 from .linalg import log_softmax
 from .nn import Network, accuracy, cross_entropy, mse_loss
 
-SCHEDULES = ("constant", "inverse_sqrt", "step")
+SCHEDULES = ("constant", "inverse_sqrt")
 LOSSES = ("mse", "ce", "ce+kd")
 
 RUNLOG_COLUMNS = ("epoch", "train_loss", "eval_loss", "eval_acc",
@@ -42,8 +44,6 @@ class TrainConfig:
     batch_size: int
     seed: int
     schedule: str = "inverse_sqrt"
-    milestones: tuple[int, ...] = ()     # step indices, for schedule="step"
-    decay_factor: float = 0.1
     loss: str = "mse"
     lambda_ce: float = 1.0
     lambda_kd: float = 9.0
@@ -56,7 +56,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
         # chained comparisons, which NaN fails
-        for name in ("base_lr", "temperature", "decay_factor"):
+        for name in ("base_lr", "temperature"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise RangeError(f"{name} must be positive and finite, got {value}")
@@ -66,11 +66,6 @@ class TrainConfig:
                 raise RangeError(f"{name} must be nonnegative and finite, got {value}")
         if self.schedule not in SCHEDULES:
             raise RangeError(f"unknown schedule {self.schedule!r}")
-        ms = self.milestones
-        if self.schedule == "step" and not ms:
-            raise RangeError("schedule 'step' needs milestones, got none")
-        if not all(isinstance(m, (int, np.integer)) and lo < m for lo, m in zip((0, *ms), ms)):
-            raise RangeError(f"milestones must be strictly increasing integers >= 1, got {ms}")
         if self.loss not in LOSSES:
             raise RangeError(f"unknown loss {self.loss!r}")
 
@@ -102,10 +97,7 @@ def learning_rate(config: TrainConfig, t: int) -> float:
         raise RangeError(f"step index must be >= 1, got {t}")
     if config.schedule == "constant":
         return config.base_lr
-    if config.schedule == "inverse_sqrt":
-        return config.base_lr / np.sqrt(t)
-    passed = sum(1 for m in config.milestones if t >= m)
-    return config.base_lr * config.decay_factor ** passed
+    return config.base_lr / np.sqrt(t)
 
 
 def sgd_step(net: Network, t: int, config: TrainConfig) -> None:
@@ -162,6 +154,10 @@ def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
                 teacher_logits: np.ndarray | None = None,
                 teacher_log_probs: np.ndarray | None = None):
     logits = net.forward(x)
+    if not np.isfinite(logits).all():
+        last = len(net.layers) - 1
+        raise NumericalError(f"output of layer {last} ({net.layers[last].kind}) holds NaN "
+                             f"or Inf before the {config.loss!r} loss")
     if config.loss == "mse":
         return mse_loss(logits, y)
     if config.loss == "ce":
@@ -222,16 +218,15 @@ def train(net: Network, data, config: TrainConfig,
                                                          teacher_log_probs[idx])
             try:
                 loss, grad = _batch_loss(net, xb, yb, config, *kd_rows)
+                if not np.isfinite(loss):
+                    raise NumericalError(f"loss became non-finite; batch indices "
+                                         f"{idx[:4].tolist()}...")
+                net.zero_grads()
+                net.backward(grad)
+                step_norms.append(grad_norm(net))
+                sgd_step(net, t, config)
             except NumericalError as exc:
                 raise NumericalError(f"at epoch {epoch + 1}, step {t}: {exc}") from exc
-            if not np.isfinite(loss):
-                raise NumericalError(
-                    f"loss became non-finite at epoch {epoch + 1}, step {t}; "
-                    f"batch indices {idx[:4].tolist()}...")
-            net.zero_grads()
-            net.backward(grad)
-            step_norms.append(grad_norm(net))
-            sgd_step(net, t, config)
             epoch_losses.append(loss)
         ev_loss, ev_acc = evaluate(net, eval_ds.x, eval_ds.y, config)
         log.train_loss.append(float(np.mean(epoch_losses)))

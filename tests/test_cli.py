@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import time
@@ -5,11 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from inhernet.cli import main
+from inhernet.cli import build_parser, main
 from inhernet.experiments import spectral_mlp
+from inhernet.inherit import COMBINER_MODES, GATE_INPUTS
 from inhernet.io import load_checkpoint, save_checkpoint
 from inhernet.nn import Conv2DLayer, Network, ReluLayer
 from inhernet.rng import philox
+from inhernet.train import SCHEDULES
+from inhernet.verify import SUITES
 
 
 def run_cli(*argv):
@@ -291,7 +295,7 @@ class TestInsightCommand:
             run_cli("insight", "--which", "3", "--frobnicate", "1")
 
     def test_step_schedule_is_not_offered(self, tmp_path, capsys):
-        """The command line has no milestones, so a step schedule could never decay."""
+        """The package has no step schedule, so the command line offers none."""
         with pytest.raises(SystemExit):
             run_cli("train-teacher", "--schedule", "step", "--out", str(tmp_path / "t.npz"))
         assert "invalid choice: 'step'" in capsys.readouterr().err
@@ -300,3 +304,15 @@ class TestInsightCommand:
         assert run_cli("insight", "--which", "3", "--seeds", "0") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seeds" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag,values", [
+    ("train-teacher", "--schedule", SCHEDULES), ("train", "--schedule", SCHEDULES),
+    ("distill", "--schedule", SCHEDULES), ("inherit", "--mode", COMBINER_MODES),
+    ("inherit", "--gate", GATE_INPUTS), ("analyze", "--gate", GATE_INPUTS),
+    ("verify", "--suite", SUITES + ("all",))])
+def test_flag_choices_are_the_package_tuples(command, flag, values):
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    action = next(a for a in commands[command]._actions if flag in a.option_strings)
+    assert tuple(action.choices) == values

@@ -254,7 +254,7 @@ class TestInheritConv:
             inherit_conv(k, 2, 2, stride=stride, padding=padding)
         layer = inherit_conv(k, 2, 2)
         with pytest.raises(ShapeError, match="stride"):
-            InherConv2DLayer(layer.blocks["shared_kernel"], layer.blocks["heads"],
+            InherConv2DLayer(layer.blocks["down"], layer.blocks["up"],
                              stride=stride, padding=padding)
 
 
@@ -382,12 +382,12 @@ class TestFusedHeadGradients:
                                  bias=gen.standard_normal(4))])
     def test_heads_are_views_of_one_block(self, build):
         layer = build(philox(41, 0))
-        block, gblock = layer.blocks["heads"], layer.grad_blocks["heads"]
+        block, gblock = layer.blocks["up"], layer.grad_blocks["up"]
         for h in range(3):
             assert np.shares_memory(layer.params[f"head_{h}"], block)
             assert np.array_equal(layer.params[f"head_{h}"], block[h])
             assert np.shares_memory(layer.grads[f"head_{h}"], gblock)
-            assert np.shares_memory(layer.params[f"head_bias_{h}"], layer.blocks["head_bias"])
+            assert np.shares_memory(layer.params[f"head_bias_{h}"], layer.blocks["bias"])
         assert list(layer.params) == list(layer.grads)
         assert layer.param_count() == sum(p.size for p in layer.params.values())
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inhernet.errors import CorruptionError, FormatError, ParseError, RangeError
+from inhernet.errors import CorruptionError, FormatError, RangeError
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
-                         load_csv, save_checkpoint, save_dataset_csv)
+                         save_checkpoint)
 from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
 from inhernet.train import TrainConfig, train
@@ -350,75 +350,3 @@ class TestSyntheticTasks:
         with pytest.raises(RangeError, match=field):
             SyntheticTask(kind="piecewise", seed=1, n=10, dim=2, **{field: value})
 
-
-class TestCsv:
-    def test_empty_body_with_header(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("a,b,c\n")
-        ds = load_csv(path)
-        assert ds.x.shape == (0, 3)
-
-    def test_hand_written_values(self, tmp_path):
-        path = tmp_path / "small.csv"
-        path.write_text("x0,x1\n1.5,-2.25\n0.125,3.0\n1e-3,4.5\n")
-        ds = load_csv(path)
-        assert np.array_equal(ds.x, [[1.5, -2.25], [0.125, 3.0], [1e-3, 4.5]])
-
-    def test_classification_schema(self, tmp_path):
-        path = tmp_path / "cls.csv"
-        path.write_text("x0,x1,label\n0.5,1.5,0\n-1.0,2.0,1\n")
-        ds = load_csv(path, schema="classification")
-        assert ds.kind == "classification"
-        assert np.array_equal(ds.y, [0, 1])
-        assert ds.x.shape == (2, 2)
-
-    def test_ragged_row_reports_line(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("a,b\n1,2\n3\n")
-        with pytest.raises(ParseError, match="line 3"):
-            load_csv(path)
-
-    def test_non_numeric_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n3,zebra\n")
-        with pytest.raises(ParseError, match="line 3"):
-            load_csv(path)
-
-    @pytest.mark.parametrize("label", ["1.5", "inf"])
-    def test_label_not_a_finite_integer_reports_line(self, tmp_path, label):
-        path = tmp_path / "labels.csv"
-        path.write_text(f"x0,label\n0.5,0\n1.0,{label}\n")
-        with pytest.raises(ParseError, match=f"line 3: label {label} is not a finite integer"):
-            load_csv(path, schema="classification")
-
-    @pytest.mark.parametrize("label", ["-2", "-1.0"])
-    def test_negative_label_reports_line(self, tmp_path, label):
-        path = tmp_path / "labels.csv"
-        path.write_text(f"x0,label\n0.5,0\n0.7,1\n1.0,{label}\n2.0,1.5\n")
-        with pytest.raises(ParseError, match=f"line 4: label {float(label)!r} is negative"):
-            load_csv(path, schema="classification")
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ParseError, match="line 1"):
-            load_csv(path)
-
-    def test_ten_thousand_row_roundtrip(self, tmp_path):
-        gen = philox(14, 0)
-        x = gen.standard_normal((10_000, 4))
-        y = gen.standard_normal((10_000, 2))
-        ds = Dataset(x=x, y=y, kind="regression")
-        path = tmp_path / "big.csv"
-        save_dataset_csv(ds, path)
-        back = load_csv(path)
-        assert np.array_equal(back.x, np.hstack([x, y]))
-
-    def test_classification_roundtrip(self, tmp_path):
-        task = SyntheticTask(kind="blobs", seed=15, n=200, dim=3, classes=2)
-        train_ds, _ = gen_synthetic(task)
-        path = tmp_path / "cls.csv"
-        save_dataset_csv(train_ds, path)
-        back = load_csv(path, schema="classification")
-        assert np.array_equal(back.x, train_ds.x)
-        assert np.array_equal(back.y, train_ds.y)

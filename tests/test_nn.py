@@ -491,7 +491,7 @@ class TestFlatStore:
         perturb_heads(net, seed=1)
         heads = [layer.params[f"head_{h}"] for h in range(3)]
         assert not np.array_equal(heads[0], heads[1])
-        want = sum(g[:, h, None] * (x @ layer.w_down @ heads[h])
+        want = sum(g[:, h, None] * (x @ layer.params["w_down"] @ heads[h])
                    for g in [layer.gate_values(x, None)] for h in range(3))
         assert not np.allclose(net.forward(x), base)
         assert np.allclose(net.forward(x), want, rtol=1e-12, atol=1e-12)
