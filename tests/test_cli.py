@@ -6,7 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from inhernet import cli
 from inhernet.cli import build_parser, main
+from inhernet.errors import (CorruptionError, DegenerateInputError, FormatError, NumericalError,
+                             RangeError, ShapeError, StateError)
 from inhernet.experiments import spectral_mlp
 from inhernet.inherit import COMBINER_MODES, GATE_INPUTS
 from inhernet.io import load_checkpoint, save_checkpoint
@@ -316,3 +319,21 @@ def test_flag_choices_are_the_package_tuples(command, flag, values):
                     if isinstance(a, argparse._SubParsersAction)).choices
     action = next(a for a in commands[command]._actions if flag in a.option_strings)
     assert tuple(action.choices) == values
+
+
+@pytest.mark.parametrize("error", [ShapeError, RangeError, DegenerateInputError, FormatError,
+                                   CorruptionError, NumericalError, FileNotFoundError])
+def test_user_errors_exit_one_without_traceback(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("bad input")
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    assert run_cli("verify", "--suite", "theory") == 1
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
+def test_internal_errors_are_not_user_errors(monkeypatch):
+    def fail(args):
+        raise StateError("broken invariant")
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    with pytest.raises(StateError, match="broken invariant"):
+        run_cli("verify", "--suite", "theory")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inhernet.errors import RangeError, ShapeError
-from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, VARIANTS, InherConv2DLayer,
-                              InherNetLayer, _standard_param_count, factor_matrix,
+from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, KINDS, STACKS, VARIANTS,
+                              InherConv2DLayer, InherNetLayer, _standard_param_count, factor_matrix,
                               inherit_conv, inherit_dense, inherit_layer, inherit_network)
 from inhernet.linalg import truncated_svd
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer,
@@ -390,6 +390,52 @@ class TestFusedHeadGradients:
             assert np.shares_memory(layer.params[f"head_bias_{h}"], layer.blocks["bias"])
         assert list(layer.params) == list(layer.grads)
         assert layer.param_count() == sum(p.size for p in layer.params.values())
+
+
+BUILD_KIND = {
+    "inherit_dense": lambda gen: inherit_dense(gen.standard_normal((6, 5)), 2, 3,
+                                               bias=gen.standard_normal(5)),
+    "inverse": lambda gen: inherit_layer(DenseLayer(gen.standard_normal((6, 5)),
+                                                    gen.standard_normal(5)), 2, 3, "inverse"),
+    "symmetric": lambda gen: inherit_layer(DenseLayer(gen.standard_normal((6, 5)),
+                                                      gen.standard_normal(5)), 2, 3, "symmetric"),
+    "inherit_conv": lambda gen: inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 3,
+                                             bias=gen.standard_normal(4)),
+}
+
+
+class TestBlockVocabulary:
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_array_name_is_an_entry_of_its_block(self, kind):
+        layer = BUILD_KIND[kind](philox(43, 0))
+        assert layer.kind == kind and set(STACKS) <= set(layer.blocks)
+        for block, name in zip(STACKS, KINDS[kind]):
+            names = [name.format(i) for i in range(layer.n_heads)] if "{}" in name else [name]
+            assert len(layer.blocks[block]) == len(names)
+            for i, view in enumerate(names):
+                assert np.shares_memory(layer.params[view], layer.blocks[block])
+                assert np.array_equal(layer.params[view], layer.blocks[block][i])
+                assert np.shares_memory(layer.grads[view], layer.grad_blocks[block])
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_config_round_trip_keeps_every_block(self, kind):
+        gen = philox(44, 0)
+        layer = BUILD_KIND[kind](gen)
+        jitter(layer, gen)
+        copy = type(layer).from_config(layer.config(), layer.params)
+        assert list(copy.params) == list(layer.params)
+        for block in STACKS:
+            assert np.array_equal(copy.blocks[block], layer.blocks[block])
+
+    @pytest.mark.parametrize("kind,heads,message", [
+        ("inherit_dense", (2, 3, 3), "down stack holds 2 entries, expected 1"),
+        ("inherit_dense", (1, 3, 2), "bias stack holds 2 entries, expected 3"),
+        ("inverse", (3, 2, 1), "up stack holds 2 entries, expected 1")])
+    def test_stack_of_the_wrong_length_names_its_block(self, kind, heads, message):
+        hd, hu, hb = heads
+        with pytest.raises(ShapeError, match=message):
+            InherNetLayer(np.zeros((hd, 6, 2)), np.zeros((hu, 2, 5)), np.zeros((hb, 5)),
+                          gate_input="code" if kind == "inherit_dense" else "input", kind=kind)
 
 
 class TestGradientGrid:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp
 from inhernet.rng import philox
 from inhernet.io import Dataset
 from inhernet.linalg import log_softmax
-from inhernet.train import (RUNLOG_COLUMNS, RunLog, TrainConfig, evaluate,
+from inhernet.train import (LOSSES, RUNLOG_COLUMNS, RunLog, TrainConfig, evaluate,
                             gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
 
 
@@ -34,6 +36,10 @@ class TestSchedule:
     def test_constant_schedule(self):
         c = cfg(schedule="constant", base_lr=0.2)
         assert learning_rate(c, 100) == 0.2
+
+    def test_step_schedule_is_unknown(self):
+        with pytest.raises(RangeError, match="unknown schedule 'step'"):
+            cfg(schedule="step")
 
     def test_step_index_must_be_positive(self):
         with pytest.raises(RangeError):
@@ -193,14 +199,18 @@ class TestTrain:
                 NumericalError, match=r"^at epoch 1, step 1: non-finite gradient in '0\.weight'"):
             train(net, (one, one), cfg(loss="ce", batch_size=1))
 
-    def test_overflowing_last_layer_names_the_layer_and_the_loss(self):
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_overflowing_last_layer_names_the_layer_and_the_loss(self, loss):
         net = Network([DenseLayer(np.ones((4, 3))), ReluLayer(),
                        DenseLayer(np.full((3, 2), 1e308))])
-        data = (Dataset(x=np.ones((2, 4)), y=np.array([0, 1]), kind="classification"),) * 2
+        y, kind = ((np.zeros((2, 2)), "regression") if loss == "mse"
+                   else (np.array([0, 1]), "classification"))
+        data = (Dataset(x=np.ones((2, 4)), y=y, kind=kind),) * 2
+        teacher = Network([DenseLayer(np.ones((4, 2)))]) if loss == "ce+kd" else None
         with np.errstate(over="ignore"), pytest.raises(
                 NumericalError, match=r"^at epoch 1, step 1: output of layer 2 \(dense\) "
-                                      r"holds NaN or Inf before the 'ce' loss"):
-            train(net, data, cfg(loss="ce", batch_size=2))
+                                      rf"holds NaN or Inf before the '{re.escape(loss)}' loss"):
+            train(net, data, cfg(loss=loss, batch_size=2), teacher=teacher)
 
     def test_zero_epochs_leaves_net_unchanged(self):
         task = SyntheticTask(kind="piecewise", seed=3, n=100, dim=4, classes=1,
