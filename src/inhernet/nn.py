@@ -17,10 +17,16 @@ layer returns one. A teacher convolution lowers to GEMMs through
 a kernel (N, C*kh*kw) multiplies it as ``k @ cols`` into (B, N, OH*OW),
 already NCHW, and :func:`col2im` folds (B, C*kh*kw, OH*OW) gradients back
 onto the image one contiguous (OH, OW) plane per kernel offset. The shared
-stage of an inherited convolution has only r output channels, and lowers
-through :func:`kn2row` and :func:`kn2row_backward` instead: one GEMM of the
-kernel stacked per offset against the padded image, then kh*kw shifted
-adds of r-channel planes, with no patch matrix built or kept.
+stage of an inherited convolution has only r output channels. When its
+input has more channels than that, it lowers through :func:`kn2row` and
+:func:`kn2row_backward` instead: one GEMM of the kernel stacked per offset
+against the padded image, then kh*kw shifted adds of r-channel planes, with
+no patch matrix built or kept. When its input is no wider than the code, as
+an RGB first layer is, it lowers through im2col like the teacher conv.
+
+Nothing reads the gradient with respect to a network's input, so
+:meth:`Network.backward` clears its first layer's ``input_grad`` for the
+call and that layer forms only its parameter gradients.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ class Layer:
     kind: str | None = None
     settings: tuple[str, ...] = ()
     stacked: dict[str, str] = {}     # block name -> view name, "{}" marking the index
+    # False while Network.backward runs this layer as its first: backward
+    # then forms parameter gradients only and returns None.
+    input_grad = True
 
     def __init__(self):
         self.blocks: dict[str, np.ndarray] = {}
@@ -184,7 +193,7 @@ class DenseLayer(Layer):
         self.grads["weight"] += x.T @ grad_out
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        return grad_out @ self.weight.T if self.input_grad else None
 
 
 class ReluLayer(Layer):
@@ -290,11 +299,11 @@ def kn2row(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
 
     Its shifted adds move kh*kw*R values per output pixel where
     :func:`im2col` copies kh*kw*C, and it keeps an image rather than a
-    patch matrix, so it suits a code narrower than its input: the shared
-    stage of an inherited conv. It loses at R >= C: its forward is slower
-    than im2col's there, and at R = C forward plus backward gains nothing.
-    A stride s runs the GEMM at stride 1, s*s times the work the output
-    needs.
+    patch matrix, so it suits a code narrower than its input. It loses at
+    R >= C: its forward is slower than im2col's there, and at R = C forward
+    plus backward gains nothing. The shared stage of an inherited conv
+    therefore takes it only when C > R, and im2col otherwise. A stride s
+    runs the GEMM at stride 1, s*s times the work the output needs.
     """
     b, c, h, w = x.shape
     r, _, kh, kw = kernel.shape
@@ -312,13 +321,15 @@ def kn2row(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
 
 
 def kn2row_backward(grad_out: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
-                    stride: int, padding: int):
+                    stride: int, padding: int, input_grad: bool = True):
     """Gradients of :func:`kn2row` for ``grad_out`` (B, R, OH, OW): (dL/dkernel, dL/dx).
 
     ``grad_out`` is written at each offset into a zeroed (B, kh*kw*R, Hp*Wp)
     stack, the adjoint of the shifted sum. Its products with the padded
     input give the kernel gradient; the stacked kernel's transpose times it
-    gives the padded input's gradient, returned cropped to the input.
+    gives the padded input's gradient, returned cropped to the input. A
+    layer that has no use for dL/dx (``input_grad`` false) gets None in its
+    place, and the GEMM that forms it is skipped.
     """
     b, c, hp, wp = xp.shape
     r, _, kh, kw = kernel.shape
@@ -331,6 +342,8 @@ def kn2row_backward(grad_out: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
     stack = stack.reshape(b, kh * kw * r, hp * wp)
     dk = sum_of_products(stack, xp.reshape(b, c, hp * wp))
     dk = dk.reshape(kh, kw, r, c).transpose(2, 3, 0, 1)
+    if not input_grad:
+        return dk, None
     dxp = (_kernel_stack(kernel).T @ stack).reshape(b, c, hp, wp)
     if padding:
         return dk, dxp[:, :, padding:-padding, padding:-padding]
@@ -405,6 +418,8 @@ class Conv2DLayer(Layer):
         self.grads["kernel"] += sum_of_products(gy, self._cols).reshape(k.shape)
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
+        if not self.input_grad:
+            return None
         return col2im(k.reshape(n, -1).T @ gy, self._x.shape, kh, kw, self.stride,
                       self.padding)
 
@@ -460,10 +475,25 @@ class Network:
                 raise type(exc)(f"layer {i}: {exc}") from exc
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Add every layer's parameter gradients for ``grad_out``, dL/d(output).
+
+        Each layer but the first hands dL/d(its input) to the layer before
+        it. The first runs with ``input_grad`` cleared, so it skips forming
+        a gradient that nothing reads; the flag is restored even if that
+        layer raises, and a direct call of its ``backward`` still returns
+        dL/dx.
+        """
+        if not self.layers:
+            return
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        first.input_grad = False
+        try:
+            first.backward(grad_out)
+        finally:
+            del first.input_grad
 
     def param_vector(self) -> np.ndarray:
         """Every trainable scalar, in ``param_items`` order."""

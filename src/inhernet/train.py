@@ -173,8 +173,22 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
     The evaluation loss is always the plain task loss (MSE or CE), even when
     training optimizes the combined KD objective; accuracy is NaN for
     regression targets.
+
+    An image split (4-D) runs forward in blocks of ``config.batch_size``
+    images and the loss is formed once over their joined outputs. A conv
+    layer's lowering buffers grow with the batch, about 9*r values per
+    padded pixel for an inherited one, so a whole split would build them
+    many times larger than training ever does. Each output row depends on
+    its own sample only, so the loss is the one a single forward gives. A
+    row split runs in one call, since per-call overhead outweighs its small
+    per-row buffers.
     """
-    out = net.forward(x)
+    if x.ndim == 4:
+        b = config.batch_size
+        # an empty split still runs one forward, so the loss rejects it as before
+        out = np.concatenate([net.forward(x[lo:lo + b]) for lo in range(0, len(x) or 1, b)])
+    else:
+        out = net.forward(x)
     if config.loss == "mse":
         return mse_loss(out, y)[0], float("nan")
     return cross_entropy(out, y)[0], accuracy(out, y)
@@ -226,7 +240,9 @@ def train(net: Network, data, config: TrainConfig,
                 step_norms.append(grad_norm(net))
                 sgd_step(net, t, config)
             except NumericalError as exc:
-                raise NumericalError(f"at epoch {epoch + 1}, step {t}: {exc}") from exc
+                # the prefix names the step, which sgd_step's own message ends with
+                detail = str(exc).removesuffix(f" at step {t}")
+                raise NumericalError(f"at epoch {epoch + 1}, step {t}: {detail}") from exc
             epoch_losses.append(loss)
         ev_loss, ev_acc = evaluate(net, eval_ds.x, eval_ds.y, config)
         log.train_loss.append(float(np.mean(epoch_losses)))

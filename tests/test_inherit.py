@@ -236,6 +236,22 @@ class TestInheritConv:
                     expected[i, :, oi, oj] += g[j] * term
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("c,r", [(2, 3), (3, 2)], ids=["im2col", "kn2row"])
+    def test_both_lowerings_match_the_oracle_and_finite_differences(self, c, r, stride,
+                                                                     padding):
+        gen = philox(17, 10 * c + stride + padding)
+        k, bias = gen.standard_normal((5, c, 3, 3)), gen.standard_normal(5)
+        rank_r = truncated_svd(k.reshape(5, -1), r).reconstruct().reshape(k.shape)
+        oracle = Conv2DLayer(rank_r, stride, padding, bias)
+        layer = inherit_conv(k, r, 3, stride=stride, padding=padding, bias=bias)
+        assert layer.lowers_by_im2col == (c <= r)
+        x = gen.standard_normal((2, c, 7, 7))
+        want = oracle.forward(x)
+        assert np.linalg.norm(layer.forward(x) - want) <= 1e-12 * np.linalg.norm(want)
+        jitter(layer, gen)
+        assert fd_relative_dev(layer, x, gen) < 1e-4
+
     def test_factor_shapes(self):
         k = philox(15, 0).standard_normal((6, 3, 3, 3))
         layer = inherit_conv(k, 4, 2)

@@ -143,6 +143,58 @@ class TestBackward:
         assert max_relative_fd_deviation(net, mse_loss, x, y) < 1e-4
 
 
+def gated(layer, gen):
+    """``layer`` with a gate that is no longer uniform."""
+    layer.params["gate_weight"][...] = gen.standard_normal(layer.params["gate_weight"].shape)
+    return layer
+
+
+# first-layer kind -> (layer, input batch); inherit_conv on both sides of its lowering rule
+FIRST_LAYERS = {
+    "dense": lambda gen: (DenseLayer(gen.standard_normal((5, 4)), gen.standard_normal(4)),
+                          gen.standard_normal((6, 5))),
+    "conv2d": lambda gen: (Conv2DLayer(gen.standard_normal((4, 3, 3, 3)), padding=1,
+                                       bias=gen.standard_normal(4)),
+                           gen.standard_normal((2, 3, 6, 6))),
+    "inherit_dense_code": lambda gen: (
+        gated(inherit_dense(gen.standard_normal((5, 4)), 2, 3, bias=gen.standard_normal(4)),
+              gen), gen.standard_normal((6, 5))),
+    "inherit_dense_input": lambda gen: (
+        gated(inherit_dense(gen.standard_normal((5, 4)), 2, 3, gate_input="input"), gen),
+        gen.standard_normal((6, 5))),
+    "inherit_conv_kn2row": lambda gen: (
+        gated(inherit_conv(gen.standard_normal((4, 3, 3, 3)), 2, 3, padding=1,
+                           bias=gen.standard_normal(4)), gen),
+        gen.standard_normal((2, 3, 6, 6))),
+    "inherit_conv_im2col": lambda gen: (
+        gated(inherit_conv(gen.standard_normal((4, 3, 3, 3)), 3, 3, stride=2, padding=1,
+                           bias=gen.standard_normal(4)), gen),
+        gen.standard_normal((2, 3, 7, 7))),
+}
+
+
+class TestFirstLayerBackward:
+    @pytest.mark.parametrize("kind", list(FIRST_LAYERS))
+    def test_network_backward_drops_only_the_input_gradient(self, kind):
+        gen = philox(30, 0)
+        layer, x = FIRST_LAYERS[kind](gen)
+        # a backward that raises inside the first layer, here one before any forward
+        with pytest.raises(StateError):
+            Network([layer]).backward(np.ones(1))
+        net = Network([layer, ReluLayer()])
+        _, grad = mse_loss(net.forward(x), gen.standard_normal(net.forward(x).shape))
+        net.zero_grads()
+        dx = grad
+        for each in reversed(net.layers):
+            dx = each.backward(dx)
+        walked = net.grad_vector().copy()
+        net.zero_grads()
+        assert net.backward(grad) is None
+        assert net.grad_vector().tobytes() == walked.tobytes()
+        assert dx.shape == x.shape
+        assert np.array_equal(layer.backward(net.layers[1].backward(grad)), dx)
+
+
 class TestConv:
     def test_forward_matches_loop_oracle(self):
         gen = philox(8, 0)
@@ -270,8 +322,9 @@ class TestKn2row:
         assert np.abs(dk - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
     def test_inherited_conv_caches_no_patch_matrix(self):
-        """One 256-image forward at r=4: what the layer keeps for its backward,
-        apart from the input it was handed, stays under twice that input."""
+        """One 256-image forward at r=4 on 16 channels, which lowers through
+        kn2row: what the layer keeps for its backward, apart from the input it
+        was handed, stays under twice that input."""
         gen = philox(17, 0)
         x = gen.standard_normal((256, 16, 16, 16))
         layer = inherit_conv(gen.standard_normal((16, 16, 3, 3)), 4, 3, padding=1)

@@ -101,13 +101,16 @@ def test_closed_form_modules_import_no_harness(name):
 
 @pytest.mark.parametrize("build,lowering", [
     (lambda k: nn.Conv2DLayer(k, padding=1), (nn.im2col, nn.col2im)),
-    (lambda k: inherit_conv(k, 2, 2, padding=1), (nn.kn2row, nn.kn2row_backward))],
-    ids=["conv2d", "inherit_conv"])
+    (lambda k: inherit_conv(k, 1, 2, padding=1), (nn.kn2row, nn.kn2row_backward)),
+    (lambda k: inherit_conv(k, 2, 2, padding=1), (nn.im2col, nn.col2im))],
+    ids=["conv2d", "inherit_conv", "inherit_conv_narrow_input"])
 def test_conv_layers_reach_their_lowering_through_a_module_binding(monkeypatch, build, lowering):
     """A tracer times a lowering function by rebinding it in every inhernet
     module that holds it; a conv layer that reached it another way would make
-    that timing read 0. The teacher conv lowers through im2col/col2im, the
-    inherited conv through kn2row/kn2row_backward."""
+    that timing read 0. The teacher conv lowers through im2col/col2im. The
+    inherited conv lowers through kn2row/kn2row_backward when its 2 input
+    channels outnumber its code (r = 1), and through im2col/col2im when they
+    do not (r = 2)."""
     calls = {}
 
     def counting(key, fn):

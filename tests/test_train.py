@@ -5,9 +5,9 @@ import pytest
 
 from inhernet.errors import NumericalError, RangeError, ShapeError
 from inhernet.experiments import build_toy_teacher, perturb_heads, toy_classification_data
-from inhernet.inherit import inherit_dense, inherit_network
+from inhernet.inherit import inherit_conv, inherit_dense, inherit_network
 from inhernet.io import SyntheticTask, gen_synthetic
-from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp
+from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp, mse_loss
 from inhernet.rng import philox
 from inhernet.io import Dataset
 from inhernet.linalg import log_softmax
@@ -196,7 +196,7 @@ class TestTrain:
         net = Network([DenseLayer(np.full((4, 1), 1e-300)), DenseLayer([[1.5e308, -1.5e308]])])
         one = Dataset(x=np.ones((1, 4)), y=np.array([1]), kind="classification")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericalError, match=r"^at epoch 1, step 1: non-finite gradient in '0\.weight'"):
+                NumericalError, match=r"^at epoch 1, step 1: non-finite gradient in '0\.weight'$"):
             train(net, (one, one), cfg(loss="ce", batch_size=1))
 
     @pytest.mark.parametrize("loss", LOSSES)
@@ -309,6 +309,36 @@ class TestTrain:
             data = (Dataset(xb, y, "classification"), Dataset(x, y, "classification"))
             with pytest.raises(NumericalError, match="input"):
                 train(net, data, cfg(loss="ce", epochs=1))
+
+    def test_image_split_evaluates_in_training_batch_blocks(self):
+        gen = philox(41, 0)
+        net = Network([inherit_conv(gen.standard_normal((4, 3, 3, 3)), 3, 2, padding=1),
+                       ReluLayer(),
+                       inherit_conv(gen.standard_normal((2, 4, 3, 3)), 2, 2, stride=2,
+                                    padding=1)])
+        x = gen.standard_normal((11, 3, 7, 7))
+        y = gen.standard_normal(net.forward(x).shape)
+        whole = mse_loss(net.forward(x), y)[0]
+        sizes = []
+        forward = net.forward
+        net.forward = lambda xb: sizes.append(len(xb)) or forward(xb)
+        loss, acc = evaluate(net, x, y, cfg(batch_size=4))
+        assert sizes == [4, 4, 3]
+        assert loss == whole and np.isnan(acc)
+        with pytest.raises(ShapeError, match="empty"):
+            evaluate(net, x[:0], y[:0], cfg(batch_size=4))
+        x[9, 1, 2, 3] = np.nan
+        with pytest.raises(NumericalError, match="input"):
+            evaluate(net, x, y, cfg(batch_size=4))
+
+    def test_row_split_evaluates_in_one_forward(self):
+        net = make_mlp([4, 8, 3], seed=0)
+        x = philox(42, 0).standard_normal((20, 4))
+        sizes = []
+        forward = net.forward
+        net.forward = lambda xb: sizes.append(len(xb)) or forward(xb)
+        evaluate(net, x, np.arange(20) % 3, cfg(loss="ce", batch_size=4))
+        assert sizes == [20]
 
     def test_teacher_runs_once_per_call(self):
         task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
