@@ -172,18 +172,19 @@ class GatedMixture(Layer):
             return np.full((gate_in.shape[0], self.n_heads), 1.0 / self.n_heads)
         return softmax(gate_in @ self.params["gate_weight"] + self.params["gate_bias"])
 
-    def _gate_backward(self, g: np.ndarray, gate_in: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def _gate_backward(self, g: np.ndarray, gate_in: np.ndarray, s: np.ndarray,
+                       input_grad: bool = True) -> np.ndarray | None:
         """Backward of the softmax gate for the scores ``s = dL/dg`` (B, H).
 
         Adds the gate's gradients; returns dL/d ``gate_in``, zero for a
-        frozen gate.
+        frozen gate, or None when ``input_grad`` is false and nothing reads it.
         """
         if self.gate_frozen:
-            return np.zeros_like(gate_in)
+            return np.zeros_like(gate_in) if input_grad else None
         dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
         self.grads["gate_weight"] += gate_in.T @ dlogits
         self.grads["gate_bias"] += dlogits.sum(axis=0)
-        return dlogits @ self.params["gate_weight"].T
+        return dlogits @ self.params["gate_weight"].T if input_grad else None
 
 
 class InherNetLayer(GatedMixture):
@@ -268,7 +269,9 @@ class InherNetLayer(GatedMixture):
             self.grad_blocks["bias"] += _sum_to(g.T @ grad_out, bias.shape)
             s += grad_out @ bias.T
         code = self.gate_input == "code"
-        dgate = self._gate_backward(g, z.reshape(b, -1) if code else x, s)
+        # a code gate's input gradient feeds dz; an input gate's only dL/dx
+        dgate = self._gate_backward(g, z.reshape(b, -1) if code else x, s,
+                                    code or self.input_grad)
         dz = _gate_weighted(g, dz_mix, hd).reshape(b, -1)
         if code:
             dz += dgate

@@ -33,7 +33,7 @@ import numpy as np
 from . import rng as _rng
 from .errors import CorruptionError, FormatError, RangeError
 from .inherit import InherConv2DLayer, InherNetLayer
-from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer
+from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer, forward_in_blocks
 
 MAGIC = b"INHERNET"
 VERSION = 1
@@ -78,7 +78,13 @@ class SyntheticTask:
 
 
 def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
-    """Generate a task and split it 80/20 by a seeded permutation."""
+    """Generate a task and split it 80/20 by a seeded permutation.
+
+    A mimic task's targets are the teacher's outputs on its inputs, formed
+    by :func:`~inhernet.nn.forward_in_blocks` in blocks of
+    :data:`~inhernet.nn.ROW_BLOCK` rows: they equal a single forward's bit
+    for bit, while the teacher's activations stay the size of a block.
+    """
     gen = _rng.philox(task.seed, _rng.STREAM_DATA)
     if task.kind == "blobs":
         k = task.classes * task.per_class
@@ -107,7 +113,7 @@ def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
         if teacher is None:
             raise RangeError("mimic task requires a teacher network")
         x = gen.standard_normal((task.n, task.dim))
-        y = teacher.forward(x)
+        y = forward_in_blocks(teacher, x)
         if task.noise > 0:
             y = y + task.noise * gen.standard_normal(y.shape)
         kind = "regression"

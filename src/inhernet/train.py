@@ -28,7 +28,7 @@ from .errors import NumericalError, RangeError, ShapeError
 from .inherit import GatedMixture
 from .io import write_csv
 from .linalg import log_softmax
-from .nn import Network, accuracy, cross_entropy, mse_loss
+from .nn import ROW_BLOCK, Network, accuracy, cross_entropy, forward_in_blocks, mse_loss
 
 SCHEDULES = ("constant", "inverse_sqrt")
 LOSSES = ("mse", "ce", "ce+kd")
@@ -103,13 +103,17 @@ def learning_rate(config: TrainConfig, t: int) -> float:
 def sgd_step(net: Network, t: int, config: TrainConfig) -> None:
     """In-place update ``theta <- theta - eta_t * g`` of every parameter of ``net``.
 
-    One finiteness check and one axpy over the network's flat vectors. A
-    non-finite gradient raises before any parameter is touched, naming the
-    first offending ``{layer}.{name}`` key.
+    One finiteness check and one axpy over the network's flat vectors. The
+    check is the squared norm ``g @ g``, one BLAS pass with no boolean
+    temporary. Only when that is not finite, from a NaN or Inf or from
+    entries so large that their squares overflow (numpy then warns of the
+    overflow), does it scan entry by entry. A non-finite gradient raises
+    before any parameter is touched, naming the first offending
+    ``{layer}.{name}`` key.
     """
     eta = learning_rate(config, t)
     g = net.grad_vector()
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(np.dot(g, g)) and not np.all(np.isfinite(g)):
         key = next(k for k, v in net.grad_items().items() if not np.all(np.isfinite(v)))
         raise NumericalError(f"non-finite gradient in {key!r} at step {t}")
     theta = net.param_vector()
@@ -174,21 +178,17 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
     training optimizes the combined KD objective; accuracy is NaN for
     regression targets.
 
-    An image split (4-D) runs forward in blocks of ``config.batch_size``
-    images and the loss is formed once over their joined outputs. A conv
+    The split runs forward through :func:`~inhernet.nn.forward_in_blocks`
+    and the loss is formed once over the joined outputs, which equal a
+    single forward's. A row split goes in blocks of
+    :data:`~inhernet.nn.ROW_BLOCK` rows, so a large eval split neither
+    builds split-sized activations nor page-faults on every call. An image
+    split (4-D) goes in blocks of ``config.batch_size`` images: a conv
     layer's lowering buffers grow with the batch, about 9*r values per
-    padded pixel for an inherited one, so a whole split would build them
-    many times larger than training ever does. Each output row depends on
-    its own sample only, so the loss is the one a single forward gives. A
-    row split runs in one call, since per-call overhead outweighs its small
-    per-row buffers.
+    padded pixel for an inherited one, so larger blocks would build them
+    many times larger than training ever does.
     """
-    if x.ndim == 4:
-        b = config.batch_size
-        # an empty split still runs one forward, so the loss rejects it as before
-        out = np.concatenate([net.forward(x[lo:lo + b]) for lo in range(0, len(x) or 1, b)])
-    else:
-        out = net.forward(x)
+    out = forward_in_blocks(net, x, config.batch_size if x.ndim == 4 else ROW_BLOCK)
     if config.loss == "mse":
         return mse_loss(out, y)[0], float("nan")
     return cross_entropy(out, y)[0], accuracy(out, y)

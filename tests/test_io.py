@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inhernet.errors import CorruptionError, FormatError, RangeError
+from inhernet.experiments import spectral_mlp
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
                          save_checkpoint)
 from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
-from inhernet.rng import philox
+from inhernet.rng import STREAM_DATA, STREAM_SPLIT, philox
 from inhernet.train import TrainConfig, train
 
 
@@ -333,6 +334,17 @@ class TestSyntheticTasks:
     def test_mimic_requires_teacher(self):
         with pytest.raises(RangeError):
             gen_synthetic(SyntheticTask(kind="mimic", seed=1, n=10, dim=3))
+
+    @pytest.mark.parametrize("seed", [100, 101])
+    def test_mimic_labels_equal_one_teacher_forward(self, seed):
+        # 1,300 rows label in blocks of 512, 512 and 276
+        teacher = spectral_mlp([16, 48, 48, 8], seed=seed)
+        task = SyntheticTask(kind="mimic", seed=seed, n=1300, dim=16)
+        train_ds, eval_ds = gen_synthetic(task, teacher=teacher)
+        x = philox(seed, STREAM_DATA).standard_normal((task.n, task.dim))
+        perm = philox(seed, STREAM_SPLIT).permutation(task.n)
+        y = teacher.forward(x)[perm]
+        assert np.concatenate([eval_ds.y, train_ds.y]).tobytes() == y.tobytes()
 
     def test_paired_blobs_label_structure(self):
         task = SyntheticTask(kind="blobs", seed=13, n=600, dim=6, classes=3,

@@ -5,12 +5,12 @@ import copy
 import itertools
 import pickle
 
-from inhernet.errors import RangeError, ShapeError, StateError
+from inhernet.errors import NumericalError, RangeError, ShapeError, StateError
 from inhernet.experiments import perturb_heads
 from inhernet.inherit import inherit_conv, inherit_dense
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy, col2im,
-                         cross_entropy, finite_difference_grad, im2col, kn2row,
-                         kn2row_backward, make_mlp, mse_loss)
+                         cross_entropy, finite_difference_grad, forward_in_blocks, im2col,
+                         kn2row, kn2row_backward, make_mlp, mse_loss)
 from inhernet.rng import philox
 
 
@@ -193,6 +193,49 @@ class TestFirstLayerBackward:
         assert net.grad_vector().tobytes() == walked.tobytes()
         assert dx.shape == x.shape
         assert np.array_equal(layer.backward(net.layers[1].backward(grad)), dx)
+
+    def test_input_gated_first_layer_skips_the_gate_input_product(self, monkeypatch):
+        gen = philox(31, 0)
+        layer, x = FIRST_LAYERS["inherit_dense_input"](gen)
+        returned = []
+        gate_backward = type(layer)._gate_backward
+        monkeypatch.setattr(type(layer), "_gate_backward",
+                            lambda self, *a: returned.append(gate_backward(self, *a)) or returned[-1])
+        net = Network([layer])
+        w = gen.standard_normal(net.forward(x).shape)
+        net.zero_grads()
+        net.backward(w)
+        assert returned[-1] is None
+        skipped = net.grad_vector().copy()
+        net.zero_grads()
+        dx = layer.backward(w)
+        assert returned[-1].shape == x.shape
+        assert net.grad_vector().tobytes() == skipped.tobytes()
+        # dL/dx of L = sum(w * f(x)), by central differences
+        step, numeric = 1e-6, np.zeros_like(x)
+        for idx in np.ndindex(x.shape):
+            xp, xm = x.copy(), x.copy()
+            xp[idx] += step
+            xm[idx] -= step
+            numeric[idx] = np.sum(w * (layer.forward(xp) - layer.forward(xm))) / (2 * step)
+        assert np.max(np.abs(dx - numeric)) < 1e-6
+
+
+class TestForwardInBlocks:
+    def test_blocks_fill_one_array_and_a_short_tail_joins_the_last_block(self):
+        net = make_mlp([4, 8, 3], seed=0)
+        x = philox(44, 0).standard_normal((1025, 4))
+        outputs = []
+        forward = net.forward
+        net.forward = lambda xb: outputs.append(forward(xb)) or outputs[-1]
+        # a one-row tail would run through GEMV and round differently
+        assert forward_in_blocks(net, x).tobytes() == forward(x).tobytes()
+        assert [len(o) for o in outputs] == [512, 513]
+        outputs.clear()
+        assert forward_in_blocks(net, x[:768]) is outputs[-1]
+        assert [len(o) for o in outputs] == [768]
+        with pytest.raises(RangeError, match="block"):
+            forward_in_blocks(net, x, 0)
 
 
 class TestConv:

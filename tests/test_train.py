@@ -7,7 +7,8 @@ from inhernet.errors import NumericalError, RangeError, ShapeError
 from inhernet.experiments import build_toy_teacher, perturb_heads, toy_classification_data
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_network
 from inhernet.io import SyntheticTask, gen_synthetic
-from inhernet.nn import DenseLayer, Network, ReluLayer, cross_entropy, make_mlp, mse_loss
+from inhernet.nn import (DenseLayer, Network, ReluLayer, accuracy, cross_entropy, make_mlp,
+                         mse_loss)
 from inhernet.rng import philox
 from inhernet.io import Dataset
 from inhernet.linalg import log_softmax
@@ -67,14 +68,24 @@ class TestSgdStep:
         with pytest.raises(NumericalError, match="step 7"):
             sgd_step(net, 7, cfg())
 
-    def test_nonfinite_flat_gradient_names_layer_key(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_flat_gradient_names_layer_key(self, bad):
         net = Network([DenseLayer(np.ones((3, 4)), np.zeros(4)), ReluLayer(),
                        inherit_dense(np.eye(4), 2, 3, bias=np.zeros(4))])
         before = net.param_vector().copy()
-        net.layers[2].grads["head_1"][0, 2] = np.nan
+        net.layers[2].grads["head_1"][0, 2] = bad
         with pytest.raises(NumericalError, match=r"'2\.head_1' at step 12"):
             sgd_step(net, 12, cfg())
         assert np.array_equal(net.param_vector(), before)
+
+    def test_gradient_whose_squared_norm_overflows_still_steps(self):
+        net = Network([DenseLayer(np.ones((3, 4)), np.zeros(4))])
+        g = net.grad_vector()
+        g[...] = philox(43, 0).uniform(-2e160, 2e160, size=g.size)
+        expected = net.param_vector() - 0.1 / np.sqrt(5) * g
+        with pytest.warns(RuntimeWarning, match="overflow"):   # numpy's, from g @ g
+            sgd_step(net, 5, cfg(base_lr=0.1))
+        assert net.param_vector().tobytes() == expected.tobytes()
 
 
 class TestKdLoss:
@@ -331,14 +342,25 @@ class TestTrain:
         with pytest.raises(NumericalError, match="input"):
             evaluate(net, x, y, cfg(batch_size=4))
 
-    def test_row_split_evaluates_in_one_forward(self):
+    def test_row_split_evaluates_in_row_blocks(self):
         net = make_mlp([4, 8, 3], seed=0)
-        x = philox(42, 0).standard_normal((20, 4))
+        x = philox(42, 0).standard_normal((1300, 4))
+        y = np.arange(1300) % 3
+        out = net.forward(x)
+        whole = cross_entropy(out, y)[0], accuracy(out, y)
         sizes = []
         forward = net.forward
         net.forward = lambda xb: sizes.append(len(xb)) or forward(xb)
-        evaluate(net, x, np.arange(20) % 3, cfg(loss="ce", batch_size=4))
+        assert evaluate(net, x, y, cfg(loss="ce", batch_size=4)) == whole
+        assert sizes == [512, 512, 276]
+        sizes.clear()
+        evaluate(net, x[:20], y[:20], cfg(loss="ce", batch_size=4))
         assert sizes == [20]
+        with pytest.raises(ShapeError, match="empty"):
+            evaluate(net, x[:0], y[:0], cfg(loss="ce"))
+        x[1100, 2] = np.nan
+        with pytest.raises(NumericalError, match="input"):
+            evaluate(net, x, y, cfg(loss="ce"))
 
     def test_teacher_runs_once_per_call(self):
         task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
