@@ -82,8 +82,9 @@ def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
 
     A mimic task's targets are the teacher's outputs on its inputs, formed
     by :func:`~inhernet.nn.forward_in_blocks` in blocks of
-    :data:`~inhernet.nn.ROW_BLOCK` rows: they equal a single forward's bit
-    for bit, while the teacher's activations stay the size of a block.
+    :data:`~inhernet.nn.ROW_BLOCK` rows, so the teacher's activations stay
+    the size of a block. They are a single forward's outputs up to the
+    last-place rounding that function describes.
     """
     gen = _rng.philox(task.seed, _rng.STREAM_DATA)
     if task.kind == "blobs":

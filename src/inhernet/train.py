@@ -179,8 +179,8 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
     regression targets.
 
     The split runs forward through :func:`~inhernet.nn.forward_in_blocks`
-    and the loss is formed once over the joined outputs, which equal a
-    single forward's. A row split goes in blocks of
+    and the loss is formed once over the joined outputs, which are a single
+    forward's up to last-place rounding. A row split goes in blocks of
     :data:`~inhernet.nn.ROW_BLOCK` rows, so a large eval split neither
     builds split-sized activations nor page-faults on every call. An image
     split (4-D) goes in blocks of ``config.batch_size`` images: a conv
