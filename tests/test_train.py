@@ -68,15 +68,15 @@ class TestSgdStep:
         with pytest.raises(NumericalError, match="step 7"):
             sgd_step(net, 7, cfg())
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_flat_gradient_names_layer_key(self, bad):
+    def test_nonfinite_flat_gradient_names_layer_key(self):
         net = Network([DenseLayer(np.ones((3, 4)), np.zeros(4)), ReluLayer(),
                        inherit_dense(np.eye(4), 2, 3, bias=np.zeros(4))])
         before = net.param_vector().copy()
-        net.layers[2].grads["head_1"][0, 2] = bad
-        with pytest.raises(NumericalError, match=r"'2\.head_1' at step 12"):
-            sgd_step(net, 12, cfg())
-        assert np.array_equal(net.param_vector(), before)
+        for bad in (np.nan, np.inf, -np.inf):
+            net.layers[2].grads["head_1"][0, 2] = bad
+            with pytest.raises(NumericalError, match=r"'2\.head_1' at step 12"):
+                sgd_step(net, 12, cfg())
+            assert np.array_equal(net.param_vector(), before)
 
     def test_gradient_whose_squared_norm_overflows_still_steps(self):
         net = Network([DenseLayer(np.ones((3, 4)), np.zeros(4))])
