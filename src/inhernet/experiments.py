@@ -119,12 +119,12 @@ def build_toy_teacher(data) -> Network:
     return teacher
 
 
-def spectral_mlp(dims: list[int], seed: int, decay: float = 0.8,
-                 scale: float = 2.0) -> Network:
+def spectral_mlp(dims: list[int], seed: int, decay: float = 0.8) -> Network:
     """ReLU MLP whose weights have geometrically decaying singular values.
 
-    Stand-in for a well-trained teacher: random orthogonal factors around a
-    prescribed spectrum, so low-rank truncations retain most of the energy.
+    Stand-in for a well-trained teacher: random orthogonal factors around
+    the spectrum ``2 * decay**i``, so low-rank truncations retain most of
+    the energy.
     """
     layers = []
     for i, (m, n) in enumerate(zip(dims[:-1], dims[1:])):
@@ -132,7 +132,7 @@ def spectral_mlp(dims: list[int], seed: int, decay: float = 0.8,
         qa, _ = np.linalg.qr(gen.standard_normal((m, m)))
         qb, _ = np.linalg.qr(gen.standard_normal((n, n)))
         k = min(m, n)
-        s = scale * decay ** np.arange(k)
+        s = 2.0 * decay ** np.arange(k)
         layers.append(DenseLayer((qa[:, :k] * s) @ qb[:k, :], np.zeros(n)))
         if i < len(dims) - 2:
             layers.append(ReluLayer())

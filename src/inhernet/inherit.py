@@ -18,10 +18,9 @@ they are saved and exposed under (:data:`KINDS`):
   ``shared_kernel`` (r filters), the up stack per-head 1x1 expansions
   ``head_{h}`` (N, r) with biases ``head_bias_{h}``; the gate reads the
   spatial mean of the code map. A dense layer is the one-pixel case of
-  this layer. The shared stage lowers by its shape: through
-  :func:`~inhernet.nn.kn2row` when its input has more channels than the
-  code, which its few output channels then make cheaper than the teacher
-  conv's im2col, and through :func:`~inhernet.nn.im2col` otherwise.
+  this layer. The shared stage is a convolution with r filters, and it
+  runs the teacher conv's code, :func:`~inhernet.nn.conv_lowered`, which
+  picks the cheaper lowering for those few output channels.
 
 The ablation kinds gate on the input; a frozen gate (``no-gate``) is
 exactly uniform and has no parameters. Each layer mixes its heads in the
@@ -55,8 +54,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import RangeError, ShapeError
 from .linalg import softmax, truncated_svd
-from .nn import (Layer, Network, ReluLayer, check_conv_geometry, col2im, conv_output_size,
-                 im2col, kaiming_uniform, kn2row, kn2row_backward, sum_of_products)
+from .nn import (Layer, Network, ReluLayer, check_conv_geometry, conv_lowered,
+                 conv_lowered_backward, kaiming_uniform)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
@@ -295,14 +294,9 @@ class InherConv2DLayer(GatedMixture):
     sample. The heads mix in weight space: each sample's gate sums the
     heads into one (N, r) matrix ``M``, which multiplies that sample's (r,
     OH*OW) code map, and the backward draws the heads' and the gate's
-    gradients from one per-sample product grad_out @ code^T.
-
-    The shared stage lowers by the shape of its input. With more input
-    channels than the code has (c > r) it runs through kn2row and keeps the
-    padded input for its backward, not a patch matrix. Otherwise, as in an
-    RGB first layer, kn2row loses, so it runs through im2col, keeps the
-    patch matrix, and its kernel gradient is one sum of per-sample
-    products; its input gradient, when formed, folds back through col2im.
+    gradients from one per-sample product grad_out @ code^T. The shared
+    stage runs through :func:`~inhernet.nn.conv_lowered`, like the teacher
+    conv, and keeps only the buffer it hands back.
     """
 
     kind = "inherit_conv"
@@ -322,33 +316,18 @@ class InherConv2DLayer(GatedMixture):
                              f"{up.shape[1]} output channels")
         self.stride, self.padding = stride, padding
         self._store_stacks(self.kind, down, up, bias, down.shape[1], gate_weight, gate_bias)
-        self._z = None
+        self._kept = None
 
     @property
     def rank(self) -> int:
         return self.blocks["up"].shape[2]
 
-    @property
-    def lowers_by_im2col(self) -> bool:
-        """Whether the shared stage lowers through im2col: its input is no wider than the code."""
-        _, r, c = self.blocks["down"].shape[:3]
-        return c <= r
-
     def forward(self, x):
         k = self.blocks["down"][0]
-        r, c, kh, kw = k.shape
-        if x.ndim != 4 or x.shape[1] != c:
-            raise ShapeError(f"inherited conv expects (B, {c}, H, W), got {x.shape}")
-        b = x.shape[0]
-        if self.lowers_by_im2col:
-            oh = conv_output_size(x.shape[2], kh, self.stride, self.padding)
-            ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
-            lowered = im2col(x, kh, kw, self.stride, self.padding)
-            z = k.reshape(r, -1) @ lowered                          # (B, r, OH*OW)
-        else:
-            code, lowered = kn2row(x, k, self.stride, self.padding)   # (B, r, OH, OW)
-            oh, ow = code.shape[2:]
-            z = code.reshape(b, r, oh * ow)
+        self._kept = None    # drop the last batch's buffer first, so two are never alive
+        code, self._kept = conv_lowered(x, k, self.stride, self.padding)   # (B, r, OH, OW)
+        b, r, oh, ow = code.shape
+        z = code.reshape(b, r, oh * ow)
         pooled = z.mean(axis=2)
         g = self._gate(pooled)
         up, bias = self.blocks["up"], self.blocks.get("bias")
@@ -356,13 +335,13 @@ class InherConv2DLayer(GatedMixture):
         y = m @ z
         if bias is not None:
             y += (g @ bias)[:, :, None]
-        self._x_shape, self._lowered = x.shape, lowered
+        self._x_shape = x.shape
         self._z, self._pooled, self._g, self._m = z, pooled, g, m
         return y.reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         """Returns dL/dx, or None while ``input_grad`` is cleared."""
-        self._require_forward("_z")
+        self._require_forward("_kept")
         z, g = self._z, self._g
         b, r, p = z.shape
         up, bias = self.blocks["up"], self.blocks.get("bias")
@@ -376,17 +355,10 @@ class InherConv2DLayer(GatedMixture):
             s += gy_sum @ bias.T
         dz = self._m.transpose(0, 2, 1) @ gy
         dz += self._gate_backward(g, self._pooled, s)[:, :, None] / p
-        k = self.blocks["down"][0]
-        if not self.lowers_by_im2col:
-            dk, dx = kn2row_backward(dz, self._lowered, k, self.stride, self.padding,
-                                     self.input_grad)
-            self.grad_blocks["down"] += dk[None]
-            return dx
-        self.grad_blocks["down"] += sum_of_products(dz, self._lowered).reshape(1, *k.shape)
-        if not self.input_grad:
-            return None
-        return col2im(k.reshape(r, -1).T @ dz, self._x_shape, *k.shape[2:], self.stride,
-                      self.padding)
+        dk, dx = conv_lowered_backward(dz, self._kept, self._x_shape, self.blocks["down"][0],
+                                       self.stride, self.padding, self.input_grad)
+        self.grad_blocks["down"] += dk[None]
+        return dx
 
 
 def _svd_start(w: np.ndarray, r: int, h: int, mode: str, gate_input: str):

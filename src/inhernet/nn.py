@@ -12,17 +12,12 @@ vector operations. A central-difference oracle
 analytic gradient in the package.
 
 Image batches are C-contiguous NCHW arrays, (B, C, H, W), and every conv
-layer returns one. A teacher convolution lowers to GEMMs through
-:func:`im2col`, whose patch matrix is channels first, (B, C*kh*kw, OH*OW):
-a kernel (N, C*kh*kw) multiplies it as ``k @ cols`` into (B, N, OH*OW),
-already NCHW, and :func:`col2im` folds (B, C*kh*kw, OH*OW) gradients back
-onto the image one contiguous (OH, OW) plane per kernel offset. The shared
-stage of an inherited convolution has only r output channels. When its
-input has more channels than that, it lowers through :func:`kn2row` and
-:func:`kn2row_backward` instead: one GEMM of the kernel stacked per offset
-against the padded image, then kh*kw shifted adds of r-channel planes, with
-no patch matrix built or kept. When its input is no wider than the code, as
-an RGB first layer is, it lowers through im2col like the teacher conv.
+layer returns one. Every convolution, a teacher :class:`Conv2DLayer` and
+the shared stage of an inherited one alike, lowers to GEMMs through one
+pair, :func:`conv_lowered` and :func:`conv_lowered_backward`, which picks
+the lowering from the kernel's shape. A layer keeps only the buffer the
+pair hands back and its input's shape, and drops the last batch's buffer
+before it lowers the next.
 
 Nothing reads the gradient with respect to a network's input, so
 :meth:`Network.backward` clears its first layer's ``input_grad`` for the
@@ -301,13 +296,8 @@ def kn2row(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     the padded input, which :func:`kn2row_backward` reads (Vasudevan,
     Anderson and Gregg 2017, arXiv:1704.04428).
 
-    Its shifted adds move kh*kw*R values per output pixel where
-    :func:`im2col` copies kh*kw*C, and it keeps an image rather than a
-    patch matrix, so it suits a code narrower than its input. It loses at
-    R >= C: its forward is slower than im2col's there, and at R = C forward
-    plus backward gains nothing. The shared stage of an inherited conv
-    therefore takes it only when C > R, and im2col otherwise. A stride s
-    runs the GEMM at stride 1, s*s times the work the output needs.
+    A stride s runs the GEMM at stride 1, s*s times the work the output
+    needs. :func:`conv_lowered` says when this lowering is the cheaper one.
     """
     b, c, h, w = x.shape
     r, _, kh, kw = kernel.shape
@@ -357,15 +347,63 @@ def kn2row_backward(grad_out: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
 def sum_of_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``sum_i a[i] @ c[i].T`` over samples i of (B, M, P) and (B, K, P): an (M, K) matrix.
 
-    One GEMM when P is 1, else one per sample, so neither operand is copied.
+    One GEMM per sample, so neither operand is copied.
     """
-    if a.shape[2] == 1:
-        return a[:, :, 0].T @ c[:, :, 0]
     return np.matmul(a, c.transpose(0, 2, 1)).sum(axis=0)
 
 
+def _lowers_by_kn2row(kernel: np.ndarray) -> bool:
+    """The rule of :func:`conv_lowered`: more input channels than filters."""
+    return kernel.shape[1] > kernel.shape[0]
+
+
+def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
+    """Convolve (B, C, H, W) with ``kernel`` (R, C, kh, kw), lowered by its shape.
+
+    Returns the output (B, R, OH, OW), C-contiguous, and the buffer that
+    :func:`conv_lowered_backward` reads; a caller keeps it without looking
+    inside. With more input channels than filters (C > R), as in the
+    r-filter shared stage of an inherited conv, it runs :func:`kn2row`
+    and the buffer is the padded input. Otherwise it runs :func:`im2col`
+    and one GEMM, ``kernel @ cols``, and the buffer is the patch matrix.
+
+    The rule follows the data each lowering moves. kn2row's shifted adds
+    move kh*kw*R values per output pixel where im2col copies kh*kw*C, and
+    it keeps an image rather than a patch matrix, so it wins when the
+    output is narrower than the input. At R >= C its forward is slower
+    than im2col's, and at R = C forward plus backward gains nothing.
+    """
+    r, c, kh, kw = kernel.shape
+    if x.ndim != 4 or x.shape[1] != c:
+        raise ShapeError(f"conv expects (B, {c}, H, W), got {x.shape}")
+    if _lowers_by_kn2row(kernel):
+        return kn2row(x, kernel, stride, padding)
+    b, _, h, w = x.shape
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    cols = im2col(x, kh, kw, stride, padding)
+    return (kernel.reshape(r, -1) @ cols).reshape(b, r, oh, ow), cols
+
+
+def conv_lowered_backward(grad_out: np.ndarray, kept: np.ndarray, x_shape,
+                          kernel: np.ndarray, stride: int, padding: int, input_grad: bool):
+    """Gradients of :func:`conv_lowered` for ``grad_out`` (B, R, OH, OW): (dL/dkernel, dL/dx).
+
+    ``kept`` is the buffer the forward returned for an input of shape
+    ``x_shape``. With ``input_grad`` false, dL/dx is None and is not formed.
+    """
+    if _lowers_by_kn2row(kernel):
+        return kn2row_backward(grad_out, kept, kernel, stride, padding, input_grad)
+    r, _, kh, kw = kernel.shape
+    gy = grad_out.reshape(len(grad_out), r, -1)                # (B, R, OH*OW)
+    dk = sum_of_products(gy, kept).reshape(kernel.shape)
+    if not input_grad:
+        return dk, None
+    return dk, col2im(kernel.reshape(r, -1).T @ gy, x_shape, kh, kw, stride, padding)
+
+
 class Conv2DLayer(Layer):
-    """2-D convolution via im2col + matmul.
+    """2-D convolution, lowered through :func:`conv_lowered`.
 
     Kernel shape is (n_filters, in_channels, kh, kw); inputs are
     (batch, in_channels, height, width).
@@ -391,41 +429,33 @@ class Conv2DLayer(Layer):
         self._store(blocks)
         self.stride = stride
         self.padding = padding
-        self._x = None
-        self._cols = None
+        self._kept = None
 
     @property
     def kernel(self) -> np.ndarray:
         return self.params["kernel"]
 
     def forward(self, x):
-        k = self.kernel
-        if x.ndim != 4 or x.shape[1] != k.shape[1]:
-            raise ShapeError(f"conv layer expects (B, {k.shape[1]}, H, W), "
-                             f"got {x.shape}")
-        n, _, kh, kw = k.shape
-        b = x.shape[0]
-        oh = conv_output_size(x.shape[2], kh, self.stride, self.padding)
-        ow = conv_output_size(x.shape[3], kw, self.stride, self.padding)
-        self._x = x
-        self._cols = im2col(x, kh, kw, self.stride, self.padding)
-        y = k.reshape(n, -1) @ self._cols                 # (B, N, OH*OW)
+        self._kept = None    # drop the last batch's buffer first, so two are never alive
+        y, self._kept = conv_lowered(x, self.kernel, self.stride, self.padding)
+        self._x_shape = x.shape
         if "bias" in self.params:
-            y += self.params["bias"][:, None]
-        return y.reshape(b, n, oh, ow)
+            y += self.params["bias"][:, None, None]
+        return y
 
     def backward(self, grad_out):
-        self._require_forward()
-        k = self.kernel
-        n, _, kh, kw = k.shape
-        gy = grad_out.reshape(len(grad_out), n, -1)          # (B, N, OH*OW)
-        self.grads["kernel"] += sum_of_products(gy, self._cols).reshape(k.shape)
+        self._require_forward("_kept")
+        dk, dx = conv_lowered_backward(grad_out, self._kept, self._x_shape, self.kernel,
+                                       self.stride, self.padding, self.input_grad)
+        self.grads["kernel"] += dk
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
-        if not self.input_grad:
-            return None
-        return col2im(k.reshape(n, -1).T @ gy, self._x.shape, kh, kw, self.stride,
-                      self.padding)
+        return dx
+
+
+def _require_finite_input(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise NumericalError(f"network input of shape {np.shape(x)} holds NaN or Inf")
 
 
 class Network:
@@ -470,8 +500,7 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run every layer on the batch ``x``, which must be finite: a ReLU maps NaN to 0."""
-        if not np.isfinite(x).all():
-            raise NumericalError(f"network input of shape {np.shape(x)} holds NaN or Inf")
+        _require_finite_input(x)
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x)
@@ -543,7 +572,8 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
     the layers' caches hold the last block's activations only, so the peak
     memory follows the block rather than the split. A split that fits in
     one block runs as that single call, with no copy; an empty one does
-    too, so a loss still rejects it.
+    too, so a loss still rejects it. A larger split is checked for NaN and
+    Inf once, before any block runs, so the error names the split's shape.
 
     Each output row depends on its own sample only, so the rows are a
     single forward's up to rounding in the last place. BLAS picks a GEMM
@@ -559,6 +589,7 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
     n = len(x)
     if n <= block:
         return net.forward(x)
+    _require_finite_input(x)
     first = net.forward(x[:block])
     out = np.empty((n, *first.shape[1:]), dtype=first.dtype)
     out[:block] = first
@@ -644,7 +675,7 @@ def kaiming_uniform(shape, fan_in: int, gen: np.random.Generator) -> np.ndarray:
     return gen.uniform(-bound, bound, size=shape)
 
 
-def make_mlp(dims: list[int], seed: int, bias: bool = True) -> Network:
+def make_mlp(dims: list[int], seed: int) -> Network:
     """Fully connected ReLU network with the given layer widths.
 
     Weights draw from the Kaiming-uniform distribution on the counter-based
@@ -656,7 +687,7 @@ def make_mlp(dims: list[int], seed: int, bias: bool = True) -> Network:
     for i, (m, n) in enumerate(zip(dims[:-1], dims[1:])):
         gen = _rng.philox(seed, _rng.STREAM_INIT, i)
         w = kaiming_uniform((m, n), fan_in=m, gen=gen)
-        layers.append(DenseLayer(w, np.zeros(n) if bias else None))
+        layers.append(DenseLayer(w, np.zeros(n)))
         if i < len(dims) - 2:
             layers.append(ReluLayer())
     return Network(layers)

@@ -18,6 +18,7 @@ step indexes both by the batch indices.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -195,8 +196,20 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
 
 
 def grad_norm(net: Network) -> float:
+    """The Euclidean norm of the flat gradient, from one dot product.
+
+    Only when that dot is not finite is the norm taken again on the
+    gradient scaled by its largest magnitude, so entries whose squares
+    overflow, as 2e160 does, still give a finite norm (numpy warns of the
+    overflow in the first dot), while a NaN or Inf entry still gives a
+    non-finite one.
+    """
     g = net.grad_vector()
-    return float(np.sqrt(np.dot(g, g)))
+    sq = float(np.dot(g, g))
+    if sq < math.inf or not np.all(np.isfinite(g)):
+        return math.sqrt(sq)
+    top = float(np.max(np.abs(g)))
+    return top * float(np.linalg.norm(g / top))
 
 
 def train(net: Network, data, config: TrainConfig,

@@ -80,7 +80,7 @@ class TestInheritCommand:
     def test_eval_within_five_percent_when_epsilon_small(self, tmp_path, capsys):
         # teacher constructed with fast spectral decay: every layer keeps
         # >= 99% energy at rank 3, so the inherited net evaluates alike
-        teacher = spectral_mlp([8, 32, 32, 3], seed=31, decay=0.4, scale=2.0)
+        teacher = spectral_mlp([8, 32, 32, 3], seed=31, decay=0.4)
         tpath = tmp_path / "spectral.ckpt"
         save_checkpoint(teacher, tpath)
         spath = tmp_path / "student.ckpt"

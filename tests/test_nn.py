@@ -12,6 +12,7 @@ from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy, 
                          cross_entropy, finite_difference_grad, forward_in_blocks, im2col,
                          kn2row, kn2row_backward, make_mlp, mse_loss)
 from inhernet.rng import philox
+from oracles import conv_loops
 
 
 def straight_line_mlp(weights, biases, x):
@@ -22,29 +23,6 @@ def straight_line_mlp(weights, biases, x):
         if i < len(weights) - 1:
             h = np.maximum(h, 0.0)
     return h
-
-
-def conv_loops(x, kernel, stride, padding):
-    """Explicit six-nested-loop convolution oracle."""
-    b, c, hh, ww = x.shape
-    n, _, kh, kw = kernel.shape
-    oh = (hh + 2 * padding - kh) // stride + 1
-    ow = (ww + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((b, n, oh, ow))
-    for bi in range(b):
-        for ni in range(n):
-            for oi in range(oh):
-                for oj in range(ow):
-                    acc = 0.0
-                    for ci in range(c):
-                        for ki in range(kh):
-                            for kj in range(kw):
-                                acc += (kernel[ni, ci, ki, kj]
-                                        * xp[bi, ci, oi * stride + ki,
-                                             oj * stride + kj])
-                    out[bi, ni, oi, oj] = acc
-    return out
 
 
 def max_relative_fd_deviation(net, loss_fn, x, y, step=1e-5):

@@ -99,18 +99,41 @@ def test_closed_form_modules_import_no_harness(name):
     assert package_modules_imported((SRC / name).read_text()) & harness == set()
 
 
+# the functions behind nn.conv_lowered and nn.conv_lowered_backward
+LOWERING_INTERNALS = {"im2col", "col2im", "kn2row", "kn2row_backward", "sum_of_products",
+                      "conv_output_size"}
+
+
+def names_imported_from(source: str, module: str) -> set[str]:
+    """The names a module's ``from .<module> import ...`` statements bind."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names}
+
+
+def test_convolutions_lower_only_through_the_nn_pair():
+    """The lowering rule lives in nn: the inherited conv calls the same pair
+    as the teacher conv, and no other module imports the functions behind it."""
+    imported = {path.name: names_imported_from(path.read_text(), "nn")
+                for path in sorted(SRC.glob("*.py")) if path.name != "nn.py"}
+    assert {"conv_lowered", "conv_lowered_backward"} <= imported["inherit.py"]
+    assert {name: names & LOWERING_INTERNALS for name, names in imported.items()
+            if names & LOWERING_INTERNALS} == {}
+
+
 @pytest.mark.parametrize("build,lowering", [
     (lambda k: nn.Conv2DLayer(k, padding=1), (nn.im2col, nn.col2im)),
+    (lambda k: nn.Conv2DLayer(k[:1], padding=1), (nn.kn2row, nn.kn2row_backward)),
     (lambda k: inherit_conv(k, 1, 2, padding=1), (nn.kn2row, nn.kn2row_backward)),
     (lambda k: inherit_conv(k, 2, 2, padding=1), (nn.im2col, nn.col2im))],
-    ids=["conv2d", "inherit_conv", "inherit_conv_narrow_input"])
+    ids=["conv2d", "conv2d_narrow_output", "inherit_conv", "inherit_conv_narrow_input"])
 def test_conv_layers_reach_their_lowering_through_a_module_binding(monkeypatch, build, lowering):
     """A tracer times a lowering function by rebinding it in every inhernet
     module that holds it; a conv layer that reached it another way would make
-    that timing read 0. The teacher conv lowers through im2col/col2im. The
-    inherited conv lowers through kn2row/kn2row_backward when its 2 input
-    channels outnumber its code (r = 1), and through im2col/col2im when they
-    do not (r = 2)."""
+    that timing read 0. Both conv layers lower by the kernel's shape: through
+    kn2row/kn2row_backward when the 2 input channels outnumber the filters (a
+    1-filter teacher conv, or an inherited conv's code at r = 1), and through
+    im2col/col2im otherwise (4 teacher filters, or r = 2)."""
     calls = {}
 
     def counting(key, fn):

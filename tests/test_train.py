@@ -13,7 +13,8 @@ from inhernet.rng import philox
 from inhernet.io import Dataset
 from inhernet.linalg import log_softmax
 from inhernet.train import (LOSSES, RUNLOG_COLUMNS, RunLog, TrainConfig, evaluate,
-                            gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
+                            gating_grad_variance, grad_norm, kd_loss, learning_rate, sgd_step,
+                            train)
 
 
 def cfg(**kw):
@@ -86,6 +87,27 @@ class TestSgdStep:
         with pytest.warns(RuntimeWarning, match="overflow"):   # numpy's, from g @ g
             sgd_step(net, 5, cfg(base_lr=0.1))
         assert net.param_vector().tobytes() == expected.tobytes()
+
+
+class TestGradNorm:
+    def test_squared_norm_overflow_gives_the_finite_norm(self):
+        net = make_mlp([3, 4], seed=0)                  # 16 parameters
+        net.grad_vector()[...] = 2e160
+        with pytest.warns(RuntimeWarning, match="overflow"):   # numpy's, from g @ g
+            assert grad_norm(net) == 8e160
+        for bad in (np.nan, np.inf):
+            net.grad_vector()[3] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(grad_norm(net))
+
+    def test_run_log_stays_finite_on_such_a_step(self):
+        # one step: dL/dW is 8e160 in each of 4 entries, so g @ g overflows
+        net = Network([DenseLayer(np.ones((4, 1)))])
+        one = Dataset(x=np.full((1, 4), 1e80), y=np.zeros((1, 1)), kind="regression")
+        with np.errstate(over="ignore"):
+            log = train(net, (one, one), cfg(base_lr=1e-200, epochs=1, batch_size=1))
+        assert log.grad_norm_mean[0] == pytest.approx(1.6e161)
+        assert np.isfinite(log.eval_loss[0])
 
 
 class TestKdLoss:
@@ -227,7 +249,7 @@ class TestTrain:
         task = SyntheticTask(kind="piecewise", seed=3, n=100, dim=4, classes=1,
                              out_dim=2)
         data = gen_synthetic(task)
-        net = make_mlp([4, 2], seed=1, bias=True)
+        net = make_mlp([4, 2], seed=1)
         before = {k: v.copy() for k, v in net.param_items().items()}
         log = train(net, data, cfg(epochs=0))
         assert len(log) == 0
@@ -358,9 +380,12 @@ class TestTrain:
         assert sizes == [20]
         with pytest.raises(ShapeError, match="empty"):
             evaluate(net, x[:0], y[:0], cfg(loss="ce"))
+        # the whole split is checked before any block runs, and the error names it
         x[1100, 2] = np.nan
-        with pytest.raises(NumericalError, match="input"):
+        sizes.clear()
+        with pytest.raises(NumericalError, match=r"input of shape \(1300, 4\) holds NaN"):
             evaluate(net, x, y, cfg(loss="ce"))
+        assert sizes == []
 
     def test_teacher_runs_once_per_call(self):
         task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
