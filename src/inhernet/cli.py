@@ -27,6 +27,7 @@ from .train import SCHEDULES, TrainConfig, evaluate, train
 
 GATE_HELP = ("what a dense layer's gate reads; conv layers gate on the pooled code, "
              "so 'input' is an error for a conv teacher")
+FRESH_HELP = "shapes a fresh inheritance; not read with --student, whose layers give their own"
 USER_ERRORS = (ValueError, NumericalError, FileNotFoundError)
 
 
@@ -124,7 +125,7 @@ def cmd_inherit(args) -> int:
         "heads": args.heads, "mode": args.mode, "gate": args.gate,
         "variant": args.variant})
     print(f"inherited network written to {args.out}")
-    report = analyze_network(teacher, net, r=args.rank, h=args.heads)
+    report = analyze_network(teacher, net)
     for line in report.summary_lines():
         print(line)
     return 0
@@ -180,8 +181,7 @@ def cmd_analyze(args) -> int:
     if args.alphas:
         influences = LayerInfluence.normalized(
             [float(v) for v in args.alphas.split(",")])
-    report = analyze_network(teacher, student, r=args.rank, h=args.heads,
-                             influences=influences)
+    report = analyze_network(teacher, student, influences)
     payload = json.loads(report.to_json())
     gen = np.random.Generator(np.random.Philox(key=[args.probe_seed, 0]))
     first = next(layer for layer in teacher.layers if factor_matrix(layer) is not None)
@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--student", default=None,
                    help="analyze this checkpoint instead of a fresh inheritance")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--heads", type=int, default=3)
+    p.add_argument("--rank", type=int, required=True, help=FRESH_HELP)
+    p.add_argument("--heads", type=int, default=3, help=FRESH_HELP)
     p.add_argument("--gate", choices=GATE_INPUTS, default="code", help=GATE_HELP)
     p.add_argument("--cap-rank", action="store_true")
     p.add_argument("--alphas", default=None,
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("insight", help="reproduce one of the trend experiments")
-    p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--which", type=int, choices=tuple(experiments.INSIGHTS), required=True)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", action="store_true", help="also write SVG charts")

@@ -10,6 +10,10 @@ Three trend experiments back the headline behavioral claims:
 3. SVD-initialized inheritors reach a near-teacher loss threshold in far
    fewer epochs than identically shaped randomly initialized ones.
 
+Each ``run_insight{n}`` returns its rows, a summary line and its chart's
+series; :func:`run_insight` runs one of them by number (:data:`INSIGHTS`)
+and is the one place that writes their CSV and SVG files.
+
 :func:`head_marginal_gains` checks a fourth trend on one fine-tuned layer:
 each added head lowers the approximation error by no more than the one
 before it.
@@ -84,14 +88,14 @@ def _check_seeds(seeds: int) -> None:
 
 def perturb_heads(net: Network, seed: int, gate_scale: float = 0.0) -> None:
     """Break the head replica symmetry of freshly inherited layers in place: jitter
-    every entry of the down and up blocks that ``inherit.KINDS`` makes per head
-    (not the bias) with Gaussian noise at ``HEAD_JITTER`` times its RMS."""
+    every entry of the down and up blocks a layer holds per head (not the bias)
+    with Gaussian noise at ``HEAD_JITTER`` times its RMS."""
     gen = _rng.philox(seed, 7)
     for layer in net.layers:
         if not isinstance(layer, GatedMixture):
             continue
         for block in ("down", "up"):
-            for p in layer.blocks[block] if "{}" in layer.stacked[block] else ():
+            for p in layer.blocks[block] if block in layer.per_head else ():
                 p += HEAD_JITTER * np.linalg.norm(p) / np.sqrt(p.size) * \
                     gen.standard_normal(p.shape)
         if gate_scale > 0.0 and not layer.gate_frozen:
@@ -150,7 +154,7 @@ def _toy_job(args) -> float:
     return train(net, data, cfg, teacher=teacher).eval_acc[-1]
 
 
-def run_insight1(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
+def run_insight1(seeds: int = 5) -> dict:
     """Sweep rank with and without distillation; report the per-rank deltas."""
     _check_seeds(seeds)
     data = toy_classification_data()
@@ -171,27 +175,19 @@ def run_insight1(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     nonpos_large = sum(1 for row in rows if row["r"] == largest and row["delta"] <= 0)
     summary = (f"distillation delta: positive at r={smallest} in {pos_small}/{seeds} "
                f"seeds, nonpositive at r={largest} in {nonpos_large}/{seeds} seeds")
-    result = {"rows": rows, "summary": summary, "seeds": seeds,
-              "pos_at_smallest": pos_small, "nonpos_at_largest": nonpos_large,
-              "majority_flip": pos_small * 2 > seeds and nonpos_large * 2 > seeds}
-    if out_dir is not None:
-        header = ["r", "seed", "acc_ce", "acc_kd", "delta"]
-        write_csv(os.path.join(out_dir, "insight1.csv"), header,
-                  [[row[k] for k in header] for row in rows])
-        if plot:
-            med = {kd: [float(np.median([acc[(r, s, kd)] for s in range(seeds)]))
-                        for r in INSIGHT1_RANKS] for kd in (False, True)}
-            write_svg_lines(os.path.join(out_dir, "insight1.svg"),
-                            {"task loss only": list(zip(INSIGHT1_RANKS, med[False])),
-                             "with distillation": list(zip(INSIGHT1_RANKS, med[True]))},
-                            title="final accuracy vs rank",
-                            xlabel="rank", ylabel="accuracy")
-    return result
+    med = {kd: [float(np.median([acc[(r, s, kd)] for s in range(seeds)]))
+                for r in INSIGHT1_RANKS] for kd in (False, True)}
+    chart = {"series": {"task loss only": list(zip(INSIGHT1_RANKS, med[False])),
+                        "with distillation": list(zip(INSIGHT1_RANKS, med[True]))},
+             "title": "final accuracy vs rank", "xlabel": "rank", "ylabel": "accuracy"}
+    return {"rows": rows, "summary": summary, "seeds": seeds, "chart": chart,
+            "pos_at_smallest": pos_small, "nonpos_at_largest": nonpos_large,
+            "majority_flip": pos_small * 2 > seeds and nonpos_large * 2 > seeds}
 
 
 # --- insight 2: rank vs head count --------------------------------------------
 
-def run_insight2(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
+def run_insight2(seeds: int = 5) -> dict:
     """Grid over (rank, head count); compare the two sweep ranges."""
     _check_seeds(seeds)
     data = toy_classification_data()
@@ -211,22 +207,14 @@ def run_insight2(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
         range_wins += (max(r_vals) - min(r_vals)) > (max(h_vals) - min(h_vals))
     summary = (f"rank-sweep range exceeds head-sweep range in {range_wins}/{seeds} "
                f"seeds; H=3 >= H=1 at r={mid} in {h3_ge_h1}/{seeds} seeds")
-    result = {"rows": rows, "summary": summary, "seeds": seeds,
-              "h3_ge_h1": h3_ge_h1, "range_wins": range_wins,
-              "majority": h3_ge_h1 * 2 > seeds and range_wins * 2 > seeds}
-    if out_dir is not None:
-        header = ["r", "h", "seed", "acc"]
-        write_csv(os.path.join(out_dir, "insight2.csv"), header,
-                  [[row[k] for k in header] for row in rows])
-        if plot:
-            series = {f"H={h}": [(r, float(np.median([acc[(r, h, s)]
-                                                      for s in range(seeds)])))
-                                 for r in INSIGHT1_RANKS]
-                      for h in INSIGHT2_HEADS}
-            write_svg_lines(os.path.join(out_dir, "insight2.svg"), series,
-                            title="final accuracy vs rank per head count",
-                            xlabel="rank", ylabel="accuracy")
-    return result
+    series = {f"H={h}": [(r, float(np.median([acc[(r, h, s)] for s in range(seeds)])))
+                         for r in INSIGHT1_RANKS]
+              for h in INSIGHT2_HEADS}
+    chart = {"series": series, "title": "final accuracy vs rank per head count",
+             "xlabel": "rank", "ylabel": "accuracy"}
+    return {"rows": rows, "summary": summary, "seeds": seeds, "chart": chart,
+            "h3_ge_h1": h3_ge_h1, "range_wins": range_wins,
+            "majority": h3_ge_h1 * 2 > seeds and range_wins * 2 > seeds}
 
 
 # --- insight 3: convergence speed of SVD init ---------------------------------
@@ -254,7 +242,7 @@ def _insight3_job(args):
     return (variant, seed, epochs, censored, log.eval_loss[-1], threshold)
 
 
-def run_insight3(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
+def run_insight3(seeds: int = 5) -> dict:
     """Epochs-to-threshold for SVD-initialized vs randomly initialized nets.
 
     The threshold is 1.05 times the SVD-initialized network's starting
@@ -272,32 +260,34 @@ def run_insight3(seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
     summary = (f"median epochs to threshold: svd-init {med['standard']:g} vs "
                f"random-init {med['no-svd']:g} "
                f"({'faster with svd init' if med['standard'] < med['no-svd'] else 'no speedup'})")
-    result = {"rows": rows, "summary": summary, "seeds": seeds,
-              "median_standard": med["standard"], "median_no_svd": med["no-svd"],
-              "svd_faster": med["standard"] < med["no-svd"]}
-    if out_dir is not None:
-        header = ["variant", "seed", "epochs_to_threshold", "censored",
-                  "final_eval_loss", "threshold"]
-        write_csv(os.path.join(out_dir, "insight3.csv"), header,
-                  [[row[k] for k in header] for row in rows])
-        if plot:
-            pts = {v: [(row["seed"], row["epochs_to_threshold"])
-                       for row in rows if row["variant"] == v]
-                   for v in ("standard", "no-svd")}
-            write_svg_lines(os.path.join(out_dir, "insight3.svg"), pts,
-                            title="epochs to threshold per seed",
-                            xlabel="seed", ylabel="epochs")
-    return result
+    pts = {v: [(row["seed"], row["epochs_to_threshold"]) for row in rows if row["variant"] == v]
+           for v in ("standard", "no-svd")}
+    chart = {"series": pts, "title": "epochs to threshold per seed",
+             "xlabel": "seed", "ylabel": "epochs"}
+    return {"rows": rows, "summary": summary, "seeds": seeds, "chart": chart,
+            "median_standard": med["standard"], "median_no_svd": med["no-svd"],
+            "svd_faster": med["standard"] < med["no-svd"]}
+
+
+INSIGHTS = {1: run_insight1, 2: run_insight2, 3: run_insight3}
 
 
 def run_insight(which: int, seeds: int = 5, out_dir=None, plot: bool = False) -> dict:
-    if which == 1:
-        return run_insight1(seeds, out_dir, plot)
-    if which == 2:
-        return run_insight2(seeds, out_dir, plot)
-    if which == 3:
-        return run_insight3(seeds, out_dir, plot)
-    raise ValueError(f"unknown insight {which}; expected 1, 2, or 3")
+    """Run insight ``which`` of :data:`INSIGHTS` over ``seeds`` seeds.
+
+    With ``out_dir`` its rows go to ``insight{which}.csv``, headed by the
+    rows' own keys, and with ``plot`` its chart to ``insight{which}.svg``.
+    """
+    if which not in INSIGHTS:
+        raise RangeError(f"unknown insight {which}; expected one of {tuple(INSIGHTS)}")
+    result = INSIGHTS[which](seeds)
+    if out_dir is not None:
+        rows = result["rows"]
+        write_csv(os.path.join(out_dir, f"insight{which}.csv"), list(rows[0]),
+                  [list(row.values()) for row in rows])
+        if plot:
+            write_svg_lines(os.path.join(out_dir, f"insight{which}.svg"), **result["chart"])
+    return result
 
 
 # --- head count: marginal gain of each added head -----------------------------

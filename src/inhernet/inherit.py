@@ -106,8 +106,10 @@ class GatedMixture(Layer):
 
     A subclass stores its down, up and bias stacks through
     ``_store_stacks`` as the blocks ``down``, ``up`` and ``bias`` (absent
-    without a bias), draws its per-sample gate (B, H) from ``_gate`` and
-    mixes its heads in the form its shape makes cheaper. Its backward
+    without a bias); ``per_head`` names those of them that hold one entry
+    per head, and the others hold one shared entry. It draws its
+    per-sample gate (B, H) from ``_gate`` and mixes its heads in the form
+    its shape makes cheaper. Its backward
     reduces the output gradient to the gate scores ``s = dL/dg`` (B, H) and
     hands them to ``_gate_backward``, the one place the softmax-gate
     backward is written.
@@ -121,13 +123,14 @@ class GatedMixture(Layer):
         parameters.
         """
         self.kind, self.stacked = kind, dict(zip(STACKS, KINDS[kind]))
+        self.per_head = tuple(name for name, view in self.stacked.items() if "{}" in view)
         blocks = {name: np.asarray(a, dtype=np.float64)
                   for name, a in zip(STACKS, (down, up, bias)) if a is not None}
-        h = next(len(blocks[k]) for k, v in self.stacked.items() if "{}" in v)
+        h = len(blocks[self.per_head[0]])
         if h < 1:
             raise RangeError("at least one expert head is required")
-        for name, view in self.stacked.items():
-            want = h if "{}" in view else 1
+        for name in STACKS:
+            want = h if name in self.per_head else 1
             if name in blocks and len(blocks[name]) != want:
                 raise ShapeError(f"{name} stack holds {len(blocks[name])} entries, expected {want}")
         if gate_weight is not None:

@@ -145,13 +145,14 @@ class TheoryReport:
         return lines
 
 
-def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
+def analyze_network(teacher: Network, inherited: Network,
                     influences: LayerInfluence | None = None) -> TheoryReport:
     """Build a TheoryReport for an inherited network against its teacher.
 
     Decomposable teacher layers (dense and conv) are paired positionally
-    with the inherited network's gated layers; per-layer ranks are read off
-    the built layers, so capped ranks report their effective value.
+    with the inherited network's gated layers; each layer's rank and head
+    count are read off the built layer, so a capped rank reports its
+    effective value and a ``symmetric`` layer its two branches.
     ``kappa_down`` is the condition number of a layer's shared down factor
     (``None``, JSON ``null``, when every head has its own).
     """
@@ -164,12 +165,12 @@ def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
     breakdown, spectra = [], []
     for (i, w), b_layer in zip(decomposed, built):
         m, n = w.shape
-        r_l = b_layer.rank
+        r_l, h = b_layer.rank, b_layer.n_heads
         s = np.linalg.svd(w, compute_uv=False)
         sq = s * s
         energy = float(sq[:r_l].sum() / sq.sum())
         down = b_layer.blocks["down"]
-        k_down = None if "{}" in b_layer.stacked["down"] else condition_number(
+        k_down = None if "down" in b_layer.per_head else condition_number(
             down[0].reshape(len(down[0]), -1))
         breakdown.append({
             "layer": i, "m": m, "n": n, "r": r_l, "h": h,
@@ -186,7 +187,8 @@ def analyze_network(teacher: Network, inherited: Network, r: int, h: int,
     ranks = [e["r"] for e in breakdown]
     kept = sum(float((s[:r] * s[:r]).sum()) for s, r in zip(spectra, ranks))
     total = sum(float((s * s).sum()) for s in spectra)
-    paper_den = sum(h * e["r"] * (e["m"] + e["n"]) + h * (e["r"] + 1) for e in breakdown)
+    paper_den = sum(e["h"] * e["r"] * (e["m"] + e["n"]) + e["h"] * (e["r"] + 1)
+                    for e in breakdown)
     if influences is None:
         influences = LayerInfluence.uniform(len(spectra))
     actual = inherited.param_count()

@@ -13,7 +13,7 @@ zeroing the gradients is one fill, the gradient norm one dot product and
 the SGD update one finiteness check plus one axpy. For distillation the
 frozen teacher runs once per ``train`` call, over the whole training
 split, and so does its log-softmax at the distillation temperature; every
-step indexes both by the batch indices.
+step takes that log-softmax's rows at the batch indices.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ def sgd_step(net: Network, t: int, config: TrainConfig) -> None:
     theta -= eta * g
 
 
-def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
-            labels: np.ndarray, config: TrainConfig,
-            teacher_log_probs: np.ndarray | None = None):
+def kd_loss(student_logits: np.ndarray, teacher_log_probs: np.ndarray,
+            labels: np.ndarray, config: TrainConfig):
     """Combined task + distillation loss and its gradient wrt student logits.
 
     ``L = lambda_ce * CE(student, labels)
@@ -133,30 +132,26 @@ def kd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
     gradient magnitude comparable across temperatures; differentiating the
     softened log-softmax contributes the remaining 1/tau.
 
-    ``teacher_log_probs``, when given, is ``log_softmax(teacher_logits /
-    tau)`` already formed by the caller: :func:`train` forms it once for
-    the whole training split and passes each batch its rows, which are
-    bit-identical to a per-batch log-softmax.
+    ``teacher_log_probs`` is the teacher's ``log_softmax(teacher_logits / tau)``;
+    :func:`train` forms it once per call and passes each batch its rows.
     """
-    if student_logits.shape != teacher_logits.shape:
+    if student_logits.shape != teacher_log_probs.shape:
         raise ShapeError(f"logit shapes differ: {student_logits.shape} "
-                         f"vs {teacher_logits.shape}")
+                         f"vs {teacher_log_probs.shape}")
     b = student_logits.shape[0]
     tau = config.temperature
     ce, ce_grad = cross_entropy(student_logits, labels)
-    # Both softened distributions come from log-softmax, so a saturated
+    # Both softened distributions are log-softmax outputs, so a saturated
     # teacher (p underflowing to 0) contributes 0 * finite, never 0 * log(0).
-    log_p = log_softmax(teacher_logits / tau) if teacher_log_probs is None else teacher_log_probs
     log_q = log_softmax(student_logits / tau)
-    p = np.exp(log_p)
-    kl = float(np.sum(p * (log_p - log_q)) / b)
+    p = np.exp(teacher_log_probs)
+    kl = float(np.sum(p * (teacher_log_probs - log_q)) / b)
     loss = config.lambda_ce * ce + config.lambda_kd * tau * tau * kl
     grad = config.lambda_ce * ce_grad + config.lambda_kd * tau * (np.exp(log_q) - p) / b
     return loss, grad
 
 
 def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                teacher_logits: np.ndarray | None = None,
                 teacher_log_probs: np.ndarray | None = None):
     logits = net.forward(x)
     if not np.isfinite(logits).all():
@@ -167,9 +162,9 @@ def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
         return mse_loss(logits, y)
     if config.loss == "ce":
         return cross_entropy(logits, y)
-    if teacher_logits is None:
+    if teacher_log_probs is None:
         raise RangeError("loss 'ce+kd' requires a teacher network")
-    return kd_loss(logits, teacher_logits, y, config, teacher_log_probs)
+    return kd_loss(logits, teacher_log_probs, y, config)
 
 
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
@@ -219,18 +214,17 @@ def train(net: Network, data, config: TrainConfig,
     ``data`` is a ``(train_split, eval_split)`` pair of datasets with ``x``
     and ``y`` arrays. ``epochs_to_threshold`` records the first epoch whose
     post-epoch evaluation loss is at or below ``config.threshold``. With
-    ``ce+kd`` the frozen teacher's logits for the whole training split are
-    computed once, up front.
+    ``ce+kd`` the frozen teacher's log-probabilities at the distillation
+    temperature are computed once for the whole training split, up front.
     """
     train_ds, eval_ds = data
     log = RunLog()
     n = train_ds.x.shape[0]
-    teacher_logits = None
+    teacher_log_probs = None
     if config.loss == "ce+kd":
         if teacher is None:
             raise RangeError("loss 'ce+kd' requires a teacher network")
-        teacher_logits = teacher.forward(train_ds.x)
-        teacher_log_probs = log_softmax(teacher_logits / config.temperature)
+        teacher_log_probs = log_softmax(teacher.forward(train_ds.x) / config.temperature)
     t = 0
     for epoch in range(config.epochs):
         start = time.perf_counter()
@@ -241,17 +235,18 @@ def train(net: Network, data, config: TrainConfig,
             idx = perm[lo:lo + config.batch_size]
             xb, yb = train_ds.x[idx], train_ds.y[idx]
             t += 1
-            kd_rows = () if teacher_logits is None else (teacher_logits[idx],
-                                                         teacher_log_probs[idx])
+            kd_rows = None if teacher_log_probs is None else teacher_log_probs[idx]
             try:
-                loss, grad = _batch_loss(net, xb, yb, config, *kd_rows)
+                loss, grad = _batch_loss(net, xb, yb, config, kd_rows)
                 if not np.isfinite(loss):
                     raise NumericalError(f"loss became non-finite; batch indices "
                                          f"{idx[:4].tolist()}...")
                 net.zero_grads()
                 net.backward(grad)
-                step_norms.append(grad_norm(net))
-                sgd_step(net, t, config)
+                # both dots fall back when a finite gradient's g @ g overflows
+                with np.errstate(over="ignore"):
+                    step_norms.append(grad_norm(net))
+                    sgd_step(net, t, config)
             except NumericalError as exc:
                 # the prefix names the step, which sgd_step's own message ends with
                 detail = str(exc).removesuffix(f" at step {t}")

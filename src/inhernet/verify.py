@@ -21,7 +21,7 @@ from .errors import CorruptionError, FormatError
 from .experiments import spectral_mlp
 from .inherit import InherNetLayer, factor_matrix, inherit_conv, inherit_dense, inherit_layer
 from .io import SyntheticTask, gen_synthetic, load_checkpoint, save_checkpoint
-from .linalg import frobenius_norm, softmax, truncated_svd, condition_number
+from .linalg import frobenius_norm, log_softmax, softmax, truncated_svd, condition_number
 from .nn import Conv2DLayer, DenseLayer, Network, finite_difference_grad, make_mlp, mse_loss
 from .theory import (compression_ratio_paper, eckart_young_error, preservation_bound,
                      rank_for_energy, LayerInfluence)
@@ -262,16 +262,16 @@ def suite_gradients() -> list[CheckResult]:
     cfg = TrainConfig(base_lr=0.1, epochs=1, batch_size=4, seed=0, loss="ce+kd",
                       lambda_ce=1.0, lambda_kd=9.0, temperature=2.0)
     sl = gen.standard_normal((6, 4))
-    tl = gen.standard_normal((6, 4))
+    tlp = log_softmax(gen.standard_normal((6, 4)) / cfg.temperature)
     labels = gen.integers(0, 4, size=6)
-    _, grad = kd_loss(sl, tl, labels, cfg)
+    _, grad = kd_loss(sl, tlp, labels, cfg)
     fd = np.zeros_like(sl)
     step = 1e-5
     for idx in np.ndindex(sl.shape):
         sp = sl.copy(); sp[idx] += step
         sm = sl.copy(); sm[idx] -= step
-        fd[idx] = (kd_loss(sp, tl, labels, cfg)[0]
-                   - kd_loss(sm, tl, labels, cfg)[0]) / (2 * step)
+        fd[idx] = (kd_loss(sp, tlp, labels, cfg)[0]
+                   - kd_loss(sm, tlp, labels, cfg)[0]) / (2 * step)
     mask = np.abs(grad) > 1e-6
     dev = float((np.abs(grad - fd)[mask] / np.abs(grad)[mask]).max())
     out.append(CheckResult("gradients", "distillation loss vs finite differences",
@@ -328,7 +328,7 @@ def suite_theory() -> list[CheckResult]:
                            full == 1.0 and mono, f"full-rank bound {full}"))
 
     teacher = spectral_mlp([24, 64, 64, 8], seed=77, decay=0.55)
-    student = inherit_by_energy(teacher, epsilon=1e-6, h=1)
+    student = inherit_by_energy(teacher, epsilon=1e-6)
     x = _rng.philox(78, 0).standard_normal((200, 24))
     mse = float(np.mean((student.forward(x) - teacher.forward(x)) ** 2))
     compressed = student.param_count() < teacher.param_count()
@@ -371,13 +371,13 @@ def suite_theory() -> list[CheckResult]:
     return out
 
 
-def inherit_by_energy(teacher: Network, epsilon: float, h: int = 1) -> Network:
-    """Inherit each dense and conv layer at the smallest rank keeping 1 - epsilon energy."""
+def inherit_by_energy(teacher: Network, epsilon: float) -> Network:
+    """Inherit every dense and conv layer at H=1 and the least rank keeping 1 - epsilon energy."""
     def rank(layer) -> int:      # a ReLU's is never read: inherit_layer gives it a new ReLU
         w = factor_matrix(layer)
         return 0 if w is None else rank_for_energy(np.linalg.svd(w, compute_uv=False), epsilon)
 
-    return Network([inherit_layer(layer, rank(layer), h) for layer in teacher.layers])
+    return Network([inherit_layer(layer, rank(layer), 1) for layer in teacher.layers])
 
 
 def _roundtrip_all_variants() -> tuple[bool, str]:

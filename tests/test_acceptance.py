@@ -234,7 +234,7 @@ def test_criterion_9_universality_proxy():
     ok = True
     for i, dims in enumerate(([24, 64, 64, 8], [16, 48, 48, 6], [32, 80, 80, 10])):
         teacher = spectral_mlp(dims, seed=1900 + i, decay=0.55)
-        student = inherit_by_energy(teacher, epsilon=1e-6, h=1)
+        student = inherit_by_energy(teacher, epsilon=1e-6)
         x = philox(1009, 0, i).standard_normal((300, dims[0]))
         mse = float(np.mean((student.forward(x) - teacher.forward(x)) ** 2))
         compressed = student.param_count() < teacher.param_count()

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from inhernet import cli
+from inhernet import cli, experiments
 from inhernet.cli import build_parser, main
 from inhernet.errors import (CorruptionError, DegenerateInputError, FormatError, NumericalError,
                              RangeError, ShapeError, StateError)
@@ -176,13 +176,14 @@ class TestDistillCommand:
         from inhernet.io import SyntheticTask, gen_synthetic
         from inhernet.train import TrainConfig, kd_loss
         from inhernet.nn import cross_entropy
+        from inhernet.linalg import log_softmax
         task = SyntheticTask(kind="blobs", seed=21, n=600, dim=8, classes=3,
                              separation=2.0)
         data = gen_synthetic(task)
         logits = teacher.forward(data[0].x[:32])
         cfg = TrainConfig(base_lr=0.01, epochs=1, batch_size=32, seed=0,
                           loss="ce+kd")
-        total, _ = kd_loss(logits, logits, data[0].y[:32], cfg)
+        total, _ = kd_loss(logits, log_softmax(logits / cfg.temperature), data[0].y[:32], cfg)
         ce, _ = cross_entropy(logits, data[0].y[:32])
         assert abs(total - cfg.lambda_ce * ce) < 1e-12
 
@@ -282,6 +283,25 @@ class TestAnalyzeStudent:
         payload = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert [e["kappa_down"] for e in payload["per_layer_breakdown"]] == [None] * 3
 
+    def test_rank_and_heads_come_from_the_student(self, tmp_path):
+        """``--rank`` and ``--heads`` shape a fresh inheritance only; a given
+        student's layers report their own."""
+        teacher = tmp_path / "teacher.ckpt"
+        save_checkpoint(spectral_mlp([24, 32, 4], seed=5), teacher)
+        student = tmp_path / "student.ckpt"
+        assert run_cli("inherit", "--teacher", str(teacher), "--rank", "4", "--heads", "2",
+                       "--out", str(student)) == 0
+        reports = []
+        for rank, heads in (("4", "2"), ("9", "5")):
+            out = tmp_path / f"r{rank}h{heads}.json"
+            assert run_cli("analyze", "--teacher", str(teacher), "--student", str(student),
+                           "--rank", rank, "--heads", heads, "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        payload = json.loads(reports[1])
+        assert [(e["r"], e["h"]) for e in payload["per_layer_breakdown"]] == [(4, 2), (4, 2)]
+        assert payload["rho_paper"] == (24 * 32 + 32 * 4) / (2 * 4 * 56 + 2 * 5 + 2 * 4 * 36 + 2 * 5)
+
 
 class TestInsightCommand:
     def test_insight3_writes_outputs(self, tmp_path, capsys):
@@ -313,7 +333,7 @@ class TestInsightCommand:
     ("train-teacher", "--schedule", SCHEDULES), ("train", "--schedule", SCHEDULES),
     ("distill", "--schedule", SCHEDULES), ("inherit", "--mode", COMBINER_MODES),
     ("inherit", "--gate", GATE_INPUTS), ("analyze", "--gate", GATE_INPUTS),
-    ("verify", "--suite", SUITES + ("all",))])
+    ("verify", "--suite", SUITES + ("all",)), ("insight", "--which", tuple(experiments.INSIGHTS))])
 def test_flag_choices_are_the_package_tuples(command, flag, values):
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices

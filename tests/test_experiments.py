@@ -91,6 +91,12 @@ class TestPerturbHeads:
                 assert np.array_equal(layer.params[key], value), key
 
 
+class TestRunInsight:
+    def test_unknown_insight_is_a_range_error(self):
+        with pytest.raises(RangeError, match="unknown insight 4"):
+            experiments.run_insight(4, seeds=1)
+
+
 class TestSeedCount:
     @pytest.mark.parametrize("run", [
         experiments.run_insight1, experiments.run_insight2, experiments.run_insight3,

@@ -145,7 +145,7 @@ class TestAnalyzeNetwork:
         teacher = spectral_mlp([10, 16, 4], seed=3, decay=0.6)
         from inhernet.inherit import inherit_network
         student = inherit_network(teacher, r=4, h=2, cap_rank=True)
-        report = analyze_network(teacher, student, r=4, h=2)
+        report = analyze_network(teacher, student)
         assert 0.0 <= report.spectral_energy_ratio <= 1.0
         assert report.preservation_lower_bound <= 1.0
         assert report.rho_paper > 0 and report.rho_actual > 0
@@ -176,7 +176,7 @@ def conv_teacher(seed: int) -> Network:
 class TestConvTeacher:
     def test_one_breakdown_row_per_conv_layer(self):
         teacher = conv_teacher(51)
-        report = analyze_network(teacher, inherit_network(teacher, r=3, h=2), r=3, h=2)
+        report = analyze_network(teacher, inherit_network(teacher, r=3, h=2))
         rows = report.per_layer_breakdown
         assert [(e["layer"], e["m"], e["n"], e["r"]) for e in rows] == [(0, 6, 18, 3),
                                                                        (2, 4, 54, 3)]
@@ -189,7 +189,7 @@ class TestConvTeacher:
 
     def test_energy_ranked_inheritance_keeps_conv_layers(self):
         teacher = conv_teacher(52)
-        student = inherit_by_energy(teacher, epsilon=1e-6, h=1)
+        student = inherit_by_energy(teacher, epsilon=1e-6)
         assert [type(l) for l in student.layers] == [InherConv2DLayer, ReluLayer,
                                                      InherConv2DLayer]
         x = philox(53, 0).standard_normal((5, 2, 9, 9))
@@ -201,7 +201,7 @@ class TestUniversalityProxy:
         for i, dims in enumerate(([24, 64, 64, 8], [16, 48, 48, 6],
                                   [32, 80, 80, 10])):
             teacher = spectral_mlp(dims, seed=40 + i, decay=0.55)
-            student = inherit_by_energy(teacher, epsilon=1e-6, h=1)
+            student = inherit_by_energy(teacher, epsilon=1e-6)
             x = philox(50 + i, 0).standard_normal((300, dims[0]))
             mse = float(np.mean((student.forward(x) - teacher.forward(x)) ** 2))
             assert mse <= 1e-4

@@ -121,6 +121,19 @@ def test_convolutions_lower_only_through_the_nn_pair():
             if names & LOWERING_INTERNALS} == {}
 
 
+def attributes_read(source: str) -> set[str]:
+    """The attribute names a module reads off any object, as in ``layer.stacked``."""
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def test_only_nn_and_inherit_read_the_stacked_view_names():
+    """``stacked`` holds checkpoint format v1's array names, "{}" marking a
+    per-head block; other modules ask a gated layer's ``per_head`` instead."""
+    readers = sorted(path.name for path in SRC.glob("*.py")
+                     if "stacked" in attributes_read(path.read_text()))
+    assert readers == ["inherit.py", "nn.py"]
+
+
 @pytest.mark.parametrize("build,lowering", [
     (lambda k: nn.Conv2DLayer(k, padding=1), (nn.im2col, nn.col2im)),
     (lambda k: nn.Conv2DLayer(k[:1], padding=1), (nn.kn2row, nn.kn2row_backward)),
