@@ -120,9 +120,10 @@ def cmd_inherit(args) -> int:
                           variant=args.variant, mode=args.mode,
                           gate_input=args.gate, seed=args.seed,
                           cap_rank=args.cap_rank)
+    # each layer records its own rank, head count and gate input, which can
+    # differ from the flags (--cap-rank, the symmetric variant's two branches)
     save_checkpoint(net, args.out, extra={
-        "teacher": os.path.basename(str(args.teacher)), "rank": args.rank,
-        "heads": args.heads, "mode": args.mode, "gate": args.gate,
+        "teacher": os.path.basename(str(args.teacher)), "mode": args.mode,
         "variant": args.variant})
     print(f"inherited network written to {args.out}")
     report = analyze_network(teacher, net)
@@ -280,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True)
     p.add_argument("--student", default=None,
                    help="analyze this checkpoint instead of a fresh inheritance")
-    p.add_argument("--rank", type=int, required=True, help=FRESH_HELP)
+    p.add_argument("--rank", type=int, default=None,
+                   help="required without --student; " + FRESH_HELP)
     p.add_argument("--heads", type=int, default=3, help=FRESH_HELP)
     p.add_argument("--gate", choices=GATE_INPUTS, default="code", help=GATE_HELP)
     p.add_argument("--cap-rank", action="store_true")
@@ -306,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and args.student is None and args.rank is None:
+        parser.error("analyze: the following argument is required without --student: --rank")
     _print_config(args)
     try:
         return args.func(args)

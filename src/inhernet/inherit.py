@@ -25,17 +25,26 @@ they are saved and exposed under (:data:`KINDS`):
 The ablation kinds gate on the input; a frozen gate (``no-gate``) is
 exactly uniform and has no parameters. Each layer mixes its heads in the
 space that is cheaper for its shape, and no step loops over heads in
-Python. A dense layer has one code per sample, so it mixes codes: the
-gate-weighted codes of all heads form one (B, H*r) matrix (summed over
-heads first when U is shared) and one GEMM against the stacked U gives the
-output. A convolution has one code per output pixel, so it mixes weights:
-each sample's gate sums the heads into one (N, r) matrix, as CondConv
-routes expert kernels into one per-example kernel, and that matrix
-multiplies the sample's (r, OH*OW) code map. Its output is NCHW without a
-transpose, and no per-head copy of the code map exists on either pass.
-Inheritance starts every head
-from the teacher's truncated SVD: D = ``U_r sqrt(S_r)``, U = ``sqrt(S_r)
-V_r^T`` (a conv kernel, reshaped to (N, c*kh*kw), is the transpose of W).
+Python. A dense layer has one code per sample, so it mixes codes, and its
+whole output stage is one GEMM. The gate-weighted codes of all heads
+(summed over heads first when U is shared) and the bias's gate columns (g
+itself for per-head biases, its row sum for a shared one) fill one
+(B, H_up*r + H_bias) buffer. That buffer multiplies the ``up`` and
+``bias`` blocks read as one (H_up*r + H_bias, n) matrix ``[up; bias]``,
+a view of the flat parameter vector, where the blocks sit side by side.
+The backward draws both blocks' gradients from ``buffer.T @ grad_out``,
+and the code gradient and the bias's share of the gate scores from
+``grad_out @ [up; bias].T``.
+
+A convolution has one code per output pixel, so it mixes weights: each
+sample's gate sums the heads into one (N, r) matrix, as CondConv routes
+expert kernels into one per-example kernel, and that matrix multiplies the
+sample's (r, OH*OW) code map. Its output is NCHW without a transpose, and
+no per-head copy of the code map exists on either pass.
+
+Inheritance starts every head from the teacher's truncated SVD: D =
+``U_r sqrt(S_r)``, U = ``sqrt(S_r) V_r^T`` (a conv kernel, reshaped to
+(N, c*kh*kw), is the transpose of W).
 In ``convex`` mode (default) each head holds the full factor, so any
 convex gating of identical heads reproduces the rank-r teacher exactly; in
 ``paper`` mode each holds one H-th of it, so uniform gating reproduces only
@@ -53,7 +62,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import RangeError, ShapeError
-from .linalg import softmax, truncated_svd
+from .linalg import softmax, sum_rows, truncated_svd
 from .nn import (Layer, Network, ReluLayer, check_conv_geometry, conv_lowered,
                  conv_lowered_backward, kaiming_uniform)
 
@@ -86,19 +95,14 @@ def _stack(arrays: dict[str, np.ndarray], name: str, h: int) -> np.ndarray:
     return arrays[name][None]
 
 
-def _sum_to(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``a`` over the axes where ``shape`` is 1, undoing a broadcast to ``a``."""
-    if a.shape == shape:
-        return a
-    axes = tuple(i for i, (m, n) in enumerate(zip(a.shape, shape)) if n == 1 and m != 1)
-    return a.sum(axis=axes, keepdims=True)
+def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``g_h * a_h`` for every head, from ``a`` (B, 1|H, r), summed over heads if ``k`` is 1.
 
-
-def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """``g_h * a_h`` for every head, from ``a`` (B, 1|H, r), summed over heads if ``k`` is 1."""
+    The (B, k, r) result goes to ``out`` when it is given.
+    """
     if k == 1 and a.shape[1] > 1:
-        return np.matmul(g[:, None, :], a)
-    return g[:, :, None] * a
+        return np.matmul(g[:, None, :], a, out=out)
+    return np.multiply(g[:, :, None], a, out=out)
 
 
 class GatedMixture(Layer):
@@ -172,7 +176,9 @@ class GatedMixture(Layer):
         """Per-sample gate weights (B, H); exactly uniform when the gate is frozen."""
         if self.gate_frozen:
             return np.full((gate_in.shape[0], self.n_heads), 1.0 / self.n_heads)
-        return softmax(gate_in @ self.params["gate_weight"] + self.params["gate_bias"])
+        logits = gate_in @ self.params["gate_weight"]
+        logits += self.params["gate_bias"]
+        return softmax(logits)
 
     def _gate_backward(self, g: np.ndarray, gate_in: np.ndarray, s: np.ndarray,
                        input_grad: bool = True) -> np.ndarray | None:
@@ -180,10 +186,13 @@ class GatedMixture(Layer):
 
         Adds the gate's gradients; returns dL/d ``gate_in``, zero for a
         frozen gate, or None when ``input_grad`` is false and nothing reads it.
+        The logits' gradient is formed in place in ``s``.
         """
         if self.gate_frozen:
             return np.zeros_like(gate_in) if input_grad else None
-        dlogits = g * (s - np.sum(g * s, axis=1, keepdims=True))
+        dlogits = s
+        dlogits -= sum_rows(g * s)
+        dlogits *= g
         self.grads["gate_weight"] += gate_in.T @ dlogits
         self.grads["gate_bias"] += dlogits.sum(axis=0)
         return dlogits @ self.params["gate_weight"].T if input_grad else None
@@ -195,12 +204,16 @@ class InherNetLayer(GatedMixture):
     ``down`` (1|H, m, r), ``up`` (1|H, r, n) and ``bias`` (1|H, n) are
     stacks, and ``kind`` fixes which of them are per head. The gate reads
     the code ``x @ w_down`` (``gate_input="code"``, ``inherit_dense`` only)
-    or the input ``x``. The heads mix in code space: the codes (B, 1|H, r),
-    weighted by the gate, meet the stacked up matrix in one GEMM over the
-    batch.
+    or the input ``x``. The heads mix in code space, and the output stage
+    is one GEMM: the gate-weighted codes (B, (1|H)*r) and the bias's gate
+    columns (B, 1|H) fill one buffer, which meets the ``up`` and ``bias``
+    blocks read as one ((1|H)*r + (0|1|H), n) matrix. The two blocks sit
+    next to each other in the flat vector, so that matrix is a view, built
+    whenever the blocks move.
     """
 
     settings = ("kind", "gate_input")
+    derived = GatedMixture.derived + ("_down", "_out", "_out_grad")
 
     def __init__(self, down: np.ndarray, up: np.ndarray, bias: np.ndarray | None = None,
                  gate_weight: np.ndarray | None = None, gate_bias: np.ndarray | None = None,
@@ -221,8 +234,20 @@ class InherNetLayer(GatedMixture):
                            gate_weight, gate_bias)
         self._x = None
 
+    def _expose(self) -> None:
+        super()._expose()
+        down, up = self.blocks["down"], self.blocks["up"]
+        # a shared down is the (m, r) matrix itself; a per-head one is copied per call
+        self._down = down[0] if len(down) == 1 else None
+        lo = down.size
+        hi = lo + up.size + (self.blocks["bias"].size if "bias" in self.blocks else 0)
+        self._out = self.flat[lo:hi].reshape(-1, up.shape[2])
+        self._out_grad = self.grad_flat[lo:hi].reshape(-1, up.shape[2])
+
     def _down_matrix(self) -> np.ndarray:
-        """The down stack as one (m, (1|H)*r) matrix; a view when shared."""
+        """The down stack as one (m, (1|H)*r) matrix."""
+        if self._down is not None:
+            return self._down
         down = self.blocks["down"]
         return down.transpose(1, 0, 2).reshape(down.shape[1], -1)
 
@@ -248,37 +273,36 @@ class InherNetLayer(GatedMixture):
         b = x.shape[0]
         z = x @ self._down_matrix()
         g = self.gate_values(x, z)
-        z = z.reshape(b, len(self.blocks["down"]), -1)
-        up, bias = self.blocks["up"], self.blocks.get("bias")
-        y = _gate_weighted(g, z, len(up)).reshape(b, -1) @ up.reshape(-1, up.shape[2])
-        if bias is not None:
-            y += _sum_to(g, (b, len(bias))) @ bias
-        self._x, self._z, self._g = x, z, g
-        return y
+        hu, r = len(self.blocks["up"]), self.rank
+        mix = np.empty((b, len(self._out)))       # [gate-weighted codes | bias gate columns]
+        _gate_weighted(g, z.reshape(b, -1, r), hu, out=mix[:, :hu * r].reshape(b, hu, r))
+        if self.has_head_bias:
+            # a shared bias is weighted by the gate's sum, as sum_h g_h b
+            mix[:, hu * r:] = g if "bias" in self.per_head else sum_rows(g)
+        self._x, self._z, self._g, self._mix = x, z, g, mix
+        return mix @ self._out
 
     def backward(self, grad_out):
-        """Recomputes the gate-weighted codes from the cached gate and codes
-        rather than cache H copies of the code."""
+        """Draws the ``up`` and ``bias`` gradients from one GEMM against the
+        forward's mixing buffer, and dL/d(codes) and the bias's gate scores
+        from one GEMM against the ``[up; bias]`` matrix."""
         self._require_forward()
         x, z, g = self._x, self._z, self._g
-        b, hd, r = z.shape
-        up, bias = self.blocks["up"], self.blocks.get("bias")
-        self.grad_blocks["up"] += (_gate_weighted(g, z, len(up)).reshape(b, -1).T
-                                   @ grad_out).reshape(up.shape)
-        dz_mix = (grad_out @ up.reshape(-1, up.shape[2]).T).reshape(b, -1, r)  # grad_out @ up_h^T
-        s = np.einsum("bhr,bhr->bh", z, dz_mix)
-        if bias is not None:
-            self.grad_blocks["bias"] += _sum_to(g.T @ grad_out, bias.shape)
-            s += grad_out @ bias.T
+        b, hd, hu, r = len(x), len(self.blocks["down"]), len(self.blocks["up"]), self.rank
+        self._out_grad += self._mix.T @ grad_out
+        dmix = grad_out @ self._out.T
+        dz_mix = dmix[:, :hu * r].reshape(b, hu, r)                 # grad_out @ up_h^T
+        s = np.einsum("bhr,bhr->bh", z.reshape(b, hd, r), dz_mix)
+        if self.has_head_bias:
+            s += dmix[:, hu * r:]                                   # grad_out @ bias_h^T
         code = self.gate_input == "code"
         # a code gate's input gradient feeds dz; an input gate's only dL/dx
-        dgate = self._gate_backward(g, z.reshape(b, -1) if code else x, s,
-                                    code or self.input_grad)
+        dgate = self._gate_backward(g, z if code else x, s, code or self.input_grad)
         dz = _gate_weighted(g, dz_mix, hd).reshape(b, -1)
         if code:
             dz += dgate
         d_down = self.grad_blocks["down"]
-        d_down += (x.T @ dz).reshape(x.shape[1], *d_down.shape[::2]).transpose(1, 0, 2)
+        d_down += (x.T @ dz).reshape(x.shape[1], hd, r).transpose(1, 0, 2)
         if not self.input_grad:
             return None
         gx = dz @ self._down_matrix().T

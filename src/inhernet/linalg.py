@@ -82,20 +82,58 @@ def truncated_svd(w, r: int) -> SvdFactorization:
     )
 
 
+# numpy sums fewer than this many entries left to right, so it reduces the
+# columns of a matrix this narrow to the same bits as its rows.
+NARROW_ROW = 8
+
+
+def _narrow(a: np.ndarray) -> bool:
+    return a.ndim == 2 and a.shape[1] < NARROW_ROW
+
+
+def sum_rows(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)``, bit for bit.
+
+    Reducing or broadcasting along a short last axis costs numpy one inner
+    loop per row, which dominates a (512, 3) gate. A matrix narrower than
+    :data:`NARROW_ROW` is copied transposed instead and summed down its
+    columns, one vector addition per column across all rows at once.
+    """
+    if not _narrow(a):
+        return a.sum(axis=-1, keepdims=True)
+    return np.add.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
+
+
+def _shifted(logits, what: str) -> tuple[np.ndarray, int]:
+    """``logits`` minus each row's maximum, after the shape and finiteness checks.
+
+    Returns a new array and the axis its rows run along: the last one, or 0
+    for a narrow matrix, which is shifted in a transposed copy (see
+    :func:`sum_rows`).
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if z.size == 0:
+        raise ShapeError(f"{what} of empty input")
+    if not np.isfinite(z).all():
+        raise NumericalError(f"{what} input contains NaN or Inf")
+    if _narrow(z):
+        t = z.T.copy()
+        t -= np.maximum.reduce(t, axis=0)
+        return t, 0
+    return z - z.max(axis=-1, keepdims=True), -1
+
+
 def softmax(logits) -> np.ndarray:
     """Softmax along the last axis, computed with max-subtraction.
 
     Accepts a vector or a batch of row vectors; outputs are in (0, 1]
-    and each row sums to 1.
+    and each row sums to 1. The exponential and the normalisation run in
+    place in the shifted copy.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise ShapeError("softmax of empty input")
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("softmax input contains NaN or Inf")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e, axis = _shifted(logits, "softmax")
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e.T.copy() if axis == 0 else e
 
 
 def log_softmax(logits) -> np.ndarray:
@@ -104,13 +142,9 @@ def log_softmax(logits) -> np.ndarray:
     Entries stay finite where the softmax itself underflows to 0, so
     products like ``p * log p`` never meet ``0 * log(0)``.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise ShapeError("log-softmax of empty input")
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("log-softmax input contains NaN or Inf")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, axis = _shifted(logits, "log-softmax")
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted.T.copy() if axis == 0 else shifted
 
 
 def frobenius_norm(w) -> float:

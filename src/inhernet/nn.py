@@ -41,12 +41,18 @@ class Layer:
     """Base layer: trainable arrays live in ``params``, their gradients in ``grads``.
 
     The storage behind both is ``blocks`` and ``grad_blocks``: ordered
-    dicts of arrays, in the order a :class:`Network` packs them. A block
-    named in ``stacked`` holds same-shaped arrays along its leading axis:
-    a view name with ``{}`` exposes one view per index (``head_{}`` gives
-    ``head_0``, ``head_1``, ...), any other name exposes the block's one
-    entry. Every other block is exposed under its own name. ``params`` and
-    ``grads`` are therefore views of the blocks, in the same order.
+    dicts of arrays, in the order a :class:`Network` packs them. The blocks
+    are always views of one flat parameter vector, ``flat``, and the
+    gradient blocks views of one flat gradient vector, ``grad_flat``, laid
+    out block after block in that order. A standalone layer allocates the
+    two vectors itself; a :class:`Network` moves them into slices of its
+    own. A block named in ``stacked`` holds same-shaped arrays along its
+    leading axis: a view name with ``{}`` exposes one view per index
+    (``head_{}`` gives ``head_0``, ``head_1``, ...), any other name exposes
+    the block's one entry. Every other block is exposed under its own name.
+    ``params`` and ``grads`` are therefore views of the blocks, in the same
+    order. A subclass that reads several adjacent blocks as one matrix
+    builds that view in ``_expose``, which runs whenever the blocks move.
 
     ``kind`` names the layer in checkpoint manifests. ``config()`` returns
     its manifest settings, the kind and the constructor arguments named in
@@ -59,19 +65,40 @@ class Layer:
     # False while Network.backward runs this layer as its first: backward
     # then forms parameter gradients only and returns None.
     input_grad = True
+    # Attributes tied to where the blocks live (views of the flat vectors and
+    # the network vector holding them); pickling and deepcopy drop them, and
+    # the copy rebuilds them from its blocks.
+    derived: tuple[str, ...] = ("params", "grads", "flat", "grad_flat", "packed_in")
 
     def __init__(self):
         self.blocks: dict[str, np.ndarray] = {}
         self.grad_blocks: dict[str, np.ndarray] = {}
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.packed_in: np.ndarray | None = None   # the flat vector holding the blocks
+        self.flat = self.grad_flat = np.empty(0)
+        self.packed_in: np.ndarray | None = None   # the network vector holding ``flat``
 
     def _store(self, blocks: dict[str, np.ndarray]) -> None:
         """Adopt copies of ``blocks`` as this layer's trainable state, with zero gradients."""
-        self.blocks = {k: np.array(v, dtype=np.float64, order="C")
-                       for k, v in blocks.items()}
-        self.grad_blocks = {k: np.zeros_like(v) for k, v in self.blocks.items()}
+        size = sum(np.size(b) for b in blocks.values())
+        self._place(blocks, None, np.empty(size), np.zeros(size))
+
+    def _place(self, blocks: dict[str, np.ndarray], grad_blocks: dict[str, np.ndarray] | None,
+               flat: np.ndarray, grad_flat: np.ndarray) -> None:
+        """Copy ``blocks`` (and ``grad_blocks``, if given) into ``flat`` (and
+        ``grad_flat``) block after block, and make the slices the blocks."""
+        self.blocks, self.grad_blocks = {}, {}
+        offset = 0
+        for name, block in blocks.items():
+            shape = np.shape(block)
+            end = offset + np.size(block)
+            self.blocks[name] = flat[offset:end].reshape(shape)
+            self.blocks[name][...] = block
+            self.grad_blocks[name] = grad_flat[offset:end].reshape(shape)
+            if grad_blocks is not None:
+                self.grad_blocks[name][...] = grad_blocks[name]
+            offset = end
+        self.flat, self.grad_flat = flat, grad_flat
         self._expose()
 
     def _views(self, blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -97,29 +124,23 @@ class Layer:
         block becomes a view of the two vectors. Returns the offset just
         past this layer.
         """
-        for name, block in self.blocks.items():
-            end = offset + block.size
-            view = params[offset:end].reshape(block.shape)
-            view[...] = block
-            gview = grads[offset:end].reshape(block.shape)
-            gview[...] = self.grad_blocks[name]
-            self.blocks[name], self.grad_blocks[name] = view, gview
-            offset = end
+        end = offset + self.flat.size
+        self._place(self.blocks, self.grad_blocks, params[offset:end], grads[offset:end])
         self.packed_in = params
-        self._expose()
-        return offset
+        return end
 
     def __getstate__(self):
         # Views do not survive pickling or deepcopy; rebuild them from the blocks.
         state = dict(self.__dict__)
-        for derived in ("params", "grads", "packed_in"):
+        for derived in self.derived:
             state.pop(derived, None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        size = sum(b.size for b in self.blocks.values())
+        self._place(self.blocks, self.grad_blocks, np.empty(size), np.empty(size))
         self.packed_in = None
-        self._expose()
 
     def config(self) -> dict:
         return {"kind": self.kind, **{k: getattr(self, k) for k in self.settings}}
@@ -136,11 +157,10 @@ class Layer:
         raise NotImplementedError
 
     def zero_grads(self) -> None:
-        for g in self.grad_blocks.values():
-            g.fill(0.0)
+        self.grad_flat.fill(0.0)
 
     def param_count(self) -> int:
-        return sum(b.size for b in self.blocks.values())
+        return self.flat.size
 
     def _require_forward(self, attr: str = "_x"):
         if getattr(self, attr, None) is None:
@@ -620,7 +640,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log softmax probability of the true class.
 
     Returns (loss, grad wrt logits); the gradient is
-    (softmax - one_hot) / batch.
+    (softmax - one_hot) / batch, formed in place in the log-probabilities.
     """
     labels = np.asarray(labels)
     b, k = logits.shape
@@ -633,10 +653,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
                          f"min={labels.min()} max={labels.max()}")
     log_probs = log_softmax(logits)
     rows = np.arange(b)
-    loss = -float(np.mean(log_probs[rows, labels]))
-    grad = np.exp(log_probs)
+    loss = -float(log_probs[rows, labels].sum()) / b
+    grad = np.exp(log_probs, out=log_probs)
     grad[rows, labels] -= 1.0
-    return loss, grad / b
+    grad /= b
+    return loss, grad
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -134,6 +134,7 @@ def kd_loss(student_logits: np.ndarray, teacher_log_probs: np.ndarray,
 
     ``teacher_log_probs`` is the teacher's ``log_softmax(teacher_logits / tau)``;
     :func:`train` forms it once per call and passes each batch its rows.
+    The gradient is formed in place in the buffers of the two loss terms.
     """
     if student_logits.shape != teacher_log_probs.shape:
         raise ShapeError(f"logit shapes differ: {student_logits.shape} "
@@ -145,10 +146,17 @@ def kd_loss(student_logits: np.ndarray, teacher_log_probs: np.ndarray,
     # teacher (p underflowing to 0) contributes 0 * finite, never 0 * log(0).
     log_q = log_softmax(student_logits / tau)
     p = np.exp(teacher_log_probs)
-    kl = float(np.sum(p * (teacher_log_probs - log_q)) / b)
+    terms = teacher_log_probs - log_q
+    terms *= p
+    kl = float(terms.sum()) / b
     loss = config.lambda_ce * ce + config.lambda_kd * tau * tau * kl
-    grad = config.lambda_ce * ce_grad + config.lambda_kd * tau * (np.exp(log_q) - p) / b
-    return loss, grad
+    kd_grad = np.exp(log_q, out=log_q)
+    kd_grad -= p
+    kd_grad *= config.lambda_kd * tau
+    kd_grad /= b
+    ce_grad *= config.lambda_ce
+    ce_grad += kd_grad
+    return loss, ce_grad
 
 
 def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,

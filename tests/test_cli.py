@@ -136,6 +136,25 @@ class TestInheritCommand:
         x = philox(9, 0).standard_normal((30, 8))
         assert np.max(np.abs(a.forward(x) - b.forward(x))) < 1e-9
 
+    @pytest.mark.parametrize("variant,flags,ranks,heads,gates", [
+        ("symmetric", ("--rank", "3"), None, [2, 2, 2], ["input"] * 3),
+        ("standard", ("--rank", "30", "--cap-rank"), [8, 24, 3], [3, 3, 3], ["code"] * 3)])
+    def test_checkpoint_keeps_what_was_built(self, tmp_path, teacher_ckpt, variant, flags,
+                                             ranks, heads, gates):
+        """The symmetric variant builds two input-gated branches and --cap-rank
+        clamps each layer's rank, so the requested rank, heads and gate stay
+        out of the extra; every layer carries its own."""
+        out = tmp_path / "student.ckpt"
+        assert run_cli("inherit", "--teacher", str(teacher_ckpt), "--heads", "3",
+                       "--gate", "code", "--variant", variant, *flags, "--out", str(out)) == 0
+        student, extra = load_checkpoint(out)
+        assert extra == {"teacher": teacher_ckpt.name, "mode": "convex", "variant": variant}
+        gated = [layer for layer in student.layers if layer.kind != "relu"]
+        assert [layer.n_heads for layer in gated] == heads
+        assert [layer.gate_input for layer in gated] == gates
+        if ranks is not None:
+            assert [layer.rank for layer in gated] == ranks
+
     def test_rank_error_exits_nonzero_naming_layer(self, teacher_ckpt, tmp_path,
                                                    capsys):
         code = run_cli("inherit", "--teacher", str(teacher_ckpt), "--rank", "9",
@@ -282,6 +301,20 @@ class TestAnalyzeStudent:
                        "--rank", "3", "--heads", "2", "--out", str(out)) == 0
         payload = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert [e["kappa_down"] for e in payload["per_layer_breakdown"]] == [None] * 3
+
+    def test_rank_is_required_only_without_a_student(self, tmp_path, teacher_ckpt, capsys):
+        student = tmp_path / "student.ckpt"
+        assert run_cli("inherit", "--teacher", str(teacher_ckpt), "--rank", "3",
+                       "--out", str(student)) == 0
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--teacher", str(teacher_ckpt), "--student", str(student),
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["per_layer_breakdown"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--teacher", str(teacher_ckpt))
+        assert exc.value.code == 2
+        assert "required without --student: --rank" in capsys.readouterr().err
 
     def test_rank_and_heads_come_from_the_student(self, tmp_path):
         """``--rank`` and ``--heads`` shape a fresh inheritance only; a given

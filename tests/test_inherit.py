@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -452,6 +454,93 @@ class TestBlockVocabulary:
         with pytest.raises(ShapeError, match=message):
             InherNetLayer(np.zeros((hd, 6, 2)), np.zeros((hu, 2, 5)), np.zeros((hb, 5)),
                           gate_input="code" if kind == "inherit_dense" else "input", kind=kind)
+
+
+def per_head_oracle(layer: InherNetLayer, x):
+    """``sum_h g_h (x D_h U_h + b_h)`` head by head, with the gate formed here."""
+    def entry(block, h):
+        return layer.blocks[block][h if block in layer.per_head else 0]
+    codes = [x @ entry("down", h) for h in range(layer.n_heads)]
+    if layer.gate_frozen:
+        g = np.full((len(x), layer.n_heads), 1.0 / layer.n_heads)
+    else:
+        gate_in = codes[0] if layer.gate_input == "code" else x
+        logits = gate_in @ layer.params["gate_weight"] + layer.params["gate_bias"]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        g = e / e.sum(axis=1, keepdims=True)
+    out = np.zeros((len(x), layer.out_dim))
+    for h in range(layer.n_heads):
+        term = codes[h] @ entry("up", h)
+        if layer.has_head_bias:
+            term = term + entry("bias", h)
+        out += g[:, h:h + 1] * term
+    return out
+
+
+def _teacher(gen, bias=True):
+    return DenseLayer(gen.standard_normal((6, 5)), gen.standard_normal(5) if bias else None)
+
+
+DENSE_CASES = {
+    "code gate": lambda gen: inherit_layer(_teacher(gen), 2, 3),
+    "input gate": lambda gen: inherit_layer(_teacher(gen), 2, 3, gate_input="input"),
+    "one head": lambda gen: inherit_layer(_teacher(gen), 2, 1),
+    "inverse": lambda gen: inherit_layer(_teacher(gen), 2, 3, "inverse"),
+    "symmetric": lambda gen: inherit_layer(_teacher(gen), 2, 3, "symmetric"),
+    "frozen gate": lambda gen: inherit_layer(_teacher(gen), 2, 3, "no-gate"),
+    "no bias": lambda gen: inherit_layer(_teacher(gen, bias=False), 2, 3),
+    "inverse, no bias": lambda gen: inherit_layer(_teacher(gen, bias=False), 2, 3, "inverse"),
+}
+
+
+class TestFusedOutputStage:
+    """The output stage is one GEMM of the mixing buffer against ``[up; bias]``."""
+
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    def test_matches_the_per_head_oracle(self, case):
+        gen = philox(45, 0)
+        layer = DENSE_CASES[case](gen)
+        jitter(layer, gen)
+        x = gen.standard_normal((9, 6))
+        want = per_head_oracle(layer, x)
+        standalone = layer.forward(x)
+        Network([ReluLayer(), layer])
+        for out in (standalone, layer.forward(x)):
+            assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want), case
+
+    @pytest.mark.parametrize("case", list(DENSE_CASES))
+    def test_up_and_bias_are_adjacent_in_the_flat_vector(self, case):
+        layer = DENSE_CASES[case](philox(46, 0))
+        Network([ReluLayer(), layer])
+        up, bias = layer.blocks["up"], layer.blocks.get("bias")
+        start = up.__array_interface__["data"][0]
+        assert np.shares_memory(up, layer.flat)
+        if bias is not None:
+            assert bias.__array_interface__["data"][0] == start + up.nbytes
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_standalone_and_copied_layers_forward_like_the_bound_one(self, kind):
+        gen = philox(47, 0)
+        layer = BUILD_KIND[kind](gen)
+        jitter(layer, gen)
+        x = gen.standard_normal((2, 2, 5, 5) if kind == "inherit_conv" else (7, 6))
+        outputs = [layer.forward(x)]
+        copies = [copy.deepcopy(layer), pickle.loads(pickle.dumps(layer))]
+        bound = Network([layer]).forward(x)
+        copies += [copy.deepcopy(layer), pickle.loads(pickle.dumps(layer))]
+        for twin in copies:
+            assert not np.shares_memory(twin.flat, layer.flat)
+            assert all(np.shares_memory(b, twin.flat) for b in twin.blocks.values())
+            outputs.append(twin.forward(x))
+        for out in outputs:
+            assert out.tobytes() == bound.tobytes()
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_empty_batch_is_a_shape_error(self, kind):
+        net = Network([BUILD_KIND[kind](philox(48, 0))])
+        x = np.zeros((0, 2, 5, 5) if kind == "inherit_conv" else (0, 6))
+        with pytest.raises(ShapeError, match="^layer 0: .*empty"):
+            net.forward(x)
 
 
 class TestGradientGrid:

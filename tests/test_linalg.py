@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from inhernet.errors import DegenerateInputError, RangeError, ShapeError
-from inhernet.linalg import (condition_number, frobenius_norm, softmax,
-                             truncated_svd)
+from inhernet.linalg import (condition_number, frobenius_norm, log_softmax, softmax,
+                             sum_rows, truncated_svd)
 from inhernet.rng import philox
 
 
@@ -126,6 +126,22 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             softmax([])
+
+    @pytest.mark.parametrize("shape", [(3,), (9,), (1, 3), (64, 3), (512, 4), (16, 7),
+                                       (16, 8), (40, 12), (2, 5, 3)])
+    def test_matches_the_row_formula_bit_for_bit(self, shape):
+        z = philox(9, 0).standard_normal(shape) * 4.0
+        shifted = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=-1, keepdims=True)
+        for got, want in ((softmax(z), e / total), (log_softmax(z), shifted - np.log(total))):
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_sum_rows_is_the_row_sum_bit_for_bit(self, width):
+        a = np.exp(3.0 * philox(10, width).standard_normal((37, width)))
+        assert sum_rows(a).shape == (37, 1)
+        assert sum_rows(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
 
 
 class TestFrobeniusNorm:

@@ -533,6 +533,16 @@ class TestFlatStore:
     def test_every_array_is_a_view_of_the_flat_vectors(self):
         assert_packed(mixed_network(philox(30, 0)))
 
+    def test_a_standalone_layer_holds_its_blocks_in_one_vector(self):
+        gen = philox(36, 0)
+        for layer in (DenseLayer(gen.standard_normal((4, 6)), gen.standard_normal(6)),
+                      inherit_dense(gen.standard_normal((6, 5)), 2, 3, bias=gen.standard_normal(5)),
+                      inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 2)):
+            for blocks, flat in ((layer.blocks, layer.flat), (layer.grad_blocks, layer.grad_flat)):
+                assert all(np.shares_memory(b, flat) for b in blocks.values())
+                assert np.array_equal(np.concatenate([b.ravel() for b in blocks.values()]), flat)
+            assert layer.param_count() == layer.flat.size and not layer.grad_flat.any()
+
     def test_zero_grads_fill_in_place(self):
         net = mixed_network(philox(31, 0))
         before = net.grad_items()
