@@ -37,10 +37,15 @@ and the code gradient and the bias's share of the gate scores from
 ``grad_out @ [up; bias].T``.
 
 A convolution has one code per output pixel, so it mixes weights: each
-sample's gate sums the heads into one (N, r) matrix, as CondConv routes
-expert kernels into one per-example kernel, and that matrix multiplies the
-sample's (r, OH*OW) code map. Its output is NCHW without a transpose, and
-no per-head copy of the code map exists on either pass.
+sample's gate sums the heads into one matrix, as CondConv routes expert
+kernels into one per-example kernel, and that matrix multiplies the
+sample's code map. With a bias the code map gains a constant ones channel,
+(B, r+1, OH*OW), built in the one copy out of the lowering's output, and
+the head stage is one batched GEMM of ``[sum_h g_h U_h | sum_h g_h b_h]``
+(N, r+1) against it: the conv twin of the dense ``[up; bias]``. The
+backward draws the heads' rows, the bias column and the gate scores from
+one product ``grad_out @ code^T``. Its output is NCHW without a transpose,
+and no per-head copy of the code map exists on either pass.
 
 Inheritance starts every head from the teacher's truncated SVD: D =
 ``U_r sqrt(S_r)``, U = ``sqrt(S_r) V_r^T`` (a conv kernel, reshaped to
@@ -102,7 +107,9 @@ def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int, out: np.ndarray | None 
     """
     if k == 1 and a.shape[1] > 1:
         return np.matmul(g[:, None, :], a, out=out)
-    return np.multiply(g[:, :, None], a, out=out)
+    # bit-identical to g[:, :, None] * a, and faster on large batches, where
+    # the broadcast product's inner loop is only r entries long
+    return np.einsum("bh,bhr->bhr", g, a, out=out)
 
 
 class GatedMixture(Layer):
@@ -319,11 +326,13 @@ class InherConv2DLayer(GatedMixture):
     matrices applied as 1x1 convolutions and ``bias`` (H, N) their biases. The
     gate reads the spatial mean of the code map, one gate vector per
     sample. The heads mix in weight space: each sample's gate sums the
-    heads into one (N, r) matrix ``M``, which multiplies that sample's (r,
-    OH*OW) code map, and the backward draws the heads' and the gate's
-    gradients from one per-sample product grad_out @ code^T. The shared
-    stage runs through :func:`~inhernet.nn.conv_lowered`, like the teacher
-    conv, and keeps only the buffer it hands back.
+    heads ``[U_h | b_h]`` into one (N, r+1) matrix ``M``, which multiplies
+    that sample's code map with a ones channel appended, (r+1, OH*OW), so
+    the bias needs no pass of its own; without a bias both drop the extra
+    column and channel. The backward draws the heads', the biases' and the
+    gate's gradients from one per-sample product grad_out @ code^T. The
+    shared stage runs through :func:`~inhernet.nn.conv_lowered`, like the
+    teacher conv, and keeps only the buffer it hands back.
     """
 
     kind = "inherit_conv"
@@ -349,6 +358,14 @@ class InherConv2DLayer(GatedMixture):
     def rank(self) -> int:
         return self.blocks["up"].shape[2]
 
+    def _head_matrix(self) -> np.ndarray:
+        """The heads as one (H, N*(r+1)) matrix, row h the flattened [U_h | b_h];
+        (H, N*r) without a bias."""
+        up = self.blocks["up"]
+        if "bias" in self.blocks:
+            up = np.concatenate((up, self.blocks["bias"][:, :, None]), axis=2)
+        return up.reshape(len(up), -1)
+
     def forward(self, x):
         k = self.blocks["down"][0]
         self._kept = None    # drop the last batch's buffer first, so two are never alive
@@ -357,30 +374,31 @@ class InherConv2DLayer(GatedMixture):
         z = code.reshape(b, r, oh * ow)
         pooled = z.mean(axis=2)
         g = self._gate(pooled)
-        up, bias = self.blocks["up"], self.blocks.get("bias")
-        m = (g @ up.reshape(len(up), -1)).reshape(b, -1, r)          # (B, N, r)
-        y = m @ z
-        if bias is not None:
-            y += (g @ bias)[:, :, None]
+        if self.has_head_bias:
+            # the code map plus a ones channel, which the bias column reads
+            z = np.empty((b, r + 1, oh * ow))
+            z[:, :r] = code.reshape(b, r, oh * ow)
+            z[:, r] = 1.0
+        heads = self._head_matrix()
+        m = (g @ heads).reshape(b, -1, z.shape[1])                  # (B, N, r[+1])
         self._x_shape = x.shape
-        self._z, self._pooled, self._g, self._m = z, pooled, g, m
-        return y.reshape(b, -1, oh, ow)
+        self._z, self._pooled, self._g, self._m, self._heads = z, pooled, g, m, heads
+        return (m @ z).reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         """Returns dL/dx, or None while ``input_grad`` is cleared."""
         self._require_forward("_kept")
-        z, g = self._z, self._g
-        b, r, p = z.shape
-        up, bias = self.blocks["up"], self.blocks.get("bias")
+        z, g, m = self._z, self._g, self._m
+        b, ra, p = z.shape
+        r = self.rank
         gy = grad_out.reshape(b, -1, p)                           # (B, N, OH*OW)
-        c = (gy @ z.transpose(0, 2, 1)).reshape(b, -1)            # (B, N*r)
-        self.grad_blocks["up"] += (g.T @ c).reshape(up.shape)
-        s = c @ up.reshape(len(up), -1).T
-        if bias is not None:
-            gy_sum = gy.sum(axis=2)
-            self.grad_blocks["bias"] += g.T @ gy_sum
-            s += gy_sum @ bias.T
-        dz = self._m.transpose(0, 2, 1) @ gy
+        c = (gy @ z.transpose(0, 2, 1)).reshape(b, -1)            # (B, N*(r[+1]))
+        dheads = (g.T @ c).reshape(self.n_heads, -1, ra)
+        self.grad_blocks["up"] += dheads[:, :, :r]
+        if self.has_head_bias:
+            self.grad_blocks["bias"] += dheads[:, :, r]
+        s = c @ self._heads.T
+        dz = m[:, :, :r].transpose(0, 2, 1) @ gy
         dz += self._gate_backward(g, self._pooled, s)[:, :, None] / p
         dk, dx = conv_lowered_backward(dz, self._kept, self._x_shape, self.blocks["down"][0],
                                        self.stride, self.padding, self.input_grad)

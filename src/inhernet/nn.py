@@ -17,7 +17,9 @@ the shared stage of an inherited one alike, lowers to GEMMs through one
 pair, :func:`conv_lowered` and :func:`conv_lowered_backward`, which picks
 the lowering from the kernel's shape. A layer keeps only the buffer the
 pair hands back and its input's shape, and drops the last batch's buffer
-before it lowers the next.
+before it lowers the next. kn2row's buffer is the unpadded input itself:
+its padded copy lives only for the forward GEMM, and its backward works on
+the unpadded pixels, so dL/dx comes out C-contiguous in the input's shape.
 
 Nothing reads the gradient with respect to a network's input, so
 :meth:`Network.backward` clears its first layer's ``input_grad`` for the
@@ -232,8 +234,11 @@ class ReluLayer(Layer):
         return y
 
     def backward(self, grad_out):
+        # the mask as 0.0/1.0 floats, scaled in place: no mixed-type multiply
         self._require_forward("_y")
-        return grad_out * (self._y > 0.0)
+        grad = (self._y > 0.0).astype(np.float64)
+        grad *= grad_out
+        return grad
 
 
 def check_conv_geometry(stride: int, padding: int) -> None:
@@ -312,9 +317,11 @@ def kn2row(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     One GEMM of the kernel stacked per offset, (kh*kw*R, C), against each
     padded image seen as (C, Hp*Wp) gives every offset's R-channel response
     at every padded pixel. The output (B, R, OH, OW) sums kh*kw shifted
-    planes of it, reading every ``stride``-th pixel. Returns the output and
-    the padded input, which :func:`kn2row_backward` reads (Vasudevan,
-    Anderson and Gregg 2017, arXiv:1704.04428).
+    planes of it, reading every ``stride``-th pixel (Vasudevan, Anderson
+    and Gregg 2017, arXiv:1704.04428). Returns the output and the input
+    itself as the buffer :func:`kn2row_backward` reads, so the padded copy
+    lives only for the GEMM; an input that is not a C-contiguous float64
+    array is kept as such a copy.
 
     A stride s runs the GEMM at stride 1, s*s times the work the output
     needs. :func:`conv_lowered` says when this lowering is the cheaper one.
@@ -323,45 +330,65 @@ def kn2row(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     r, _, kh, kw = kernel.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     xp = _pad(x, padding)
     hp, wp = xp.shape[2:]
     planes = (_kernel_stack(kernel) @ xp.reshape(b, c, hp * wp)).reshape(b, kh, kw, r, hp, wp)
+    del xp
     y = planes[:, 0, 0, :, :stride * oh:stride, :stride * ow:stride].copy()
     for i in range(kh):
         for j in range(kw):
             if i or j:
                 y += planes[:, i, j, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return y, xp
+    return y, x
 
 
-def kn2row_backward(grad_out: np.ndarray, xp: np.ndarray, kernel: np.ndarray,
+def _taps(offset: int, stride: int, padding: int, n_out: int, size: int):
+    """Where kernel offset ``offset`` reads the unpadded input along one axis.
+
+    Output index o reads input index o*stride + offset - padding. Returns the
+    input positions that fall inside [0, size) and the output indices that
+    read them, as two slices, or None when every read lands in the padding.
+    """
+    lo = max(0, -((offset - padding) // stride))
+    hi = min(n_out, (size - 1 + padding - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + offset - padding
+    return slice(start, start + (hi - lo - 1) * stride + 1, stride), slice(lo, hi)
+
+
+def kn2row_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
                     stride: int, padding: int, input_grad: bool = True):
     """Gradients of :func:`kn2row` for ``grad_out`` (B, R, OH, OW): (dL/dkernel, dL/dx).
 
-    ``grad_out`` is written at each offset into a zeroed (B, kh*kw*R, Hp*Wp)
-    stack, the adjoint of the shifted sum. Its products with the padded
-    input give the kernel gradient; the stacked kernel's transpose times it
-    gives the padded input's gradient, returned cropped to the input. A
-    layer that has no use for dL/dx (``input_grad`` false) gets None in its
-    place, and the GEMM that forms it is skipped.
+    ``x`` is the buffer the forward returned, the unpadded input. Each
+    offset writes ``grad_out`` into a zeroed (B, kh*kw*R, H*W) stack at the
+    input pixels it read, the adjoint of the shifted sum restricted to the
+    image; reads of the padding add nothing to either gradient. The stack's
+    products with the input give the kernel gradient, and the stacked
+    kernel's transpose times it gives dL/dx, C-contiguous in the input's
+    shape. A layer that has no use for dL/dx (``input_grad`` false) gets
+    None in its place, and the GEMM that forms it is skipped.
     """
-    b, c, hp, wp = xp.shape
+    b, c, h, w = x.shape
     r, _, kh, kw = kernel.shape
-    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
     gy = grad_out.reshape(b, r, oh, ow)
-    stack = np.zeros((b, kh, kw, r, hp, wp), dtype=np.float64)
+    stack = np.zeros((b, kh, kw, r, h, w), dtype=np.float64)
     for i in range(kh):
+        rows = _taps(i, stride, padding, oh, h)
         for j in range(kw):
-            stack[:, i, j, :, i:i + stride * oh:stride, j:j + stride * ow:stride] = gy
-    stack = stack.reshape(b, kh * kw * r, hp * wp)
-    dk = sum_of_products(stack, xp.reshape(b, c, hp * wp))
+            cols = _taps(j, stride, padding, ow, w)
+            if rows is not None and cols is not None:
+                stack[:, i, j, :, rows[0], cols[0]] = gy[:, :, rows[1], cols[1]]
+    stack = stack.reshape(b, kh * kw * r, h * w)
+    dk = sum_of_products(stack, x.reshape(b, c, h * w))
     dk = dk.reshape(kh, kw, r, c).transpose(2, 3, 0, 1)
     if not input_grad:
         return dk, None
-    dxp = (_kernel_stack(kernel).T @ stack).reshape(b, c, hp, wp)
-    if padding:
-        return dk, dxp[:, :, padding:-padding, padding:-padding]
-    return dk, dxp
+    return dk, (_kernel_stack(kernel).T @ stack).reshape(b, c, h, w)
 
 
 def sum_of_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -384,14 +411,15 @@ def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     :func:`conv_lowered_backward` reads; a caller keeps it without looking
     inside. With more input channels than filters (C > R), as in the
     r-filter shared stage of an inherited conv, it runs :func:`kn2row`
-    and the buffer is the padded input. Otherwise it runs :func:`im2col`
-    and one GEMM, ``kernel @ cols``, and the buffer is the patch matrix.
+    and the buffer is the input itself, which the layer before holds
+    anyway. Otherwise it runs :func:`im2col` and one GEMM,
+    ``kernel @ cols``, and the buffer is the patch matrix.
 
     The rule follows the data each lowering moves. kn2row's shifted adds
     move kh*kw*R values per output pixel where im2col copies kh*kw*C, and
-    it keeps an image rather than a patch matrix, so it wins when the
-    output is narrower than the input. At R >= C its forward is slower
-    than im2col's, and at R = C forward plus backward gains nothing.
+    it keeps no buffer of its own, so it wins when the output is narrower
+    than the input. At R >= C its forward is slower than im2col's, and at
+    R = C forward plus backward gains nothing.
     """
     r, c, kh, kw = kernel.shape
     if x.ndim != 4 or x.shape[1] != c:
@@ -621,8 +649,11 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over every entry; returns (loss, grad wrt pred).
 
-    The gradient is formed in place in the difference, with the same two
-    roundings as ``2.0 * diff / diff.size``.
+    The gradient is formed in place in the difference as ``diff / (size / 2)``,
+    or as ``diff * (2 / size)`` when ``size`` is a power of two and that
+    factor is exact. Halving ``size`` is exact, so either way the one
+    rounding is that of ``2.0 * diff / size``, which it equals bit for bit
+    wherever ``2.0 * diff`` does not overflow.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
@@ -631,8 +662,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     diff = np.subtract(pred, target, dtype=np.float64)
     flat = diff.reshape(-1)
     loss = float(flat @ flat / flat.size)
-    diff *= 2.0
-    diff /= diff.size
+    if diff.size & (diff.size - 1):
+        diff /= diff.size / 2.0
+    else:
+        diff *= 2.0 / diff.size
     return loss, diff
 
 

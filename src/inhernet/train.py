@@ -159,13 +159,8 @@ def kd_loss(student_logits: np.ndarray, teacher_log_probs: np.ndarray,
     return loss, ce_grad
 
 
-def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
-                teacher_log_probs: np.ndarray | None = None):
-    logits = net.forward(x)
-    if not np.isfinite(logits).all():
-        last = len(net.layers) - 1
-        raise NumericalError(f"output of layer {last} ({net.layers[last].kind}) holds NaN "
-                             f"or Inf before the {config.loss!r} loss")
+def _loss(logits: np.ndarray, y: np.ndarray, config: TrainConfig,
+          teacher_log_probs: np.ndarray | None):
     if config.loss == "mse":
         return mse_loss(logits, y)
     if config.loss == "ce":
@@ -173,6 +168,33 @@ def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
     if teacher_log_probs is None:
         raise RangeError("loss 'ce+kd' requires a teacher network")
     return kd_loss(logits, teacher_log_probs, y, config)
+
+
+def _require_finite_output(net: Network, logits: np.ndarray, config: TrainConfig) -> None:
+    if not np.isfinite(logits).all():
+        last = len(net.layers) - 1
+        raise NumericalError(f"output of layer {last} ({net.layers[last].kind}) holds NaN "
+                             f"or Inf before the {config.loss!r} loss")
+
+
+def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
+                teacher_log_probs: np.ndarray | None = None):
+    """Forward ``x`` and take the configured loss of the output against ``y``.
+
+    A NaN or Inf in the output makes every loss either raise or come out
+    non-finite, so the output is scanned only then. A non-finite output
+    raises the error naming the last layer, ahead of whatever the loss
+    itself raised (a bad label, say).
+    """
+    logits = net.forward(x)
+    try:
+        loss, grad = _loss(logits, y, config, teacher_log_probs)
+    except (ArithmeticError, ValueError):     # the package's NumericalError, ShapeError, RangeError
+        _require_finite_output(net, logits, config)
+        raise
+    if not np.isfinite(loss):
+        _require_finite_output(net, logits, config)
+    return loss, grad
 
 
 def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from inhernet.errors import RangeError, ShapeError
 from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, KINDS, STACKS, VARIANTS,
-                              InherConv2DLayer, InherNetLayer, _standard_param_count, factor_matrix,
+                              InherConv2DLayer, InherNetLayer, _gate_weighted,
+                              _standard_param_count, factor_matrix,
                               inherit_conv, inherit_dense, inherit_layer, inherit_network)
 from inhernet.linalg import truncated_svd
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer,
@@ -274,6 +275,116 @@ class TestInheritConv:
         with pytest.raises(ShapeError, match="stride"):
             InherConv2DLayer(layer.blocks["down"], layer.blocks["up"],
                              stride=stride, padding=padding)
+
+
+def conv_step_oracle(layer: InherConv2DLayer, x, gy):
+    """Forward and backward of an inherited conv, sample by sample and head by head.
+
+    y_b = sum_h g_bh (U_h z_b + b_h), with the code map z_b from the loop
+    convolution and g_b from its spatial mean; the gradients follow the
+    chain rule written out per sample. Returns (y, parameter gradients, dL/dx).
+    """
+    k, stride, padding = layer.params["shared_kernel"], layer.stride, layer.padding
+    code = conv_loops(x, k, stride, padding)
+    b, r, oh, ow = code.shape
+    h, p = layer.n_heads, oh * ow
+    ups = [layer.params[f"head_{j}"] for j in range(h)]
+    biases = [layer.params[f"head_bias_{j}"] if layer.has_head_bias else np.zeros(len(ups[0]))
+              for j in range(h)]
+    out = np.zeros((b, len(ups[0]), oh, ow))
+    grads = {key: np.zeros_like(v) for key, v in layer.params.items()}
+    dcode = np.zeros_like(code)
+    for i in range(b):
+        z, gyi = code[i].reshape(r, p), gy[i].reshape(-1, p)
+        pooled = z.mean(axis=1)
+        if layer.gate_frozen:
+            g = np.full(h, 1.0 / h)
+        else:
+            logits = pooled @ layer.params["gate_weight"] + layer.params["gate_bias"]
+            g = np.exp(logits - logits.max())
+            g /= g.sum()
+        scores, dz = np.zeros(h), np.zeros((r, p))
+        for j in range(h):
+            term = ups[j] @ z + biases[j][:, None]
+            out[i] += g[j] * term.reshape(-1, oh, ow)
+            scores[j] = np.sum(gyi * term)
+            grads[f"head_{j}"] += g[j] * (gyi @ z.T)
+            if layer.has_head_bias:
+                grads[f"head_bias_{j}"] += g[j] * gyi.sum(axis=1)
+            dz += g[j] * (ups[j].T @ gyi)
+        if not layer.gate_frozen:
+            dlogits = g * (scores - g @ scores)
+            grads["gate_weight"] += np.outer(pooled, dlogits)
+            grads["gate_bias"] += dlogits
+            dz += (layer.params["gate_weight"] @ dlogits)[:, None] / p
+        dcode[i] = dz.reshape(r, oh, ow)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    for ki, kj in itertools.product(*map(range, k.shape[2:])):
+        window = (slice(None), slice(None), slice(ki, ki + stride * oh, stride),
+                  slice(kj, kj + stride * ow, stride))
+        grads["shared_kernel"][:, :, ki, kj] = np.einsum("brij,bcij->rc", dcode, xp[window])
+        dxp[window] += np.einsum("rc,brij->bcij", k[:, :, ki, kj], dcode)
+    return out, grads, dxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
+
+
+class TestConvHeadStage:
+    """The head stage, one GEMM of the gate-mixed [U | b] against the code map
+    plus a ones channel, and its backward, against the per-sample oracle."""
+
+    @pytest.mark.parametrize("c,r,h,bias,frozen,stride,padding", [
+        (5, 2, 3, True, False, 1, 1),
+        (5, 2, 3, False, False, 1, 1),
+        (5, 2, 3, True, True, 1, 1),
+        (5, 2, 3, True, False, 2, 1),
+        (5, 2, 1, True, False, 1, 0),
+        (5, 2, 1, False, True, 2, 1),
+        (2, 3, 3, True, False, 1, 1),
+        (2, 3, 3, False, False, 2, 1),
+    ], ids=["kn2row", "no-bias", "frozen-gate", "stride-2", "one-head",
+            "one-head-frozen-no-bias-stride-2", "im2col", "im2col-no-bias-stride-2"])
+    def test_forward_and_backward_match_the_oracle(self, c, r, h, bias, frozen, stride, padding):
+        gen = philox(19, 10 * c + h)
+        layer = inherit_conv(gen.standard_normal((6, c, 3, 3)), r, h, stride=stride,
+                             padding=padding, bias=gen.standard_normal(6) if bias else None)
+        jitter(layer, gen)
+        if frozen:
+            layer = layer.ungated()
+        x = gen.standard_normal((3, c, 7, 7))
+        y = layer.forward(x)
+        gy = gen.standard_normal(y.shape)
+        dx = layer.backward(gy)
+        want_y, want_grads, want_dx = conv_step_oracle(layer, x, gy)
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        assert y.flags.c_contiguous and close(y, want_y)
+        assert dx.shape == x.shape and close(dx, want_dx)
+        assert dx.flags.c_contiguous or c < r       # kn2row's dL/dx needs no crop
+        assert list(layer.grads) == list(want_grads)
+        for key, g in layer.grads.items():
+            assert close(g, want_grads[key]), key
+
+    def test_no_bias_keeps_the_code_map_without_a_ones_channel(self):
+        gen = philox(20, 0)
+        for bias, channels in ((None, 2), (gen.standard_normal(6), 3)):
+            layer = inherit_conv(gen.standard_normal((6, 5, 3, 3)), 2, 3, padding=1, bias=bias)
+            layer.forward(gen.standard_normal((2, 5, 4, 4)))
+            assert layer._z.shape == (2, channels, 16)
+            if bias is not None:
+                assert np.all(layer._z[:, 2] == 1.0)
+
+
+class TestGateWeighted:
+    @pytest.mark.parametrize("b", [1, 2, 7, 32, 256, 512])
+    def test_per_head_products_are_the_broadcast_bit_for_bit(self, b):
+        gen = philox(21, b)
+        g = gen.random((b, 4))
+        for a in (gen.standard_normal((b, 1, 5)), gen.standard_normal((b, 4, 5))):
+            out = np.empty((b, 4, 5))
+            got = _gate_weighted(g, a, 4, out=out)
+            assert got is out and got.tobytes() == (g[:, :, None] * a).tobytes()
 
 
 class TestGradientDecomposition:

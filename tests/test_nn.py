@@ -313,11 +313,11 @@ class TestKn2row:
     @KN2ROW_GEOMETRY
     def test_forward_matches_the_im2col_oracle(self, stride, padding, kh, kw):
         _, x, k = self.case(stride, padding, kh, kw)
-        y, xp = kn2row(x, k, stride, padding)
+        y, kept = kn2row(x, k, stride, padding)
         want = k.reshape(len(k), -1) @ im2col(x, kh, kw, stride, padding)
         assert y.ndim == 4 and y.shape[:2] == want.shape[:2] and y.flags.c_contiguous
         assert np.linalg.norm(y.reshape(want.shape) - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.array_equal(xp, np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2)))
+        assert kept is x
 
     @KN2ROW_GEOMETRY
     def test_input_gradient_is_the_adjoint(self, stride, padding, kh, kw):
@@ -326,7 +326,7 @@ class TestKn2row:
         g = gen.standard_normal(y.shape)
         _, dx = kn2row_backward(g, xp, k, stride, padding)
         lhs, rhs = float(np.sum(y * g)), float(np.sum(x * dx))
-        assert dx.shape == x.shape
+        assert dx.shape == x.shape and dx.flags.c_contiguous
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     @pytest.mark.parametrize("stride,padding,kh,kw", [(1, 1, 3, 3), (2, 0, 2, 3), (2, 2, 1, 1)])
@@ -342,6 +342,24 @@ class TestKn2row:
             fd[idx] = (np.sum(kn2row(x, kp, stride, padding)[0] * g)
                        - np.sum(kn2row(x, km, stride, padding)[0] * g)) / (2 * step)
         assert np.abs(dk - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+    def test_a_strided_input_is_kept_as_a_contiguous_copy(self):
+        gen, x, k = self.case(1, 1, 3, 3)
+        wide = np.repeat(x, 2, axis=3)
+        strided = wide[:, :, :, ::2]
+        y, kept = kn2row(strided, k, 1, 1)
+        assert kept is not strided and kept.flags.c_contiguous and np.array_equal(kept, x)
+        assert np.array_equal(y, kn2row(x, k, 1, 1)[0])
+
+    def test_layers_keep_the_input_they_were_handed(self):
+        """Both conv kinds lower a many-channel input through kn2row and keep
+        that input, not a padded copy, as their backward buffer."""
+        gen = philox(17, 1)
+        x = gen.standard_normal((2, 6, 5, 5))
+        for layer in (Conv2DLayer(gen.standard_normal((2, 6, 3, 3)), padding=1),
+                      inherit_conv(gen.standard_normal((6, 6, 3, 3)), 2, 3, padding=1)):
+            layer.forward(x)
+            assert layer._kept is x
 
     def test_inherited_conv_caches_no_patch_matrix(self):
         """One 256-image forward at r=4 on 16 channels, which lowers through
@@ -391,6 +409,28 @@ class TestRelu:
     def test_backward_before_forward(self):
         with pytest.raises(StateError):
             ReluLayer().backward(np.ones(3))
+
+    def test_backward_is_the_mask_product_bit_for_bit(self):
+        """``grad * (y > 0)`` exactly: signed zeros, Inf and NaN in the
+        gradient, odd lengths and a strided gradient included."""
+        gen = philox(17, 0)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310, 5.0, -5.0])
+        for n in (1, 2, 3, 7, 9, 17, 33, 101):
+            x = gen.standard_normal(n)
+            x[::4] = -0.0
+            x[1::5] = np.nan
+            x[2::6] = 0.0
+            layer = ReluLayer()
+            y = layer.forward(x)
+            g = np.resize(specials, n) * np.where(gen.random(n) < 0.5, 1.0, -1.0)
+            g[gen.random(n) < 0.3] = specials[gen.integers(0, len(specials))]
+            with np.errstate(invalid="ignore"):                 # Inf * 0
+                assert layer.backward(g).tobytes() == (g * (y > 0.0)).tobytes()
+        x = gen.standard_normal((5, 6, 7))
+        layer = ReluLayer()
+        y = layer.forward(x)
+        g = gen.standard_normal((5, 6, 14))[:, :, ::2]
+        assert layer.backward(g).tobytes() == (g * (y > 0.0)).tobytes()
 
 
 class TestCrossEntropy:
@@ -447,6 +487,23 @@ class TestMse:
         diff = pred - target
         assert np.array_equal(grad, 2.0 * diff / diff.size)
         assert abs(loss - float(np.mean(diff * diff))) <= 1e-14 * loss
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 16, 63, 64, 65, 273, 1024, 4096])
+    def test_gradient_bit_equal_with_signed_zeros_inf_and_nan(self, size):
+        """Odd sizes divide, powers of two multiply by the exact factor; both
+        match ``2.0 * diff / size``, subnormal, Inf and NaN entries included."""
+        gen = philox(32, size)
+        pred, target = gen.standard_normal(size), gen.standard_normal(size)
+        pred[::3] *= 1e-310
+        target[::3] *= 1e-310
+        pred[1::4], target[1::4] = -0.0, 0.0
+        pred[2::5], target[2::5] = 0.0, 0.0
+        if size > 3:
+            pred[3], pred[-1], target[-2] = np.inf, np.nan, -np.inf
+        with np.errstate(invalid="ignore"):
+            diff = pred - target
+            _, grad = mse_loss(pred, target)
+            assert grad.tobytes() == (2.0 * diff / diff.size).tobytes()
 
     def test_empty_batch_names_the_batch(self):
         with pytest.raises(ShapeError, match="empty batch"):

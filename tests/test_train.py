@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import numpy as np
@@ -12,9 +13,11 @@ from inhernet.nn import (DenseLayer, Network, ReluLayer, accuracy, cross_entropy
 from inhernet.rng import philox
 from inhernet.io import Dataset
 from inhernet.linalg import log_softmax
-from inhernet.train import (LOSSES, RUNLOG_COLUMNS, RunLog, TrainConfig, evaluate,
+from inhernet.train import (LOSSES, RUNLOG_COLUMNS, RunLog, TrainConfig, _batch_loss, evaluate,
                             gating_grad_variance, grad_norm, kd_loss, learning_rate, sgd_step,
                             train)
+
+train_module = importlib.import_module("inhernet.train")    # the package re-exports train()
 
 
 def cfg(**kw):
@@ -219,6 +222,52 @@ class TestKdLoss:
     def test_non_finite_and_sign_flipping_settings_name_their_field(self, field, value):
         with pytest.raises(RangeError, match=field):
             cfg(**{field: value})
+
+
+def loss_case(loss, bad_label=False):
+    """Inputs of ``_batch_loss`` for ``loss`` on a 2-row batch with 3 outputs;
+    with ``bad_label`` the labels or targets are ones the loss rejects."""
+    x = np.ones((2, 4))
+    if loss == "mse":
+        y = np.zeros((2, 2)) if bad_label else np.zeros((2, 3))
+    else:
+        y = np.array([0, 3]) if bad_label else np.array([0, 2])
+    teacher = soft(np.zeros((2, 3)), cfg()) if loss == "ce+kd" else None
+    return x, y, teacher
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_a_finite_loss_skips_the_output_scan(self, loss, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned a finite output")
+
+        monkeypatch.setattr(train_module, "_require_finite_output", scan)
+        x, y, teacher = loss_case(loss)
+        value, grad = _batch_loss(Network([DenseLayer(np.ones((4, 3)))]), x, y,
+                                  cfg(loss=loss), teacher)
+        assert np.isfinite(value) and grad.shape == (2, 3)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_a_bad_label_with_nan_output_names_the_layer(self, loss):
+        net = Network([DenseLayer(np.ones((4, 3))), ReluLayer(),
+                       DenseLayer(np.full((3, 3), np.nan))])
+        x, y, teacher = loss_case(loss, bad_label=True)
+        with pytest.raises(NumericalError, match=r"^output of layer 2 \(dense\) holds NaN or "
+                                                 rf"Inf before the '{re.escape(loss)}' loss$"):
+            _batch_loss(net, x, y, cfg(loss=loss), teacher)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_a_bad_label_with_finite_output_is_the_loss_error(self, loss):
+        x, y, teacher = loss_case(loss, bad_label=True)
+        with pytest.raises(ShapeError if loss == "mse" else RangeError):
+            _batch_loss(Network([DenseLayer(np.ones((4, 3)))]), x, y, cfg(loss=loss), teacher)
+
+    def test_a_missing_teacher_with_nan_output_names_the_layer(self):
+        net = Network([DenseLayer(np.full((4, 3), np.nan))])
+        x, y, _ = loss_case("ce+kd")
+        with pytest.raises(NumericalError, match=r"^output of layer 0 \(dense\)"):
+            _batch_loss(net, x, y, cfg(loss="ce+kd"))
 
 
 class TestTrain:
