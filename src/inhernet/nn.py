@@ -649,11 +649,10 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over every entry; returns (loss, grad wrt pred).
 
-    The gradient is formed in place in the difference as ``diff / (size / 2)``,
-    or as ``diff * (2 / size)`` when ``size`` is a power of two and that
-    factor is exact. Halving ``size`` is exact, so either way the one
-    rounding is that of ``2.0 * diff / size``, which it equals bit for bit
-    wherever ``2.0 * diff`` does not overflow.
+    The gradient is formed in place in the difference as ``diff / (size / 2)``.
+    Halving ``size`` is exact, so its one rounding is that of
+    ``2.0 * diff / size``, which it equals bit for bit wherever
+    ``2.0 * diff`` does not overflow.
     """
     if pred.shape != target.shape:
         raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
@@ -662,10 +661,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     diff = np.subtract(pred, target, dtype=np.float64)
     flat = diff.reshape(-1)
     loss = float(flat @ flat / flat.size)
-    if diff.size & (diff.size - 1):
-        diff /= diff.size / 2.0
-    else:
-        diff *= 2.0 / diff.size
+    diff /= diff.size / 2.0
     return loss, diff
 
 

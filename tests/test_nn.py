@@ -490,8 +490,8 @@ class TestMse:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 16, 63, 64, 65, 273, 1024, 4096])
     def test_gradient_bit_equal_with_signed_zeros_inf_and_nan(self, size):
-        """Odd sizes divide, powers of two multiply by the exact factor; both
-        match ``2.0 * diff / size``, subnormal, Inf and NaN entries included."""
+        """Odd sizes and powers of two alike match ``2.0 * diff / size``,
+        subnormal, Inf and NaN entries included."""
         gen = philox(32, size)
         pred, target = gen.standard_normal(size), gen.standard_normal(size)
         pred[::3] *= 1e-310
