@@ -14,8 +14,7 @@ from .nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, cross_entropy,
                  finite_difference_grad, make_mlp, mse_loss)
 from .inherit import (InherConv2DLayer, InherNetLayer, factor_matrix, inherit_conv,
                       inherit_dense, inherit_layer, inherit_network)
-from .train import (GatingVarianceReport, RunLog, TrainConfig,
-                    gating_grad_variance, kd_loss, learning_rate, sgd_step, train)
+from .train import RunLog, TrainConfig, kd_loss, learning_rate, sgd_step, train
 from .theory import (LayerInfluence, TheoryReport, analyze_network,
                      compression_ratio_paper, eckart_young_error,
                      output_cosine_similarity, preservation_bound,

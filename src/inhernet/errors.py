@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class ShapeError(ValueError):
@@ -27,3 +29,12 @@ class FormatError(ValueError):
 
 class CorruptionError(ValueError):
     """A file matches the format but its contents are internally inconsistent."""
+
+
+def require_index(name: str, value) -> None:
+    """Raise :class:`RangeError` naming ``name`` unless ``value`` is an integer
+    by ``operator.index``, which takes numpy integers and rejects floats."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None

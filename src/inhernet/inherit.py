@@ -66,7 +66,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng as _rng
-from .errors import RangeError, ShapeError
+from .errors import RangeError, ShapeError, require_index
 from .linalg import softmax, sum_rows, truncated_svd
 from .nn import (Layer, Network, ReluLayer, check_conv_geometry, conv_lowered,
                  conv_lowered_backward, kaiming_uniform)
@@ -414,6 +414,8 @@ def _svd_start(w: np.ndarray, r: int, h: int, mode: str, gate_input: str):
         raise RangeError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
     if gate_input not in GATE_INPUTS:
         raise RangeError(f"gate_input must be one of {GATE_INPUTS}, got {gate_input!r}")
+    require_index("rank", r)
+    require_index("head count", h)
     if h < 1:
         raise RangeError(f"head count must be >= 1, got {h}")
     f = truncated_svd(w, r)
@@ -457,16 +459,12 @@ def inherit_conv(k: np.ndarray, r: int, h: int, mode: str = "convex",
 
 
 def symmetric_rank_for(m: int, n: int, budget: int, bias: bool) -> int:
-    """Largest branch rank whose two-branch parameter total fits the budget."""
-    fixed = 2 * m + 2 + (2 * n if bias else 0)
+    """Largest branch rank whose two-branch parameter total fits the budget:
+    two (m, r) downs, two (r, n) ups, an (m, 2) input gate with its 2 biases,
+    and one shared (1, n) bias."""
+    fixed = 2 * m + 2 + (n if bias else 0)
     r = (budget - fixed) // (2 * (m + n))
     return max(1, int(r))
-
-
-def _standard_param_count(m: int, n: int, r: int, h: int, gate_input: str, bias: bool) -> int:
-    """Parameters of ``inherit_dense(w, r, h, gate_input=gate_input)`` for an m x n ``w``."""
-    gate_width = r if gate_input == "code" else m
-    return m * r + h * r * n + (h * n if bias else 0) + (gate_width + 1) * h
 
 
 def factor_matrix(layer: Layer) -> np.ndarray | None:
@@ -495,7 +493,8 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
     and (seed, init, h + 1). The dense-only ``inverse`` mirrors the
     projections (H gated downs, one shared up), and ``symmetric`` uses two
     (down, up) branches of the largest rank that fits the standard
-    variant's parameter budget.
+    variant's parameter budget, counted from the standard student itself
+    (rank 1 when even that does not fit, and at most min(m, n)).
     A conv layer gates on its pooled code, so it takes only ``gate_input="code"``.
     """
     w, bias = factor_matrix(layer), layer.params.get("bias")
@@ -513,13 +512,12 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
         return InherNetLayer(_tile(down / div, h), up[None], _tile(bias, 1),
                              np.zeros((w.shape[0], h)), np.zeros(h), "input", "inverse")
     if variant == "symmetric":
-        # two SVD-initialized branches, budget-matched to standard
+        # two SVD-initialized branches, budget-matched to standard, whose
+        # build also checks r, h, mode and gate
         m, n = w.shape
-        if not 1 <= r <= min(m, n):
-            raise RangeError(f"rank {r} out of range [1, {min(m, n)}] for shape {w.shape}")
-        budget = _standard_param_count(m, n, r, h, gate_input, bias is not None)
+        budget = inherit_dense(w, r, h, mode, gate_input, bias).param_count()
         r_sym = min(symmetric_rank_for(m, n, budget, bias is not None), m, n)
-        down, up, _ = _svd_start(w, r_sym, h, mode, gate_input)   # also checks h, mode, gate
+        down, up, _ = _svd_start(w, r_sym, h, mode, gate_input)
         return InherNetLayer(_tile(down, 2), _tile(up, 2), _tile(bias, 1),
                              np.zeros((m, 2)), np.zeros(2), "input", "symmetric")
     if layer.kind == "dense":

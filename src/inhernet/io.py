@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import CorruptionError, FormatError, RangeError
+from .errors import CorruptionError, FormatError, RangeError, require_index
 from .inherit import InherConv2DLayer, InherNetLayer
 from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer, forward_in_blocks
 
@@ -70,10 +70,15 @@ class SyntheticTask:
     def __post_init__(self):
         if self.kind not in ("blobs", "piecewise", "mimic"):
             raise RangeError(f"unknown task kind {self.kind!r}")
+        for name in ("n", "dim", "classes", "out_dim", "per_class", "map_rank"):
+            require_index(name, getattr(self, name))
+        for name in ("noise", "separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 2 or self.dim < 1 or self.classes < 1 or self.per_class < 1:
             raise RangeError(f"task sizes must be positive, got {self}")
         for name, low in (("out_dim", 1), ("noise", 0), ("map_rank", 0)):
-            if not getattr(self, name) >= low:      # "not >=" also rejects a NaN noise
+            if not getattr(self, name) >= low:
                 raise RangeError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
@@ -236,7 +241,10 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     if offset != len(blob):
         raise CorruptionError(f"{path}: blob has {len(blob) - offset} trailing bytes "
                               f"beyond the declared {offset}")
-    return Network(layers), manifest.get("extra", {})
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CorruptionError(f"{path}: manifest field 'extra' is not a JSON object")
+    return Network(layers), extra
 
 
 def atomic_write(path, data: bytes) -> None:

@@ -677,6 +677,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ShapeError("cross-entropy of an empty batch (0 rows of logits)")
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {b}")
+    if labels.dtype.kind not in "iu":
+        raise RangeError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= k:
         raise RangeError(f"label out of range [0, {k}): "
                          f"min={labels.min()} max={labels.max()}")

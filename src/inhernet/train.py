@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import NumericalError, RangeError, ShapeError
-from .inherit import GatedMixture
+from .errors import NumericalError, RangeError, ShapeError, require_index
 from .io import write_csv
 from .linalg import log_softmax
 from .nn import ROW_BLOCK, Network, accuracy, cross_entropy, forward_in_blocks, mse_loss
@@ -52,6 +51,8 @@ class TrainConfig:
     threshold: float | None = None       # eval-loss level for epochs_to_threshold
 
     def __post_init__(self):
+        require_index("epochs", self.epochs)
+        require_index("batch_size", self.batch_size)
         if self.epochs < 0:
             raise RangeError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -294,49 +295,3 @@ def train(net: Network, data, config: TrainConfig,
             log.epochs_to_threshold = epoch + 1
     return log
 
-
-@dataclass
-class GatingVarianceReport:
-    """Per-minibatch gradient variance with learned vs uniform gating."""
-
-    adaptive_variance: float
-    uniform_variance: float
-    batches: int
-
-
-def gating_grad_variance(layer, data, config: TrainConfig) -> GatingVarianceReport:
-    """Measure gradient variance of one layer under both gating regimes.
-
-    For each minibatch the full parameter gradient of the layer is
-    flattened into a vector; the reported variance is the mean squared
-    distance from the across-batch mean gradient. The uniform arm clones
-    the layer and pins its gate to 1/H. Measurement only, no pass/fail.
-    """
-    train_ds, _ = data
-    n = train_ds.x.shape[0]
-    perm = _rng.philox(config.seed, _rng.STREAM_SHUFFLE, 0).permutation(n)
-
-    def collect(net: Network) -> np.ndarray:
-        rows = []
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo:lo + config.batch_size]
-            _, grad = _batch_loss(net, train_ds.x[idx], train_ds.y[idx], config)
-            net.zero_grads()
-            net.backward(grad)
-            rows.append(net.grad_vector().copy())
-        return np.stack(rows)
-
-    if not isinstance(layer, GatedMixture) or layer.gate_frozen:
-        raise ShapeError("gating variance measurement expects a layer with a trainable gate")
-    adaptive = Network([layer])
-    uniform = Network([layer.ungated()])
-    g_a = collect(adaptive)
-    g_u = collect(uniform)
-
-    def spread(g: np.ndarray) -> float:
-        mean = g.mean(axis=0)
-        return float(np.mean(np.sum((g - mean) ** 2, axis=1)))
-
-    return GatingVarianceReport(adaptive_variance=spread(g_a),
-                                uniform_variance=spread(g_u),
-                                batches=g_a.shape[0])

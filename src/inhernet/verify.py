@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, FormatError, RangeError
 from .experiments import spectral_mlp
 from .inherit import InherNetLayer, factor_matrix, inherit_conv, inherit_dense, inherit_layer
 from .io import SyntheticTask, gen_synthetic, load_checkpoint, save_checkpoint
@@ -428,7 +428,7 @@ def check_checkpoint_file(path) -> CheckResult:
 
 def run_suites(which: str, checkpoint=None) -> list[CheckResult]:
     if which not in SUITES and which != "all":
-        raise ValueError(f"unknown suite {which!r}; expected one of "
+        raise RangeError(f"unknown suite {which!r}; expected one of "
                          f"{SUITES + ('all',)}")
     results = []
     if which in ("svd", "all"):

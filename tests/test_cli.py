@@ -16,7 +16,7 @@ from inhernet.io import load_checkpoint, save_checkpoint
 from inhernet.nn import Conv2DLayer, Network, ReluLayer
 from inhernet.rng import philox
 from inhernet.train import SCHEDULES
-from inhernet.verify import SUITES
+from inhernet.verify import SUITES, run_suites
 
 
 def run_cli(*argv):
@@ -232,6 +232,10 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("verify", "--suite", "everything")
+
+    def test_run_suites_names_an_unknown_suite(self):
+        with pytest.raises(RangeError, match="unknown suite 'bogus'"):
+            run_suites("bogus")
 
 
 class TestAnalyzeCommand:

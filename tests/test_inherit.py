@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from inhernet.errors import RangeError, ShapeError
 from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, KINDS, STACKS, VARIANTS,
                               InherConv2DLayer, InherNetLayer, _gate_weighted,
-                              _standard_param_count, factor_matrix,
+                              factor_matrix,
                               inherit_conv, inherit_dense, inherit_layer, inherit_network)
 from inhernet.linalg import truncated_svd
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer,
@@ -766,13 +766,20 @@ class TestVariants:
         with pytest.raises(RangeError):
             inherit_layer(DenseLayer(np.eye(4)), 2, 2, "bogus")
 
-    def test_standard_count_closed_form(self):
+    def test_symmetric_rank_is_the_largest_that_fits(self):
+        """The symmetric student fits the standard student's count, and one more
+        branch rank, which adds an m-column to each down and an n-row to each
+        up, would not, unless the rank is already min(m, n)."""
         gen = philox(61, 0)
         for m, n, r, h, gate_input, bias in itertools.product(
-                (3, 7), (2, 5), (1, 2), (1, 3), GATE_INPUTS, (False, True)):
-            std = inherit_dense(gen.standard_normal((m, n)), r, h, gate_input=gate_input,
-                                bias=gen.standard_normal(n) if bias else None)
-            assert _standard_param_count(m, n, r, h, gate_input, bias) == std.param_count()
+                (4, 7, 12), (4, 6, 16), (3, 4), (2, 3), GATE_INPUTS, (False, True)):
+            teacher = DenseLayer(gen.standard_normal((m, n)),
+                                 gen.standard_normal(n) if bias else None)
+            budget = inherit_layer(teacher, r, h, gate_input=gate_input).param_count()
+            sym = inherit_layer(teacher, r, h, "symmetric", gate_input=gate_input)
+            case = (m, n, r, h, gate_input, bias, sym.rank)
+            assert sym.param_count() <= budget, case
+            assert sym.rank == min(m, n) or sym.param_count() + 2 * (m + n) > budget, case
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_out_of_range_rank_raises_for_every_variant(self, variant):
@@ -842,6 +849,18 @@ class TestInheritNetwork:
                            DenseLayer(gen.standard_normal((8, 3)))])
         with pytest.raises(RangeError, match="layer 2"):
             inherit_network(teacher, r=5, h=2)
+
+    @pytest.mark.parametrize("r,h,field", [(2.5, 2, "rank"), (2, 2.0, "head count")])
+    def test_non_integer_rank_or_head_count_is_named(self, r, h, field):
+        teacher = Network([DenseLayer(philox(28, 1).standard_normal((6, 8)))])
+        with pytest.raises(RangeError, match=f"layer 0: {field} must be an integer"):
+            inherit_network(teacher, r, h)
+
+    def test_numpy_integer_rank_and_head_count_accepted(self):
+        teacher = Network([DenseLayer(philox(28, 2).standard_normal((6, 8)))])
+        student = inherit_network(teacher, np.int64(3), np.int32(2))
+        plain = inherit_network(teacher, 3, 2)
+        assert np.array_equal(student.param_vector(), plain.param_vector())
 
     def test_cap_rank_clamps(self):
         gen = philox(29, 0)

@@ -140,8 +140,11 @@ class TestMalformedManifest:
         (_shape([-1, 3]), r"layer 0: .*'shape'"),
         (_shape([4.5, 2]), r"layer 0: .*'shape'"),
         (_set("gate_input", "zzz"), r"layer 0 .*gate_input"),
+        (lambda m: m.update(extra=5), r"'extra'"),
+        (lambda m: m.update(extra=["seed", 5]), r"'extra'"),
     ], ids=["no-layers", "layers-not-list", "no-kind", "no-n_heads", "n_heads-too-big",
-            "negative-shape", "non-integer-shape", "bad-gate-input"])
+            "negative-shape", "non-integer-shape", "bad-gate-input", "extra-a-number",
+            "extra-a-list"])
     def test_raises_corruption_naming_layer_and_field(self, tmp_path, edit, match):
         gen = philox(3, 0)
         net = Network([inherit_dense(gen.standard_normal((6, 4)), 2, 3,
@@ -357,8 +360,19 @@ class TestSyntheticTasks:
         with pytest.raises(RangeError):
             SyntheticTask(kind="nope", seed=1, n=10, dim=2)
 
-    @pytest.mark.parametrize("field, value", [("out_dim", 0), ("noise", -1.0), ("map_rank", -1)])
+    @pytest.mark.parametrize("field, value", [
+        ("out_dim", 0), ("noise", -1.0), ("map_rank", -1),
+        ("n", 10.5), ("dim", 2.0), ("classes", 2.5), ("out_dim", 1.5), ("per_class", 1.5),
+        ("map_rank", 0.5), ("separation", np.nan), ("separation", np.inf), ("noise", np.nan),
+        ("noise", np.inf)])
     def test_out_of_range_field_is_named(self, field, value):
-        with pytest.raises(RangeError, match=field):
-            SyntheticTask(kind="piecewise", seed=1, n=10, dim=2, **{field: value})
+        with pytest.raises(RangeError, match=f"^{field} must"):
+            SyntheticTask(**{"kind": "piecewise", "seed": 1, "n": 10, "dim": 2, field: value})
+
+    def test_numpy_integer_sizes_generate_the_same_task(self):
+        plain = gen_synthetic(SyntheticTask(kind="blobs", seed=3, n=20, dim=2))
+        typed = gen_synthetic(SyntheticTask(kind="blobs", seed=3, n=np.int64(20),
+                                            dim=np.int32(2)))
+        for a, b in zip(plain, typed):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 

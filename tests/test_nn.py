@@ -469,6 +469,12 @@ class TestCrossEntropy:
         with pytest.raises(RangeError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_labels_of_a_non_integer_dtype_rejected(self, labels):
+        with pytest.raises(RangeError, match="labels must be integers"):
+            cross_entropy(np.zeros((2, 3)), labels)
+
     def test_empty_batch_names_the_batch(self):
         with pytest.raises(ShapeError, match="empty batch"):
             cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))

@@ -99,6 +99,13 @@ def test_closed_form_modules_import_no_harness(name):
     assert package_modules_imported((SRC / name).read_text()) & harness == set()
 
 
+def test_training_engine_imports_no_builder_or_harness():
+    """The training engine steps any network; it reads no inheritance
+    builder, closed-form report, experiment, verify suite or command line."""
+    above = {"inherit", "theory", "experiments", "verify", "cli"}
+    assert package_modules_imported((SRC / "train.py").read_text()) & above == set()
+
+
 # the functions behind nn.conv_lowered and nn.conv_lowered_backward
 LOWERING_INTERNALS = {"im2col", "col2im", "kn2row", "kn2row_backward", "sum_of_products",
                       "conv_output_size"}
