@@ -14,9 +14,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import experiments, verify
+from . import experiments, rng, verify
 from .errors import NumericalError, RangeError
 from .inherit import COMBINER_MODES, GATE_INPUTS, VARIANTS, factor_matrix, inherit_network
 from .io import SyntheticTask, atomic_write, gen_synthetic, load_checkpoint, \
@@ -184,7 +182,7 @@ def cmd_analyze(args) -> int:
             [float(v) for v in args.alphas.split(",")])
     report = analyze_network(teacher, student, influences)
     payload = json.loads(report.to_json())
-    gen = np.random.Generator(np.random.Philox(key=[args.probe_seed, 0]))
+    gen = rng.philox(args.probe_seed)
     first = next(layer for layer in teacher.layers if factor_matrix(layer) is not None)
     probe = gen.standard_normal((256, len(factor_matrix(first)))) if first.kind == "dense" else None
     # labeled as a diagnostic: this is not the bounded similarity quantity; none for a

@@ -31,10 +31,10 @@ class CorruptionError(ValueError):
     """A file matches the format but its contents are internally inconsistent."""
 
 
-def require_index(name: str, value) -> None:
-    """Raise :class:`RangeError` naming ``name`` unless ``value`` is an integer
-    by ``operator.index``, which takes numpy integers and rejects floats."""
+def require_index(name: str, value) -> int:
+    """``value`` as a Python int by ``operator.index``, which takes numpy
+    integers and rejects floats: otherwise :class:`RangeError` naming ``name``."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise RangeError(f"{name} must be an integer, got {value!r}") from None

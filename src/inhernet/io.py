@@ -70,7 +70,7 @@ class SyntheticTask:
     def __post_init__(self):
         if self.kind not in ("blobs", "piecewise", "mimic"):
             raise RangeError(f"unknown task kind {self.kind!r}")
-        for name in ("n", "dim", "classes", "out_dim", "per_class", "map_rank"):
+        for name in ("seed", "n", "dim", "classes", "out_dim", "per_class", "map_rank"):
             require_index(name, getattr(self, name))
         for name in ("noise", "separation"):
             if not math.isfinite(getattr(self, name)):

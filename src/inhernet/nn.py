@@ -47,11 +47,12 @@ class Layer:
     are always views of one flat parameter vector, ``flat``, and the
     gradient blocks views of one flat gradient vector, ``grad_flat``, laid
     out block after block in that order. A standalone layer allocates the
-    two vectors itself; a :class:`Network` moves them into slices of its
-    own. A block named in ``stacked`` holds same-shaped arrays along its
-    leading axis: a view name with ``{}`` exposes one view per index
-    (``head_{}`` gives ``head_0``, ``head_1``, ...), any other name exposes
-    the block's one entry. Every other block is exposed under its own name.
+    two vectors itself; the one :class:`Network` that wraps it moves them
+    into slices of its own, once. A block named in ``stacked`` holds
+    same-shaped arrays along its leading axis: a view name with ``{}``
+    exposes one view per index (``head_{}`` gives ``head_0``, ``head_1``,
+    ...), any other name the block's one entry. Every other block is
+    exposed under its own name.
     ``params`` and ``grads`` are therefore views of the blocks, in the same
     order. A subclass that reads several adjacent blocks as one matrix
     builds that view in ``_expose``, which runs whenever the blocks move.
@@ -78,7 +79,9 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.flat = self.grad_flat = np.empty(0)
-        self.packed_in: np.ndarray | None = None   # the network vector holding ``flat``
+        # The vector of the one network holding ``flat``. A layer belongs to at
+        # most one network; to use it in another, wrap a copy.
+        self.packed_in: np.ndarray | None = None
 
     def _store(self, blocks: dict[str, np.ndarray]) -> None:
         """Adopt copies of ``blocks`` as this layer's trainable state, with zero gradients."""
@@ -511,34 +514,23 @@ class Network:
 
     The network owns one flat parameter vector and one flat gradient
     vector, packed layer by layer in ``param_items`` order; every layer's
-    ``params`` and ``grads`` are views of them. Wrapping a layer in a
-    second network moves its arrays into that network's vectors. The
-    first network notices on its next vector access and packs the layer
-    back, so a network always updates the arrays its forward reads.
+    ``params`` and ``grads`` are views of them for the network's whole
+    life. A layer belongs to at most one network, once: wrapping a layer
+    that is already bound raises :class:`StateError`, and a layer needed in
+    a second network goes there as a copy (``copy.deepcopy`` or pickle).
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
-        self._params = np.empty(0)
-        self._grads = np.empty(0)
-        self._pack()
-
-    def _pack(self) -> None:
-        size = sum(layer.param_count() for layer in self.layers)
-        # Reuse the vectors when they fit, so items handed out earlier stay live.
-        if self._params.size != size:
-            self._params = np.empty(size)
-            self._grads = np.empty(size)
+        for i, layer in enumerate(self.layers):
+            if layer.packed_in is not None or layer in self.layers[:i]:
+                raise StateError(f"layer {i} ({layer.kind}) already belongs to a network; "
+                                 f"wrap a copy of it (copy.deepcopy)")
+        size = self.param_count()
+        self._params, self._grads = np.empty(size), np.empty(size)
         offset = 0
         for layer in self.layers:
             offset = layer.bind(self._params, self._grads, offset)
-
-    def _claim(self) -> None:
-        """Pack again if another network has moved one of these layers."""
-        for layer in self.layers:
-            if layer.packed_in is not self._params:
-                self._pack()
-                return
 
     def __getstate__(self):
         return {"layers": self.layers}
@@ -578,26 +570,22 @@ class Network:
 
     def param_vector(self) -> np.ndarray:
         """Every trainable scalar, in ``param_items`` order."""
-        self._claim()
         return self._params
 
     def grad_vector(self) -> np.ndarray:
         """The gradient of every trainable scalar, aligned with ``param_vector``."""
-        self._claim()
         return self._grads
 
     def zero_grads(self) -> None:
-        self.grad_vector().fill(0.0)
+        self._grads.fill(0.0)
 
     def param_items(self) -> dict[str, np.ndarray]:
         """Every trainable array, keyed ``{layer_index}.{name}``: views of ``param_vector``."""
-        self._claim()
         return {f"{i}.{k}": p for i, layer in enumerate(self.layers)
                 for k, p in layer.params.items()}
 
     def grad_items(self) -> dict[str, np.ndarray]:
         """Every gradient array, keyed like ``param_items``: views of ``grad_vector``."""
-        self._claim()
         return {f"{i}.{k}": g for i, layer in enumerate(self.layers)
                 for k, g in layer.grads.items()}
 

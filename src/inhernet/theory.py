@@ -167,22 +167,23 @@ def analyze_network(teacher: Network, inherited: Network,
         m, n = w.shape
         r_l, h = b_layer.rank, b_layer.n_heads
         s = np.linalg.svd(w, compute_uv=False)
-        sq = s * s
-        energy = float(sq[:r_l].sum() / sq.sum())
-        down = b_layer.blocks["down"]
-        k_down = None if "down" in b_layer.per_head else condition_number(
-            down[0].reshape(len(down[0]), -1))
-        breakdown.append({
-            "layer": i, "m": m, "n": n, "r": r_l, "h": h,
-            "rho_paper": compression_ratio_paper(m, n, r_l, h),
-            "param_teacher": teacher.layers[i].param_count(),
-            "param_actual": b_layer.param_count(),
-            "energy_ratio": energy,
-            "epsilon": 1.0 - energy,
-            "ey_error": eckart_young_error(s, r_l),
-            "kappa": condition_number(w),
-            "kappa_down": k_down,
-        })
+        down = b_layer.blocks["down"][0]
+        try:
+            energy = spectral_energy(s, r_l)
+            breakdown.append({
+                "layer": i, "m": m, "n": n, "r": r_l, "h": h,
+                "rho_paper": compression_ratio_paper(m, n, r_l, h),
+                "param_teacher": teacher.layers[i].param_count(),
+                "param_actual": b_layer.param_count(),
+                "energy_ratio": energy,
+                "epsilon": 1.0 - energy,
+                "ey_error": eckart_young_error(s, r_l),
+                "kappa": condition_number(w),
+                "kappa_down": None if "down" in b_layer.per_head else condition_number(
+                    down.reshape(len(down), -1)),
+            })
+        except (ShapeError, RangeError, DegenerateInputError) as exc:
+            raise type(exc)(f"layer {i}: {exc}") from exc
         spectra.append(s)
     ranks = [e["r"] for e in breakdown]
     kept = sum(float((s[:r] * s[:r]).sum()) for s, r in zip(spectra, ranks))

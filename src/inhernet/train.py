@@ -51,8 +51,8 @@ class TrainConfig:
     threshold: float | None = None       # eval-loss level for epochs_to_threshold
 
     def __post_init__(self):
-        require_index("epochs", self.epochs)
-        require_index("batch_size", self.batch_size)
+        for name in ("seed", "epochs", "batch_size"):
+            require_index(name, getattr(self, name))
         if self.epochs < 0:
             raise RangeError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -268,14 +268,16 @@ def train(net: Network, data, config: TrainConfig,
             t += 1
             kd_rows = None if teacher_log_probs is None else teacher_log_probs[idx]
             try:
-                loss, grad = _batch_loss(net, xb, yb, config, kd_rows)
-                if not np.isfinite(loss):
-                    raise NumericalError(f"loss became non-finite; batch indices "
-                                         f"{idx[:4].tolist()}...")
-                net.zero_grads()
-                net.backward(grad)
-                # both dots fall back when a finite gradient's g @ g overflows
-                with np.errstate(over="ignore"):
+                # no numpy overflow or invalid-value warnings: a non-finite
+                # output, loss or gradient raises below, and both dots fall
+                # back when a finite gradient's g @ g overflows
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss, grad = _batch_loss(net, xb, yb, config, kd_rows)
+                    if not np.isfinite(loss):
+                        raise NumericalError(f"loss became non-finite; batch indices "
+                                             f"{idx[:4].tolist()}...")
+                    net.zero_grads()
+                    net.backward(grad)
                     step_norms.append(grad_norm(net))
                     sgd_step(net, t, config)
             except NumericalError as exc:

@@ -477,9 +477,7 @@ class TestFusedHeadGradients:
         gen = philox(900 + h, 0)
         teacher = Conv2DLayer(gen.standard_normal((4, 2, 3, 3)), stride=2, padding=1,
                               bias=gen.standard_normal(4) if bias else None)
-        net = inherit_network(Network([teacher]), 2, h,
-                              variant="no-gate" if frozen else "standard")
-        layer = net.layers[0]
+        layer = inherit_layer(teacher, 2, h, "no-gate" if frozen else "standard")
         assert layer.gate_frozen == frozen and layer.has_head_bias == bias
         jitter(layer, gen)
         x = gen.standard_normal((2, 2, 5, 5))

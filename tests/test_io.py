@@ -361,13 +361,19 @@ class TestSyntheticTasks:
             SyntheticTask(kind="nope", seed=1, n=10, dim=2)
 
     @pytest.mark.parametrize("field, value", [
-        ("out_dim", 0), ("noise", -1.0), ("map_rank", -1),
+        ("out_dim", 0), ("noise", -1.0), ("map_rank", -1), ("seed", 1.5),
         ("n", 10.5), ("dim", 2.0), ("classes", 2.5), ("out_dim", 1.5), ("per_class", 1.5),
         ("map_rank", 0.5), ("separation", np.nan), ("separation", np.inf), ("noise", np.nan),
         ("noise", np.inf)])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(RangeError, match=f"^{field} must"):
             SyntheticTask(**{"kind": "piecewise", "seed": 1, "n": 10, "dim": 2, field: value})
+
+    def test_philox_refuses_a_non_integer_seed(self):
+        with pytest.raises(RangeError, match=r"^seed must be an integer, got 1\.5$"):
+            philox(1.5)
+        draw = philox(2**64 + 7, 1, 2).standard_normal(3)
+        assert np.array_equal(philox(np.int64(7), 1, 2).standard_normal(3), draw)
 
     def test_numpy_integer_sizes_generate_the_same_task(self):
         plain = gen_synthetic(SyntheticTask(kind="blobs", seed=3, n=20, dim=2))

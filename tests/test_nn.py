@@ -157,8 +157,10 @@ class TestFirstLayerBackward:
         gen = philox(30, 0)
         layer, x = FIRST_LAYERS[kind](gen)
         # a backward that raises inside the first layer, here one before any forward
+        probe = copy.deepcopy(layer)
         with pytest.raises(StateError):
-            Network([layer]).backward(np.ones(1))
+            Network([probe]).backward(np.ones(1))
+        assert probe.input_grad and "input_grad" not in vars(probe)
         net = Network([layer, ReluLayer()])
         _, grad = mse_loss(net.forward(x), gen.standard_normal(net.forward(x).shape))
         net.zero_grads()
@@ -580,6 +582,13 @@ def mixed_network(gen) -> Network:
     ])
 
 
+def walk(layers, x):
+    """Each layer's forward in turn, outside any network."""
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
 def assert_packed(net: Network) -> None:
     """Every parameter and gradient array is a view of the network's vectors, in order."""
     params, grads = net.param_items(), net.grad_items()
@@ -624,7 +633,7 @@ class TestFlatStore:
     def test_vector_edits_reach_forward(self):
         net = mixed_network(philox(32, 0))
         x = philox(32, 1).standard_normal((2, 4))
-        dense = Network(net.layers[:3])
+        dense = Network(copy.deepcopy(net.layers[:3]))
         base = dense.forward(x)
         dense.param_vector()[...] *= 1.5
         assert not np.allclose(dense.forward(x), base)
@@ -644,18 +653,27 @@ class TestFlatStore:
         assert not np.allclose(net.forward(x), base)
         assert np.allclose(net.forward(x), want, rtol=1e-12, atol=1e-12)
 
-    def test_rewrapping_a_layer_keeps_both_networks_consistent(self):
-        gen = philox(34, 0)
-        layer = inherit_dense(gen.standard_normal((6, 5)), 2, 3)
-        first = Network([layer, ReluLayer()])
-        second = Network([layer])             # moves the layer into its own vectors
-        assert_packed(second)
-        assert_packed(first)                  # packs it back on access
-        second.param_vector()[...] += 1.0     # and again
-        x = gen.standard_normal((3, 6))
-        assert np.array_equal(first.forward(x), np.maximum(second.forward(x), 0.0))
-        first.param_vector()[...] = 0.0
-        assert not first.forward(x).any()
+    def test_a_bound_layer_refuses_a_second_network(self):
+        net = mixed_network(philox(34, 0))
+        gen = philox(34, 1)
+        x, xc = gen.standard_normal((2, 4)), gen.standard_normal((2, 2, 5, 5))
+        outputs = lambda: (walk(net.layers[:3], x), net.layers[3].forward(xc))
+        base, vec = outputs(), net.param_vector().copy()
+        for layer in net.layers[:4]:          # dense, ReLU, inherited dense, inherited conv
+            with pytest.raises(StateError, match=rf"^layer 1 \({layer.kind}\) already belongs"):
+                Network([DenseLayer(np.eye(4)), layer])
+        assert_packed(net)
+        assert np.array_equal(net.param_vector(), vec)
+        assert all(np.array_equal(a, b) for a, b in zip(outputs(), base))
+        twin = Network([copy.deepcopy(net.layers[3])])
+        assert not np.shares_memory(twin.param_vector(), vec)
+        assert np.array_equal(twin.forward(xc), base[1])
+
+    def test_a_layer_appears_once_in_a_network(self):
+        relu = ReluLayer()
+        with pytest.raises(StateError, match=r"^layer 2 \(relu\)"):
+            Network([relu, DenseLayer(np.eye(3)), relu])
+        Network([relu])                       # the refused network bound nothing
 
     @pytest.mark.parametrize("copier", [copy.deepcopy,
                                         lambda n: pickle.loads(pickle.dumps(n))])
@@ -665,8 +683,6 @@ class TestFlatStore:
         assert_packed(twin)
         assert not np.shares_memory(twin.param_vector(), net.param_vector())
         x = philox(35, 1).standard_normal((2, 4))
-        head = Network(net.layers[:3])
-        twin_head = Network(twin.layers[:3])
-        assert np.array_equal(twin_head.forward(x), head.forward(x))
-        twin_head.param_vector()[...] = 0.0
-        assert not twin_head.forward(x).any() and head.forward(x).any()
+        assert np.array_equal(walk(twin.layers[:3], x), walk(net.layers[:3], x))
+        twin.param_vector()[...] = 0.0
+        assert not walk(twin.layers[:3], x).any() and walk(net.layers[:3], x).any()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from inhernet.errors import DegenerateInputError, RangeError, ShapeError
 from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import SyntheticTask
 from inhernet.linalg import frobenius_norm, truncated_svd
-from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer
+from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
 from inhernet.theory import (LayerInfluence, analyze_network,
                              compression_ratio_paper, eckart_young_error,
@@ -158,6 +160,15 @@ class TestAnalyzeNetwork:
                     "epsilon", "kappa", "preservation_lower_bound",
                     "per_layer_breakdown"):
             assert key in payload
+
+    def test_an_all_zero_teacher_layer_is_named_without_a_warning(self):
+        teacher = make_mlp([5, 7, 6, 3], seed=1)
+        teacher.layers[2].params["weight"][...] = 0.0
+        student = inherit_network(teacher, 3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match=r"^layer 2: "):
+                analyze_network(teacher, student)
 
     def test_cosine_diagnostic_of_identical_nets(self):
         teacher = spectral_mlp([6, 8, 3], seed=4)

@@ -82,6 +82,25 @@ def test_no_import_inside_a_function_body(path):
     assert nested_imports(path.read_text()) == []
 
 
+def generator_constructions(source: str) -> list[int]:
+    """Line numbers of calls to ``Generator``, ``Philox`` or ``default_rng``, by any path."""
+    names = {"Generator", "Philox", "default_rng"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
+def test_only_rng_constructs_a_generator():
+    """Every draw goes through ``rng.philox``, the one place a seed is checked
+    and keyed; an annotation naming ``np.random.Generator`` is no construction."""
+    assert generator_constructions("np.random.Generator(np.random.Philox(key=k))\n"
+                                   "g = default_rng(1)\ndef f(gen: np.random.Generator): pass\n"
+                                   ) == [1, 1, 2]
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := generator_constructions(path.read_text()))}
+    assert list(found) == ["rng.py"]
+
+
 def test_package_reads_no_environment_variables():
     """What the package does follows from its arguments and from what it can
     observe, such as the CPUs it may run on; an environment variable would be
