@@ -118,13 +118,14 @@ def cmd_inherit(args) -> int:
                           variant=args.variant, mode=args.mode,
                           gate_input=args.gate, seed=args.seed,
                           cap_rank=args.cap_rank)
+    # the report first, so a command that fails writes nothing
+    report = analyze_network(teacher, net)
     # each layer records its own rank, head count and gate input, which can
     # differ from the flags (--cap-rank, the symmetric variant's two branches)
     save_checkpoint(net, args.out, extra={
         "teacher": os.path.basename(str(args.teacher)), "mode": args.mode,
         "variant": args.variant})
     print(f"inherited network written to {args.out}")
-    report = analyze_network(teacher, net)
     for line in report.summary_lines():
         print(line)
     return 0

@@ -20,6 +20,11 @@ pair hands back and its input's shape, and drops the last batch's buffer
 before it lowers the next. kn2row's buffer is the unpadded input itself:
 its padded copy lives only for the forward GEMM, and its backward works on
 the unpadded pixels, so dL/dx comes out C-contiguous in the input's shape.
+im2col's buffer is the batch's patch matrix while that fits
+:data:`LOWER_BLOCK_BYTES` (or holds one image); a larger batch lowers in
+blocks of images that fit it and keeps its input, from which the backward
+rebuilds each block's patches, so no convolution builds or keeps a
+whole-batch patch matrix larger than that.
 
 Nothing reads the gradient with respect to a network's input, so
 :meth:`Network.backward` clears its first layer's ``input_grad`` for the
@@ -407,6 +412,23 @@ def _lowers_by_kn2row(kernel: np.ndarray) -> bool:
     return kernel.shape[1] > kernel.shape[0]
 
 
+# Bytes of im2col patches built at once. A batch whose patch matrix is larger
+# lowers in blocks of as many images as fit, each block's GEMM writing into
+# the one output. On a 2-vCPU VM with one BLAS thread, a 64-image forward of
+# a 16->16 3x3 conv on 16x16 images (295 KB of patches per image) took
+# 8.9 ms as one 18.9 MB patch matrix, 4.9-5.5 ms in blocks of 4-8 images
+# (5.4 ms at this budget's 7), and 6.3 and 8.2 ms in blocks of 16 and 32;
+# its backward fell from 17.6 to 15.8 ms at 7.
+LOWER_BLOCK_BYTES = 2 << 20
+
+
+def _images_per_block(patch_values: int) -> int:
+    """How many images im2col unfolds at once when each image's patches are
+    ``patch_values`` float64 values: as many as :data:`LOWER_BLOCK_BYTES`
+    hold, and at least one."""
+    return max(1, LOWER_BLOCK_BYTES // (8 * patch_values))
+
+
 def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     """Convolve (B, C, H, W) with ``kernel`` (R, C, kh, kw), lowered by its shape.
 
@@ -415,8 +437,13 @@ def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     inside. With more input channels than filters (C > R), as in the
     r-filter shared stage of an inherited conv, it runs :func:`kn2row`
     and the buffer is the input itself, which the layer before holds
-    anyway. Otherwise it runs :func:`im2col` and one GEMM,
-    ``kernel @ cols``, and the buffer is the patch matrix.
+    anyway. Otherwise it runs :func:`im2col` and the GEMM
+    ``kernel @ cols``. A batch whose patches fit :data:`LOWER_BLOCK_BYTES`,
+    or a single image, does so once, and the buffer is the patch matrix. A larger batch runs
+    over consecutive blocks of as many images as fit, each block's GEMM
+    writing its rows of the output, and the buffer is the input itself.
+    Each image's GEMM is the same either way, so the output is too, bit
+    for bit.
 
     The rule follows the data each lowering moves. kn2row's shifted adds
     move kh*kw*R values per output pixel where im2col copies kh*kw*C, and
@@ -432,8 +459,15 @@ def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     b, _, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding)
-    return (kernel.reshape(r, -1) @ cols).reshape(b, r, oh, ow), cols
+    km = kernel.reshape(r, -1)
+    n = _images_per_block(km.shape[1] * oh * ow)
+    if b <= n:
+        cols = im2col(x, kh, kw, stride, padding)
+        return (km @ cols).reshape(b, r, oh, ow), cols
+    y = np.empty((b, r, oh * ow))
+    for lo in range(0, b, n):
+        np.matmul(km, im2col(x[lo:lo + n], kh, kw, stride, padding), out=y[lo:lo + n])
+    return y.reshape(b, r, oh, ow), x
 
 
 def conv_lowered_backward(grad_out: np.ndarray, kept: np.ndarray, x_shape,
@@ -442,22 +476,44 @@ def conv_lowered_backward(grad_out: np.ndarray, kept: np.ndarray, x_shape,
 
     ``kept`` is the buffer the forward returned for an input of shape
     ``x_shape``. With ``input_grad`` false, dL/dx is None and is not formed.
+    When an im2col forward ran in blocks, ``kept`` is its input, and the
+    backward runs over the same blocks: it rebuilds each block's patches,
+    forms that block's per-image kernel-gradient products and its dL/dx
+    through :func:`col2im`, and sums the products of the whole batch once,
+    as :func:`sum_of_products` does, so every gradient is the one-block
+    result bit for bit.
     """
     if _lowers_by_kn2row(kernel):
         return kn2row_backward(grad_out, kept, kernel, stride, padding, input_grad)
     r, _, kh, kw = kernel.shape
-    gy = grad_out.reshape(len(grad_out), r, -1)                # (B, R, OH*OW)
-    dk = sum_of_products(gy, kept).reshape(kernel.shape)
-    if not input_grad:
-        return dk, None
-    return dk, col2im(kernel.reshape(r, -1).T @ gy, x_shape, kh, kw, stride, padding)
+    b = x_shape[0]
+    gy = grad_out.reshape(b, r, -1)                            # (B, R, OH*OW)
+    kt = kernel.reshape(r, -1).T
+    n = _images_per_block(kt.shape[0] * gy.shape[2])
+    if b <= n:
+        dk = sum_of_products(gy, kept).reshape(kernel.shape)
+        if not input_grad:
+            return dk, None
+        return dk, col2im(kt @ gy, x_shape, kh, kw, stride, padding)
+    products = np.empty((b, r, kt.shape[0]))
+    dx = np.empty(x_shape) if input_grad else None
+    for lo in range(0, b, n):
+        x = kept[lo:lo + n]
+        np.matmul(gy[lo:lo + n], im2col(x, kh, kw, stride, padding).transpose(0, 2, 1),
+                  out=products[lo:lo + n])
+        if input_grad:
+            dx[lo:lo + n] = col2im(kt @ gy[lo:lo + n], x.shape, kh, kw, stride, padding)
+    return products.sum(axis=0).reshape(kernel.shape), dx
 
 
 class Conv2DLayer(Layer):
     """2-D convolution, lowered through :func:`conv_lowered`.
 
     Kernel shape is (n_filters, in_channels, kh, kw); inputs are
-    (batch, in_channels, height, width).
+    (batch, in_channels, height, width). Between forward and backward the
+    layer keeps the buffer the lowering handed back: the input itself when
+    it lowers by kn2row or by im2col in several blocks, else the batch's
+    patch matrix, at most :data:`LOWER_BLOCK_BYTES` or one image's.
     """
 
     kind = "conv2d"

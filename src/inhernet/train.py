@@ -210,10 +210,11 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
     forward's up to last-place rounding. A row split goes in blocks of
     :data:`~inhernet.nn.ROW_BLOCK` rows, so a large eval split neither
     builds split-sized activations nor page-faults on every call. An image
-    split (4-D) goes in blocks of ``config.batch_size`` images: a conv
-    layer's lowering buffers grow with the batch, about 9*r values per
-    padded pixel for an inherited one, so larger blocks would build them
-    many times larger than training ever does.
+    split (4-D) goes in blocks of ``config.batch_size`` images: kn2row's
+    planes grow with the batch, about 9*r values per padded pixel for an
+    inherited conv, and so do the activations, so larger blocks would build
+    them many times larger than training ever does. (An im2col lowering
+    bounds its own patches by :data:`~inhernet.nn.LOWER_BLOCK_BYTES`.)
     """
     out = forward_in_blocks(net, x, config.batch_size if x.ndim == 4 else ROW_BLOCK)
     if config.loss == "mse":

@@ -13,7 +13,7 @@ from inhernet.errors import (CorruptionError, DegenerateInputError, FormatError,
 from inhernet.experiments import spectral_mlp
 from inhernet.inherit import COMBINER_MODES, GATE_INPUTS
 from inhernet.io import load_checkpoint, save_checkpoint
-from inhernet.nn import Conv2DLayer, Network, ReluLayer
+from inhernet.nn import Conv2DLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
 from inhernet.train import SCHEDULES
 from inhernet.verify import SUITES, run_suites
@@ -161,6 +161,21 @@ class TestInheritCommand:
                        "--heads", "2", "--out", str(tmp_path / "x.ckpt"))
         assert code != 0
         assert "layer" in capsys.readouterr().err
+
+    def test_failed_report_writes_no_checkpoint(self, tmp_path, capsys):
+        """A report that fails (layer 2 of this 5-7-6-3 teacher is all zeros)
+        fails the command before it writes the student."""
+        teacher = make_mlp([5, 7, 6, 3], seed=4)
+        teacher.layers[2].params["weight"][...] = 0.0
+        save_checkpoint(teacher, tmp_path / "teacher.ckpt")
+        out = tmp_path / "student.ckpt"
+        code = run_cli("inherit", "--teacher", str(tmp_path / "teacher.ckpt"), "--rank", "2",
+                       "--heads", "2", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: layer 2:" in captured.err
+        assert "written" not in captured.out
+        assert not out.exists()
 
 
 class TestTrainCommand:

@@ -4,7 +4,9 @@ import pytest
 import copy
 import itertools
 import pickle
+import tracemalloc
 
+from inhernet import nn
 from inhernet.errors import RangeError, ShapeError, StateError
 from inhernet.experiments import perturb_heads
 from inhernet.inherit import inherit_conv, inherit_dense
@@ -379,6 +381,102 @@ class TestKn2row:
         layer = inherit_conv(philox(18, 0).standard_normal((3, 2, 3, 3)), 2, 2, padding=1)
         with pytest.raises(StateError):
             layer.backward(np.ones((1, 3, 4, 4)))
+
+
+def images_per_block(c: int, kh: int, kw: int, oh: int, ow: int) -> int:
+    """How many images' im2col patches fit in ``nn.LOWER_BLOCK_BYTES``."""
+    return nn.LOWER_BLOCK_BYTES // (c * kh * kw * oh * ow * 8)
+
+
+class TestBlockedIm2col:
+    """An im2col lowering whose batch's patches outgrow ``LOWER_BLOCK_BYTES``
+    runs block by block and keeps its input instead of a patch matrix."""
+
+    @pytest.mark.parametrize("stride,side", [(1, 16), (2, 17)], ids=["stride-1", "stride-2"])
+    def test_conv2d_matches_a_whole_batch_lowering_bit_for_bit(self, stride, side):
+        gen = philox(19, stride)
+        k, bias = gen.standard_normal((16, 16, 3, 3)), gen.standard_normal(16)
+        o = (side + 2 - 3) // stride + 1
+        n = images_per_block(16, 3, 3, o, o)
+        x = gen.standard_normal((3 * n - 1, 16, side, side))    # blocks of n, n and n - 1
+        layer = Conv2DLayer(k, stride=stride, padding=1, bias=bias)
+        y = layer.forward(x)
+        gy = gen.standard_normal(y.shape)
+        dx = layer.backward(gy)
+        assert layer._kept is x
+        cols = im2col(x, 3, 3, stride, 1)
+        g = gy.reshape(len(x), 16, -1)
+        assert np.array_equal(y, (k.reshape(16, -1) @ cols).reshape(y.shape) + bias[:, None, None])
+        assert np.array_equal(layer.grads["kernel"],
+                              np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape))
+        assert np.array_equal(layer.grads["bias"], gy.sum(axis=(0, 2, 3)))
+        assert np.array_equal(dx, col2im(k.reshape(16, -1).T @ g, x.shape, 3, 3, stride, 1))
+
+    def test_inherited_conv_matches_one_block_bit_for_bit(self, monkeypatch):
+        """8 channels into an r = 8 code lowers through im2col; 41 images span
+        three blocks, and the same layer with the whole batch as one block is
+        the reference."""
+        gen = philox(20, 0)
+        x = gen.standard_normal((41, 8, 16, 16))
+        assert images_per_block(8, 3, 3, 16, 16) < 41 / 2
+        layer = inherit_conv(gen.standard_normal((16, 8, 3, 3)), 8, 3, padding=1,
+                             bias=gen.standard_normal(16))
+        gy = gen.standard_normal((41, 16, 16, 16))
+        runs = []
+        for budget in (nn.LOWER_BLOCK_BYTES, 1 << 40):
+            monkeypatch.setattr(nn, "LOWER_BLOCK_BYTES", budget)
+            layer.zero_grads()
+            y = layer.forward(x)
+            runs.append((y, layer.backward(gy), layer.grad_flat.copy(), layer._kept is x))
+        (y, dx, grads, kept_x), (y1, dx1, grads1, kept_x1) = runs
+        assert kept_x and not kept_x1
+        assert np.array_equal(y, y1) and np.array_equal(dx, dx1)
+        assert np.array_equal(grads, grads1)
+
+    @pytest.mark.parametrize("build", [
+        lambda k: Conv2DLayer(k, padding=1),
+        lambda k: inherit_conv(k, 3, 2, padding=1)], ids=["conv2d", "inherit_conv"])
+    def test_what_the_layer_keeps(self, build):
+        """One block keeps its patch matrix; several keep the input itself."""
+        gen = philox(21, 0)
+        layer = build(gen.standard_normal((4, 3, 3, 3)))
+        n = images_per_block(3, 3, 3, 16, 16)
+        small = gen.standard_normal((n, 3, 16, 16))
+        layer.forward(small)
+        assert np.array_equal(layer._kept, im2col(small, 3, 3, 1, 1))
+        large = gen.standard_normal((n + 1, 3, 16, 16))
+        layer.forward(large)
+        assert layer._kept is large
+
+    def test_peak_memory_follows_the_block_not_the_batch(self):
+        """A 64-image forward of a 16->16 3x3 conv on 16x16 images: its whole-
+        batch patch matrix would be 18.9 MB."""
+        gen = philox(22, 0)
+        layer = Conv2DLayer(gen.standard_normal((16, 16, 3, 3)), padding=1, bias=np.zeros(16))
+        x = gen.standard_normal((64, 16, 16, 16))
+        tracemalloc.start()
+        try:
+            y = layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + 2 * nn.LOWER_BLOCK_BYTES
+
+    def test_first_layer_over_several_blocks_forms_only_its_kernel_gradient(self):
+        gen = philox(23, 0)
+        k = gen.standard_normal((16, 16, 3, 3))
+        layer = Conv2DLayer(k, padding=1)
+        x = gen.standard_normal((2 * images_per_block(16, 3, 3, 16, 16) + 1, 16, 16, 16))
+        returned = []
+        backward = layer.backward
+        layer.backward = lambda g: returned.append(backward(g))
+        net = Network([layer])
+        gy = gen.standard_normal(net.forward(x).shape)
+        net.backward(gy)
+        assert returned == [None]
+        cols = im2col(x, 3, 3, 1, 1)
+        want = np.matmul(gy.reshape(len(x), 16, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+        assert np.array_equal(layer.grads["kernel"], want.reshape(k.shape))
 
 
 class TestRelu:
