@@ -33,7 +33,8 @@ import numpy as np
 from . import rng as _rng
 from .errors import CorruptionError, FormatError, RangeError, require_index
 from .inherit import InherConv2DLayer, InherNetLayer
-from .nn import Conv2DLayer, DenseLayer, Layer, Network, ReluLayer, forward_in_blocks
+from .nn import (ROW_BLOCK, Conv2DLayer, DenseLayer, Layer, Network, ReluLayer,
+                 require_finite_output)
 
 MAGIC = b"INHERNET"
 VERSION = 1
@@ -85,19 +86,30 @@ class SyntheticTask:
 def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
     """Generate a task and split it 80/20 by a seeded permutation.
 
-    A mimic task's targets are the teacher's outputs on its inputs, formed
-    by :func:`~inhernet.nn.forward_in_blocks` in blocks of
-    :data:`~inhernet.nn.ROW_BLOCK` rows, so the teacher's activations stay
-    the size of a block. They are a single forward's outputs up to the
-    last-place rounding that function describes.
+    The task is held once, in split order: the permutation is drawn first
+    (from its own stream, so drawing it first changes no value), and drawn
+    row ``i`` is written straight to row ``slot[i]`` of one array, where
+    ``slot`` inverts the permutation. The eval split is that array's first
+    ``n // 5`` rows (at least one), the training split the rest; both are
+    views of it. Noise on the targets is drawn after the last input row.
+
+    A mimic task draws its inputs in blocks of :data:`~inhernet.nn.ROW_BLOCK`
+    rows and labels each block with one teacher forward, so the teacher's
+    activations, and the input it caches, stay the size of a block. These
+    are the blocks :func:`~inhernet.nn.forward_in_blocks` would run, so the
+    labels equal its outputs bit for bit, which are a single forward's up
+    to the last-place rounding it describes. A NaN or Inf among a block's
+    labels raises :class:`~inhernet.errors.NumericalError` naming the
+    teacher's last layer and the block's drawn rows.
     """
+    perm = _rng.philox(task.seed, _rng.STREAM_SPLIT).permutation(task.n)
     gen = _rng.philox(task.seed, _rng.STREAM_DATA)
     if task.kind == "blobs":
         k = task.classes * task.per_class
         centers = gen.standard_normal((k, task.dim)) * task.separation
         cluster = gen.integers(0, k, size=task.n)
         x = centers[cluster] + gen.standard_normal((task.n, task.dim))
-        y = (cluster % task.classes).astype(np.int64)
+        blocks = [(x, (cluster % task.classes).astype(np.int64))]
         kind = "classification"
     elif task.kind == "piecewise":
         centers = gen.standard_normal((task.classes, task.dim)) * task.separation
@@ -111,23 +123,38 @@ def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
         offsets = gen.standard_normal((task.classes, task.out_dim))
         assign = gen.integers(0, task.classes, size=task.n)
         x = centers[assign] + gen.standard_normal((task.n, task.dim))
-        y = np.einsum("bd,bdo->bo", x, maps[assign]) + offsets[assign]
-        if task.noise > 0:
-            y = y + task.noise * gen.standard_normal(y.shape)
+        blocks = [(x, np.einsum("bd,bdo->bo", x, maps[assign]) + offsets[assign])]
         kind = "regression"
     else:
         if teacher is None:
             raise RangeError("mimic task requires a teacher network")
-        x = gen.standard_normal((task.n, task.dim))
-        y = forward_in_blocks(teacher, x)
-        if task.noise > 0:
-            y = y + task.noise * gen.standard_normal(y.shape)
+        blocks = _mimic_blocks(task, teacher, gen)
         kind = "regression"
-    perm = _rng.philox(task.seed, _rng.STREAM_SPLIT).permutation(task.n)
+    slot = np.empty_like(perm)
+    slot[perm] = np.arange(task.n)
+    lo = 0
+    for xb, yb in blocks:
+        if lo == 0:
+            x = np.empty((task.n, *xb.shape[1:]), dtype=xb.dtype)
+            y = np.empty((task.n, *yb.shape[1:]), dtype=yb.dtype)
+        rows = slot[lo:lo + len(xb)]
+        x[rows], y[rows] = xb, yb
+        lo += len(xb)
+    if task.noise > 0 and task.kind != "blobs":
+        y += task.noise * gen.standard_normal(y.shape)[perm]
     n_eval = max(1, task.n // 5)
-    ev, tr = perm[:n_eval], perm[n_eval:]
-    return (Dataset(x=x[tr], y=y[tr], kind=kind),
-            Dataset(x=x[ev], y=y[ev], kind=kind))
+    return (Dataset(x=x[n_eval:], y=y[n_eval:], kind=kind),
+            Dataset(x=x[:n_eval], y=y[:n_eval], kind=kind))
+
+
+def _mimic_blocks(task: SyntheticTask, teacher: Network, gen: np.random.Generator):
+    """Yield a mimic task's drawn inputs and the teacher's labels, block by block."""
+    for lo in range(0, task.n, ROW_BLOCK):
+        xb = gen.standard_normal((min(ROW_BLOCK, task.n - lo), task.dim))
+        yb = teacher.forward(xb)
+        require_finite_output(teacher, yb, f"in the teacher's labels of drawn rows "
+                                           f"{lo}..{lo + len(xb) - 1}")
+        yield xb, yb
 
 
 # --- checkpoint serialization ------------------------------------------------

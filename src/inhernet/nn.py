@@ -675,6 +675,12 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
     output columns. Insight 1's r=8 student evaluated on 4,000 rows gave a
     loss one ulp away from a single forward's on 2 of 5 seeds; the
     512-wide layers of finetune-wide kept every bit of labels and losses.
+
+    The layers keep what their backward needs, so a first layer that keeps
+    its input, as a :class:`DenseLayer` does, caches a view of ``x``: its
+    last block, or all of it when it fits one block. That view keeps the
+    whole of ``x`` alive after this returns, so a caller that drops ``x``
+    still pays for it until the network's next forward.
     """
     if block < 1:
         raise RangeError(f"block must be >= 1, got {block}")
@@ -690,6 +696,33 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
     return out
 
 
+def require_finite_output(net: Network, out: np.ndarray, where: str) -> None:
+    """Raise :class:`NumericalError` if ``out``, an output of ``net``, holds NaN or Inf.
+
+    The message names ``net``'s last layer by index and kind, then ``where``.
+    """
+    if not np.isfinite(out).all():
+        last = len(net.layers) - 1
+        raise NumericalError(f"output of layer {last} ({net.layers[last].kind}) holds NaN "
+                             f"or Inf {where}")
+
+
+def _mse_parts(pred: np.ndarray, target: np.ndarray):
+    """The mean squared error and the difference ``pred - target`` it was taken from."""
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise ShapeError(f"mean squared error of an empty batch (shape {pred.shape})")
+    diff = np.subtract(pred, target, dtype=np.float64)
+    flat = diff.reshape(-1)
+    return float(flat @ flat / flat.size), diff
+
+
+def mse_value(pred: np.ndarray, target: np.ndarray) -> float:
+    """:func:`mse_loss`'s loss, bit for bit, without forming its gradient."""
+    return _mse_parts(pred, target)[0]
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over every entry; returns (loss, grad wrt pred).
 
@@ -698,24 +731,13 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     ``2.0 * diff / size``, which it equals bit for bit wherever
     ``2.0 * diff`` does not overflow.
     """
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
-    if pred.size == 0:
-        raise ShapeError(f"mean squared error of an empty batch (shape {pred.shape})")
-    diff = np.subtract(pred, target, dtype=np.float64)
-    flat = diff.reshape(-1)
-    loss = float(flat @ flat / flat.size)
+    loss, diff = _mse_parts(pred, target)
     diff /= diff.size / 2.0
     return loss, diff
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log softmax probability of the true class.
-
-    Returns (loss, grad wrt logits); the gradient is
-    (softmax - one_hot) / batch, formed in place in the log-probabilities.
-    """
-    labels = np.asarray(labels)
+def _cross_entropy_parts(logits: np.ndarray, labels: np.ndarray):
+    """The mean cross-entropy of integer ``labels`` and the log-probabilities it was taken from."""
     b, k = logits.shape
     if b == 0:
         raise ShapeError("cross-entropy of an empty batch (0 rows of logits)")
@@ -727,10 +749,25 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise RangeError(f"label out of range [0, {k}): "
                          f"min={labels.min()} max={labels.max()}")
     log_probs = log_softmax(logits)
-    rows = np.arange(b)
-    loss = -float(log_probs[rows, labels].sum()) / b
+    return -float(log_probs[np.arange(b), labels].sum()) / b, log_probs
+
+
+def cross_entropy_value(logits: np.ndarray, labels: np.ndarray) -> float:
+    """:func:`cross_entropy`'s loss, bit for bit, without forming its gradient."""
+    return _cross_entropy_parts(logits, np.asarray(labels))[0]
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean negative log softmax probability of the true class.
+
+    Returns (loss, grad wrt logits); the gradient is
+    (softmax - one_hot) / batch, formed in place in the log-probabilities.
+    """
+    labels = np.asarray(labels)
+    loss, log_probs = _cross_entropy_parts(logits, labels)
+    b = len(labels)
     grad = np.exp(log_probs, out=log_probs)
-    grad[rows, labels] -= 1.0
+    grad[np.arange(b), labels] -= 1.0
     grad /= b
     return loss, grad
 

@@ -28,7 +28,8 @@ from . import rng as _rng
 from .errors import NumericalError, RangeError, ShapeError, require_index
 from .io import write_csv
 from .linalg import log_softmax
-from .nn import ROW_BLOCK, Network, accuracy, cross_entropy, forward_in_blocks, mse_loss
+from .nn import (ROW_BLOCK, Network, accuracy, cross_entropy, cross_entropy_value,
+                 forward_in_blocks, mse_loss, mse_value, require_finite_output)
 
 SCHEDULES = ("constant", "inverse_sqrt")
 LOSSES = ("mse", "ce", "ce+kd")
@@ -172,10 +173,7 @@ def _loss(logits: np.ndarray, y: np.ndarray, config: TrainConfig,
 
 
 def _require_finite_output(net: Network, logits: np.ndarray, config: TrainConfig) -> None:
-    if not np.isfinite(logits).all():
-        last = len(net.layers) - 1
-        raise NumericalError(f"output of layer {last} ({net.layers[last].kind}) holds NaN "
-                             f"or Inf before the {config.loss!r} loss")
+    require_finite_output(net, logits, f"before the {config.loss!r} loss")
 
 
 def _batch_loss(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig,
@@ -207,7 +205,10 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
 
     The split runs forward through :func:`~inhernet.nn.forward_in_blocks`
     and the loss is formed once over the joined outputs, which are a single
-    forward's up to last-place rounding. A row split goes in blocks of
+    forward's up to last-place rounding. The loss is the loss-only form
+    (:func:`~inhernet.nn.mse_value`, :func:`~inhernet.nn.cross_entropy_value`),
+    equal bit for bit to the training loss's value, so no split-sized
+    gradient is formed. A row split goes in blocks of
     :data:`~inhernet.nn.ROW_BLOCK` rows, so a large eval split neither
     builds split-sized activations nor page-faults on every call. An image
     split (4-D) goes in blocks of ``config.batch_size`` images: kn2row's
@@ -218,8 +219,8 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray, config: TrainConfig):
     """
     out = forward_in_blocks(net, x, config.batch_size if x.ndim == 4 else ROW_BLOCK)
     if config.loss == "mse":
-        return mse_loss(out, y)[0], float("nan")
-    return cross_entropy(out, y)[0], accuracy(out, y)
+        return mse_value(out, y), float("nan")
+    return cross_entropy_value(out, y), accuracy(out, y)
 
 
 def grad_norm(net: Network) -> float:
@@ -247,7 +248,9 @@ def train(net: Network, data, config: TrainConfig,
     and ``y`` arrays. ``epochs_to_threshold`` records the first epoch whose
     post-epoch evaluation loss is at or below ``config.threshold``. With
     ``ce+kd`` the frozen teacher's log-probabilities at the distillation
-    temperature are computed once for the whole training split, up front.
+    temperature are computed once for the whole training split, up front;
+    a NaN or Inf among the teacher's outputs raises
+    :class:`~inhernet.errors.NumericalError` naming the teacher's last layer.
     """
     train_ds, eval_ds = data
     log = RunLog()
@@ -256,7 +259,9 @@ def train(net: Network, data, config: TrainConfig,
     if config.loss == "ce+kd":
         if teacher is None:
             raise RangeError("loss 'ce+kd' requires a teacher network")
-        teacher_log_probs = log_softmax(teacher.forward(train_ds.x) / config.temperature)
+        logits = teacher.forward(train_ds.x)
+        require_finite_output(teacher, logits, "in the teacher's forward over the training split")
+        teacher_log_probs = log_softmax(logits / config.temperature)
     t = 0
     for epoch in range(config.epochs):
         start = time.perf_counter()

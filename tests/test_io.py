@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inhernet.errors import CorruptionError, FormatError, RangeError
+from inhernet.errors import CorruptionError, FormatError, NumericalError, RangeError
 from inhernet.experiments import spectral_mlp
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import (Dataset, SyntheticTask, gen_synthetic, load_checkpoint,
                          save_checkpoint)
-from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
+from inhernet.nn import (ROW_BLOCK, Conv2DLayer, DenseLayer, Network, ReluLayer,
+                         forward_in_blocks, make_mlp)
 from inhernet.rng import STREAM_DATA, STREAM_SPLIT, philox
 from inhernet.train import TrainConfig, train
 
@@ -303,6 +306,38 @@ class TestV1VariantsFixture:
                 assert np.array_equal(p, ref[f"{prefix}.{key}"]), (prefix, key)
 
 
+def drawn_whole_then_gathered(task, teacher=None):
+    """A task built the plain way: drawn whole in draw order, mimic labels from
+    :func:`forward_in_blocks`, then each split gathered through the permutation."""
+    gen = philox(task.seed, STREAM_DATA)
+    if task.kind == "blobs":
+        k = task.classes * task.per_class
+        centers = gen.standard_normal((k, task.dim)) * task.separation
+        cluster = gen.integers(0, k, size=task.n)
+        x = centers[cluster] + gen.standard_normal((task.n, task.dim))
+        y = (cluster % task.classes).astype(np.int64)
+    elif task.kind == "piecewise":
+        centers = gen.standard_normal((task.classes, task.dim)) * task.separation
+        maps = gen.standard_normal((task.classes, task.dim, task.out_dim)) / np.sqrt(task.dim)
+        if task.map_rank > 0:
+            for c in range(task.classes):
+                u, s, vt = np.linalg.svd(maps[c], full_matrices=False)
+                s[task.map_rank:] = 0.0
+                maps[c] = (u * s) @ vt
+        offsets = gen.standard_normal((task.classes, task.out_dim))
+        assign = gen.integers(0, task.classes, size=task.n)
+        x = centers[assign] + gen.standard_normal((task.n, task.dim))
+        y = np.einsum("bd,bdo->bo", x, maps[assign]) + offsets[assign]
+    else:
+        x = gen.standard_normal((task.n, task.dim))
+        y = forward_in_blocks(teacher, x)
+    if task.noise > 0 and task.kind != "blobs":
+        y = y + task.noise * gen.standard_normal(y.shape)
+    perm = philox(task.seed, STREAM_SPLIT).permutation(task.n)
+    n_eval = max(1, task.n // 5)
+    return (x[perm[n_eval:]], y[perm[n_eval:]]), (x[perm[:n_eval]], y[perm[:n_eval]])
+
+
 class TestSyntheticTasks:
     def test_same_seed_identical(self):
         a = gen_synthetic(SyntheticTask(kind="blobs", seed=9, n=100, dim=5))
@@ -348,6 +383,80 @@ class TestSyntheticTasks:
         perm = philox(seed, STREAM_SPLIT).permutation(task.n)
         y = teacher.forward(x)[perm]
         assert np.concatenate([eval_ds.y, train_ds.y]).tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("task, dims", [
+        (SyntheticTask(kind="blobs", seed=21, n=1300, dim=5, classes=3, per_class=2,
+                       noise=0.5), None),
+        (SyntheticTask(kind="blobs", seed=22, n=2, dim=2), None),
+        (SyntheticTask(kind="piecewise", seed=23, n=777, dim=6, classes=3, out_dim=4,
+                       noise=0.3, map_rank=2), None),
+        (SyntheticTask(kind="piecewise", seed=24, n=300, dim=3, classes=2), None),
+        (SyntheticTask(kind="mimic", seed=25, n=2, dim=8, noise=0.1), [8, 16, 4]),
+        (SyntheticTask(kind="mimic", seed=26, n=300, dim=16), [16, 48, 48, 8]),
+        (SyntheticTask(kind="mimic", seed=27, n=1024, dim=16, noise=0.2), [16, 48, 48, 8]),
+        (SyntheticTask(kind="mimic", seed=28, n=1300, dim=64, noise=0.05), [64, 64, 64, 8]),
+    ], ids=["blobs-per_class-n1300", "blobs-n2", "piecewise-map_rank-noise-n777",
+            "piecewise-n300", "mimic-noise-n2", "mimic-n300", "mimic-noise-n1024",
+            "mimic-noise-n1300"])
+    def test_split_order_matches_the_whole_draw_gathered_bit_for_bit(self, task, dims):
+        teacher = None if dims is None else spectral_mlp(dims, seed=task.seed)
+        data = gen_synthetic(task, teacher=teacher)
+        for ds, (x, y) in zip(data, drawn_whole_then_gathered(task, teacher)):
+            assert ds.x.dtype == x.dtype == np.float64
+            assert ds.y.dtype == y.dtype == (np.int64 if task.kind == "blobs" else np.float64)
+            assert ds.x.shape == x.shape and ds.y.shape == y.shape
+            assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == y.tobytes()
+
+    def test_mimic_peak_memory_holds_the_task_once(self):
+        teacher = spectral_mlp([256, 256, 16], seed=3)
+        task = SyntheticTask(kind="mimic", seed=4, n=4096, dim=256)
+        tracemalloc.start()
+        try:
+            data = gen_synthetic(task, teacher=teacher)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(ds.x.nbytes + ds.y.nbytes for ds in data)
+        # a whole draw gathered into two splits peaks at about 2.1 times the task's bytes
+        assert peak < 1.85 * held, peak / held
+
+    def test_mimic_teacher_keeps_no_reference_to_the_task(self):
+        teacher = spectral_mlp([256, 256, 16], seed=3)
+        task = SyntheticTask(kind="mimic", seed=4, n=4096, dim=256)
+        tracemalloc.start()
+        try:
+            data = gen_synthetic(task, teacher=teacher)
+            del data
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the teacher's caches hold one block's activations, not the 8.4 MB draw
+        assert retained < 3 * ROW_BLOCK * task.dim * 8, retained
+
+    def test_nan_teacher_output_names_the_teacher_and_the_rows(self):
+        teacher = spectral_mlp([8, 16, 4], seed=1)
+        teacher.layers[2].params["weight"][0, 0] = np.nan
+        with pytest.raises(NumericalError, match=r"^output of layer 2 \(dense\) holds NaN or "
+                                                 r"Inf in the teacher's labels of drawn rows "
+                                                 r"0\.\.9$"):
+            gen_synthetic(SyntheticTask(kind="mimic", seed=1, n=10, dim=8), teacher=teacher)
+        # only the rows of the block that went bad are named
+        forward = teacher.forward
+        teacher.layers[2].params["weight"][0, 0] = 0.0
+        calls = []
+
+        def bad_second_block(x):
+            out = forward(x)
+            calls.append(len(x))
+            if len(calls) == 2:
+                out[3, 1] = np.inf
+            return out
+
+        teacher.forward = bad_second_block
+        with pytest.raises(NumericalError, match=r"drawn rows 512\.\.1023$"):
+            gen_synthetic(SyntheticTask(kind="mimic", seed=1, n=1300, dim=8), teacher=teacher)
+        assert calls == [512, 512]
 
     def test_paired_blobs_label_structure(self):
         task = SyntheticTask(kind="blobs", seed=13, n=600, dim=6, classes=3,

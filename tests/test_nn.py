@@ -11,8 +11,9 @@ from inhernet.errors import RangeError, ShapeError, StateError
 from inhernet.experiments import perturb_heads
 from inhernet.inherit import inherit_conv, inherit_dense
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy, col2im,
-                         cross_entropy, finite_difference_grad, forward_in_blocks, im2col,
-                         kn2row, kn2row_backward, make_mlp, mse_loss)
+                         cross_entropy, cross_entropy_value, finite_difference_grad,
+                         forward_in_blocks, im2col, kn2row, kn2row_backward, make_mlp,
+                         mse_loss, mse_value)
 from inhernet.rng import philox
 from oracles import conv_loops
 
@@ -534,6 +535,20 @@ class TestRelu:
 
 
 class TestCrossEntropy:
+    @pytest.mark.parametrize("b, k", [(1, 2), (5, 4), (1300, 3), (64, 96)])
+    def test_value_is_the_loss_bit_for_bit(self, b, k):
+        gen = philox(13, b)
+        logits = 4.0 * gen.standard_normal((b, k))
+        labels = gen.integers(0, k, size=b)
+        assert np.float64(cross_entropy_value(logits, labels)).tobytes() == \
+            np.float64(cross_entropy(logits, labels)[0]).tobytes()
+        assert cross_entropy_value(logits, labels.tolist()) == cross_entropy(logits, labels)[0]
+        for bad, error in (((logits, labels + k), RangeError), ((logits, labels * 1.0), RangeError),
+                           ((logits[:0], labels[:0]), ShapeError),
+                           ((logits, labels[:-1]), ShapeError)):
+            with pytest.raises(error):
+                cross_entropy_value(*bad)
+
     def test_uniform_logits(self):
         loss, _ = cross_entropy(np.zeros((4, 6)), np.array([0, 1, 2, 3]))
         assert abs(loss - np.log(6)) < 1e-12
@@ -614,6 +629,16 @@ class TestMse:
     def test_empty_batch_names_the_batch(self):
         with pytest.raises(ShapeError, match="empty batch"):
             mse_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(1,), (7, 13, 3), (256, 16, 4, 4)])
+    def test_value_is_the_loss_bit_for_bit(self, shape):
+        gen = philox(33, len(shape))
+        pred, target = gen.standard_normal(shape), gen.standard_normal(shape)
+        assert np.float64(mse_value(pred, target)).tobytes() == \
+            np.float64(mse_loss(pred, target)[0]).tobytes()
+        for bad in ((np.zeros((0, 3)), np.zeros((0, 3))), (np.zeros((2, 3)), np.zeros((3, 2)))):
+            with pytest.raises(ShapeError):
+                mse_value(*bad)
 
     def test_integer_inputs_give_a_float_gradient(self):
         loss, grad = mse_loss(np.array([[3, 1]]), np.array([[1, 1]]))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from inhernet.errors import NumericalError, RangeError, ShapeError
-from inhernet.experiments import build_toy_teacher, perturb_heads, toy_classification_data
+from inhernet.experiments import (build_toy_teacher, perturb_heads, spectral_mlp,
+                                  toy_classification_data)
 from inhernet.inherit import inherit_conv, inherit_dense, inherit_network
 from inhernet.io import SyntheticTask, gen_synthetic
-from inhernet.nn import (DenseLayer, Network, ReluLayer, accuracy, cross_entropy, make_mlp,
-                         mse_loss)
+from inhernet.nn import (ROW_BLOCK, DenseLayer, Network, ReluLayer, accuracy, cross_entropy,
+                         forward_in_blocks, make_mlp, mse_loss)
 from inhernet.rng import philox
 from inhernet.io import Dataset
 from inhernet.linalg import log_softmax
@@ -473,6 +474,38 @@ class TestTrain:
         teacher.forward = lambda x: calls.append(x.shape) or forward(x)
         train(make_mlp([4, 2], seed=1), data, cfg(loss="ce+kd", epochs=3), teacher=teacher)
         assert calls == [data[0].x.shape]
+
+    def test_nan_teacher_names_the_teacher_before_any_step(self):
+        teacher = spectral_mlp([4, 16, 2], seed=1)
+        teacher.layers[2].params["weight"][0, 0] = np.nan
+        data = gen_synthetic(SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2))
+        net = make_mlp([4, 2], seed=1)
+        before = net.param_vector().copy()
+        with pytest.raises(NumericalError, match=r"^output of layer 2 \(dense\) holds NaN or "
+                                                 r"Inf in the teacher's forward over the "
+                                                 r"training split$"):
+            train(net, data, cfg(loss="ce+kd", epochs=1), teacher=teacher)
+        assert np.array_equal(net.param_vector(), before)
+
+    @pytest.mark.parametrize("loss, shape", [("mse", (1300, 3)), ("ce", (1300, 3)),
+                                             ("mse", (11, 3, 7, 7))])
+    def test_evaluate_takes_the_loss_without_a_gradient(self, loss, shape, monkeypatch):
+        gen = philox(43, 0)
+        net = (make_mlp([shape[1], 8, 3], seed=0) if len(shape) == 2 else
+               Network([inherit_conv(gen.standard_normal((4, 3, 3, 3)), 3, 2, padding=1)]))
+        x = gen.standard_normal(shape)
+        c = cfg(loss=loss, batch_size=4)
+        out = forward_in_blocks(net, x, 4 if x.ndim == 4 else ROW_BLOCK)
+        y = gen.standard_normal(out.shape) if loss == "mse" else np.arange(len(x)) % 3
+        want = (mse_loss if loss == "mse" else cross_entropy)(out, y)[0]
+
+        def refuse(*args):
+            raise AssertionError("evaluate formed a gradient")
+
+        monkeypatch.setattr(train_module, "mse_loss", refuse)
+        monkeypatch.setattr(train_module, "cross_entropy", refuse)
+        got = evaluate(net, x, y, c)[0]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_kd_training_requires_teacher(self):
         task = SyntheticTask(kind="blobs", seed=9, n=100, dim=4, classes=2)
