@@ -239,7 +239,6 @@ class InherNetLayer(GatedMixture):
         self.gate_input = gate_input
         self._store_stacks(kind, down, up, bias, down.shape[2 if gate_input == "code" else 1],
                            gate_weight, gate_bias)
-        self._x = None
 
     def _expose(self) -> None:
         super()._expose()
@@ -286,17 +285,16 @@ class InherNetLayer(GatedMixture):
         if self.has_head_bias:
             # a shared bias is weighted by the gate's sum, as sum_h g_h b
             mix[:, hu * r:] = g if "bias" in self.per_head else sum_rows(g)
-        self._x, self._z, self._g, self._mix = x, z, g, mix
+        self.saved = (x, z, g, mix)
         return mix @ self._out
 
     def backward(self, grad_out):
         """Draws the ``up`` and ``bias`` gradients from one GEMM against the
         forward's mixing buffer, and dL/d(codes) and the bias's gate scores
         from one GEMM against the ``[up; bias]`` matrix."""
-        self._require_forward()
-        x, z, g = self._x, self._z, self._g
+        x, z, g, mix = self._saved()
         b, hd, hu, r = len(x), len(self.blocks["down"]), len(self.blocks["up"]), self.rank
-        self._out_grad += self._mix.T @ grad_out
+        self._out_grad += mix.T @ grad_out
         dmix = grad_out @ self._out.T
         dz_mix = dmix[:, :hu * r].reshape(b, hu, r)                 # grad_out @ up_h^T
         s = np.einsum("bhr,bhr->bh", z.reshape(b, hd, r), dz_mix)
@@ -352,7 +350,6 @@ class InherConv2DLayer(GatedMixture):
                              f"{up.shape[1]} output channels")
         self.stride, self.padding = stride, padding
         self._store_stacks(self.kind, down, up, bias, down.shape[1], gate_weight, gate_bias)
-        self._kept = None
 
     @property
     def rank(self) -> int:
@@ -368,8 +365,8 @@ class InherConv2DLayer(GatedMixture):
 
     def forward(self, x):
         k = self.blocks["down"][0]
-        self._kept = None    # drop the last batch's buffer first, so two are never alive
-        code, self._kept = conv_lowered(x, k, self.stride, self.padding)   # (B, r, OH, OW)
+        self.saved = None    # drop the last batch's buffer first, so two are never alive
+        code, kept = conv_lowered(x, k, self.stride, self.padding)   # (B, r, OH, OW)
         b, r, oh, ow = code.shape
         z = code.reshape(b, r, oh * ow)
         pooled = z.mean(axis=2)
@@ -381,14 +378,12 @@ class InherConv2DLayer(GatedMixture):
             z[:, r] = 1.0
         heads = self._head_matrix()
         m = (g @ heads).reshape(b, -1, z.shape[1])                  # (B, N, r[+1])
-        self._x_shape = x.shape
-        self._z, self._pooled, self._g, self._m, self._heads = z, pooled, g, m, heads
+        self.saved = (kept, x.shape, z, pooled, g, m, heads)
         return (m @ z).reshape(b, -1, oh, ow)
 
     def backward(self, grad_out):
         """Returns dL/dx, or None while ``input_grad`` is cleared."""
-        self._require_forward("_kept")
-        z, g, m = self._z, self._g, self._m
+        kept, x_shape, z, pooled, g, m, heads = self._saved()
         b, ra, p = z.shape
         r = self.rank
         gy = grad_out.reshape(b, -1, p)                           # (B, N, OH*OW)
@@ -397,10 +392,10 @@ class InherConv2DLayer(GatedMixture):
         self.grad_blocks["up"] += dheads[:, :, :r]
         if self.has_head_bias:
             self.grad_blocks["bias"] += dheads[:, :, r]
-        s = c @ self._heads.T
+        s = c @ heads.T
         dz = m[:, :, :r].transpose(0, 2, 1) @ gy
-        dz += self._gate_backward(g, self._pooled, s)[:, :, None] / p
-        dk, dx = conv_lowered_backward(dz, self._kept, self._x_shape, self.blocks["down"][0],
+        dz += self._gate_backward(g, pooled, s)[:, :, None] / p
+        dk, dx = conv_lowered_backward(dz, kept, x_shape, self.blocks["down"][0],
                                        self.stride, self.padding, self.input_grad)
         self.grad_blocks["down"] += dk[None]
         return dx

@@ -95,7 +95,7 @@ def gen_synthetic(task: SyntheticTask, teacher: Network | None = None):
 
     A mimic task draws its inputs in blocks of :data:`~inhernet.nn.ROW_BLOCK`
     rows and labels each block with one teacher forward, so the teacher's
-    activations, and the input it caches, stay the size of a block. These
+    activations, and the input it saves, stay the size of a block. These
     are the blocks :func:`~inhernet.nn.forward_in_blocks` would run, so the
     labels equal its outputs bit for bit, which are a single forward's up
     to the last-place rounding it describes. A NaN or Inf among a block's

@@ -1,13 +1,13 @@
 """Minimal feed-forward network core with exact reverse-mode gradients.
 
 Layers operate on float64 batches with samples along the leading axis
-(row-vector convention, ``y = x @ W + b``). Each layer caches what its
-backward pass needs during forward; gradients accumulate until
-``zero_grads``. A :class:`Network` packs every trainable array of its
-layers into one contiguous parameter vector and one gradient vector:
-each layer's ``params`` and ``grads`` entries are views of those two
-vectors, so zeroing, norming and stepping the whole network are single
-vector operations. A central-difference oracle
+(row-vector convention, ``y = x @ W + b``). Each forward saves what its
+backward needs as one tuple, ``Layer.saved``, which copies and pickles
+drop; gradients accumulate until ``zero_grads``. A :class:`Network` packs
+every trainable array of its layers into one contiguous parameter vector
+and one gradient vector: each layer's ``params`` and ``grads`` entries are
+views of those two vectors, so zeroing, norming and stepping the whole
+network are single vector operations. A central-difference oracle
 (:func:`finite_difference_grad`) provides the independent check for every
 analytic gradient in the package.
 
@@ -16,15 +16,15 @@ layer returns one. Every convolution, a teacher :class:`Conv2DLayer` and
 the shared stage of an inherited one alike, lowers to GEMMs through one
 pair, :func:`conv_lowered` and :func:`conv_lowered_backward`, which picks
 the lowering from the kernel's shape. A layer keeps only the buffer the
-pair hands back and its input's shape, and drops the last batch's buffer
-before it lowers the next. kn2row's buffer is the unpadded input itself:
-its padded copy lives only for the forward GEMM, and its backward works on
-the unpadded pixels, so dL/dx comes out C-contiguous in the input's shape.
-im2col's buffer is the batch's patch matrix while that fits
-:data:`LOWER_BLOCK_BYTES` (or holds one image); a larger batch lowers in
-blocks of images that fit it and keeps its input, from which the backward
-rebuilds each block's patches, so no convolution builds or keeps a
-whole-batch patch matrix larger than that.
+pair hands back and its input's shape, and clears its slot before it
+lowers the next batch. kn2row's buffer is the unpadded input itself: its
+padded copy lives only for the forward GEMM, and its backward works on the
+unpadded pixels, so dL/dx comes out C-contiguous in the input's shape.
+im2col runs one loop over blocks of as many images as
+:data:`LOWER_BLOCK_BYTES` of patches hold (at least one). Its buffer is
+the patch matrix when the batch is one block, and the input otherwise,
+from which the backward rebuilds each block's patches, so no convolution
+builds or keeps a whole-batch patch matrix larger than that.
 
 Nothing reads the gradient with respect to a network's input, so
 :meth:`Network.backward` clears its first layer's ``input_grad`` for the
@@ -62,6 +62,10 @@ class Layer:
     order. A subclass that reads several adjacent blocks as one matrix
     builds that view in ``_expose``, which runs whenever the blocks move.
 
+    ``saved`` holds what the last ``forward`` kept for ``backward``, one
+    tuple (None before the first forward); ``_saved()`` raises
+    :class:`StateError` while it is None. Copies and pickles drop it.
+
     ``kind`` names the layer in checkpoint manifests. ``config()`` returns
     its manifest settings, the kind and the constructor arguments named in
     ``settings``, which with the arrays rebuild it through ``from_config``.
@@ -73,10 +77,11 @@ class Layer:
     # False while Network.backward runs this layer as its first: backward
     # then forms parameter gradients only and returns None.
     input_grad = True
+    saved: tuple | None = None
     # Attributes tied to where the blocks live (views of the flat vectors and
-    # the network vector holding them); pickling and deepcopy drop them, and
-    # the copy rebuilds them from its blocks.
-    derived: tuple[str, ...] = ("params", "grads", "flat", "grad_flat", "packed_in")
+    # the network vector holding them) or to the last forward; pickling and
+    # deepcopy drop them, and the copy rebuilds the first from its blocks.
+    derived: tuple[str, ...] = ("params", "grads", "flat", "grad_flat", "packed_in", "saved")
 
     def __init__(self):
         self.blocks: dict[str, np.ndarray] = {}
@@ -172,9 +177,11 @@ class Layer:
     def param_count(self) -> int:
         return self.flat.size
 
-    def _require_forward(self, attr: str = "_x"):
-        if getattr(self, attr, None) is None:
+    def _saved(self) -> tuple:
+        """The tuple the last forward saved for the backward."""
+        if self.saved is None:
             raise StateError(f"{type(self).__name__}.backward called before forward")
+        return self.saved
 
 
 class DenseLayer(Layer):
@@ -195,7 +202,6 @@ class DenseLayer(Layer):
                                  f"width {weight.shape[1]}")
             blocks["bias"] = bias
         self._store(blocks)
-        self._x = None
 
     @property
     def weight(self) -> np.ndarray:
@@ -210,15 +216,14 @@ class DenseLayer(Layer):
         if x.ndim != 2 or x.shape[1] != w.shape[0]:
             raise ShapeError(f"dense layer expects input width {w.shape[0]}, "
                              f"got batch shape {x.shape}")
-        self._x = x
+        self.saved = (x,)
         y = x @ w
         if "bias" in self.params:
             y = y + self.params["bias"]
         return y
 
     def backward(self, grad_out):
-        self._require_forward()
-        x = self._x
+        (x,) = self._saved()
         self.grads["weight"] += x.T @ grad_out
         if "bias" in self.params:
             self.grads["bias"] += grad_out.sum(axis=0)
@@ -230,21 +235,17 @@ class ReluLayer(Layer):
 
     kind = "relu"
 
-    def __init__(self):
-        super().__init__()
-        self._y = None
-
     def forward(self, x):
         # fmax drops NaN; adding +0.0 turns the -0.0 its scalar loop can return into +0.0
         y = np.fmax(x, 0.0)
         y += 0.0
-        self._y = y
+        self.saved = (y,)
         return y
 
     def backward(self, grad_out):
         # the mask as 0.0/1.0 floats, scaled in place: no mixed-type multiply
-        self._require_forward("_y")
-        grad = (self._y > 0.0).astype(np.float64)
+        (y,) = self._saved()
+        grad = (y > 0.0).astype(np.float64)
         grad *= grad_out
         return grad
 
@@ -392,19 +393,12 @@ def kn2row_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
             if rows is not None and cols is not None:
                 stack[:, i, j, :, rows[0], cols[0]] = gy[:, :, rows[1], cols[1]]
     stack = stack.reshape(b, kh * kw * r, h * w)
-    dk = sum_of_products(stack, x.reshape(b, c, h * w))
+    # one GEMM per sample, so neither operand is copied
+    dk = np.matmul(stack, x.reshape(b, c, h * w).transpose(0, 2, 1)).sum(axis=0)
     dk = dk.reshape(kh, kw, r, c).transpose(2, 3, 0, 1)
     if not input_grad:
         return dk, None
     return dk, (_kernel_stack(kernel).T @ stack).reshape(b, c, h, w)
-
-
-def sum_of_products(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``sum_i a[i] @ c[i].T`` over samples i of (B, M, P) and (B, K, P): an (M, K) matrix.
-
-    One GEMM per sample, so neither operand is copied.
-    """
-    return np.matmul(a, c.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _lowers_by_kn2row(kernel: np.ndarray) -> bool:
@@ -438,12 +432,12 @@ def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     r-filter shared stage of an inherited conv, it runs :func:`kn2row`
     and the buffer is the input itself, which the layer before holds
     anyway. Otherwise it runs :func:`im2col` and the GEMM
-    ``kernel @ cols``. A batch whose patches fit :data:`LOWER_BLOCK_BYTES`,
-    or a single image, does so once, and the buffer is the patch matrix. A larger batch runs
-    over consecutive blocks of as many images as fit, each block's GEMM
-    writing its rows of the output, and the buffer is the input itself.
-    Each image's GEMM is the same either way, so the output is too, bit
-    for bit.
+    ``kernel @ cols`` over consecutive blocks of as many images as
+    :data:`LOWER_BLOCK_BYTES` of patches hold (at least one), each block's
+    GEMM writing its rows of the output. The buffer is the patch matrix
+    when the whole batch is one block (an empty batch is one empty block),
+    and the input itself otherwise. Each image's GEMM is the same whatever
+    the blocks, so the output is too, bit for bit.
 
     The rule follows the data each lowering moves. kn2row's shifted adds
     move kh*kw*R values per output pixel where im2col copies kh*kw*C, and
@@ -461,13 +455,12 @@ def conv_lowered(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int):
     ow = conv_output_size(w, kw, stride, padding)
     km = kernel.reshape(r, -1)
     n = _images_per_block(km.shape[1] * oh * ow)
-    if b <= n:
-        cols = im2col(x, kh, kw, stride, padding)
-        return (km @ cols).reshape(b, r, oh, ow), cols
     y = np.empty((b, r, oh * ow))
-    for lo in range(0, b, n):
-        np.matmul(km, im2col(x[lo:lo + n], kh, kw, stride, padding), out=y[lo:lo + n])
-    return y.reshape(b, r, oh, ow), x
+    for lo in range(0, max(b, 1), n):
+        cols = None    # drop the last block's patches before the next block's are built
+        cols = im2col(x[lo:lo + n], kh, kw, stride, padding)
+        np.matmul(km, cols, out=y[lo:lo + n])
+    return y.reshape(b, r, oh, ow), cols if b <= n else x
 
 
 def conv_lowered_backward(grad_out: np.ndarray, kept: np.ndarray, x_shape,
@@ -476,33 +469,30 @@ def conv_lowered_backward(grad_out: np.ndarray, kept: np.ndarray, x_shape,
 
     ``kept`` is the buffer the forward returned for an input of shape
     ``x_shape``. With ``input_grad`` false, dL/dx is None and is not formed.
-    When an im2col forward ran in blocks, ``kept`` is its input, and the
-    backward runs over the same blocks: it rebuilds each block's patches,
-    forms that block's per-image kernel-gradient products and its dL/dx
-    through :func:`col2im`, and sums the products of the whole batch once,
-    as :func:`sum_of_products` does, so every gradient is the one-block
-    result bit for bit.
+    An im2col backward runs over the forward's blocks: it takes each
+    block's patches from ``kept`` when that is the patch matrix and
+    rebuilds them from the input otherwise, forms that block's per-image
+    kernel-gradient products and its dL/dx through :func:`col2im`, and sums
+    the products of the whole batch once, so every gradient is the
+    one-block result bit for bit.
     """
     if _lowers_by_kn2row(kernel):
         return kn2row_backward(grad_out, kept, kernel, stride, padding, input_grad)
     r, _, kh, kw = kernel.shape
-    b = x_shape[0]
-    gy = grad_out.reshape(b, r, -1)                            # (B, R, OH*OW)
+    b, _, h, w = x_shape
+    p = conv_output_size(h, kh, stride, padding) * conv_output_size(w, kw, stride, padding)
+    gy = grad_out.reshape(b, r, p)                             # (B, R, OH*OW)
     kt = kernel.reshape(r, -1).T
-    n = _images_per_block(kt.shape[0] * gy.shape[2])
-    if b <= n:
-        dk = sum_of_products(gy, kept).reshape(kernel.shape)
-        if not input_grad:
-            return dk, None
-        return dk, col2im(kt @ gy, x_shape, kh, kw, stride, padding)
+    n = _images_per_block(kt.shape[0] * p)
     products = np.empty((b, r, kt.shape[0]))
     dx = np.empty(x_shape) if input_grad else None
     for lo in range(0, b, n):
-        x = kept[lo:lo + n]
-        np.matmul(gy[lo:lo + n], im2col(x, kh, kw, stride, padding).transpose(0, 2, 1),
-                  out=products[lo:lo + n])
+        block = slice(lo, lo + n)
+        cols = kept if kept.ndim == 3 else im2col(kept[block], kh, kw, stride, padding)
+        np.matmul(gy[block], cols.transpose(0, 2, 1), out=products[block])
+        del cols       # a rebuilt block's patches go before its dL/dx is formed
         if input_grad:
-            dx[lo:lo + n] = col2im(kt @ gy[lo:lo + n], x.shape, kh, kw, stride, padding)
+            dx[block] = col2im(kt @ gy[block], dx[block].shape, kh, kw, stride, padding)
     return products.sum(axis=0).reshape(kernel.shape), dx
 
 
@@ -511,9 +501,10 @@ class Conv2DLayer(Layer):
 
     Kernel shape is (n_filters, in_channels, kh, kw); inputs are
     (batch, in_channels, height, width). Between forward and backward the
-    layer keeps the buffer the lowering handed back: the input itself when
-    it lowers by kn2row or by im2col in several blocks, else the batch's
-    patch matrix, at most :data:`LOWER_BLOCK_BYTES` or one image's.
+    layer's slot holds the input's shape and the buffer the lowering handed
+    back: the input itself when it lowers by kn2row or by im2col in several
+    blocks, else the batch's patch matrix, at most :data:`LOWER_BLOCK_BYTES`
+    or one image's.
     """
 
     kind = "conv2d"
@@ -536,23 +527,22 @@ class Conv2DLayer(Layer):
         self._store(blocks)
         self.stride = stride
         self.padding = padding
-        self._kept = None
 
     @property
     def kernel(self) -> np.ndarray:
         return self.params["kernel"]
 
     def forward(self, x):
-        self._kept = None    # drop the last batch's buffer first, so two are never alive
-        y, self._kept = conv_lowered(x, self.kernel, self.stride, self.padding)
-        self._x_shape = x.shape
+        self.saved = None    # drop the last batch's buffer first, so two are never alive
+        y, kept = conv_lowered(x, self.kernel, self.stride, self.padding)
+        self.saved = (kept, x.shape)
         if "bias" in self.params:
             y += self.params["bias"][:, None, None]
         return y
 
     def backward(self, grad_out):
-        self._require_forward("_kept")
-        dk, dx = conv_lowered_backward(grad_out, self._kept, self._x_shape, self.kernel,
+        kept, x_shape = self._saved()
+        dk, dx = conv_lowered_backward(grad_out, kept, x_shape, self.kernel,
                                        self.stride, self.padding, self.input_grad)
         self.grads["kernel"] += dk
         if "bias" in self.params:
@@ -661,7 +651,7 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
     """``net.forward(x)`` run over consecutive slices of ``block`` samples.
 
     The block outputs fill one array allocated after the first block, and
-    the layers' caches hold the last block's activations only, so the peak
+    the layers' slots hold the last block's activations only, so the peak
     memory follows the block rather than the split. A split that fits in
     one block runs as that single call, with no copy; an empty one does
     too, so a loss still rejects it. A larger split is checked for NaN and
@@ -677,7 +667,7 @@ def forward_in_blocks(net: Network, x: np.ndarray, block: int = ROW_BLOCK) -> np
     512-wide layers of finetune-wide kept every bit of labels and losses.
 
     The layers keep what their backward needs, so a first layer that keeps
-    its input, as a :class:`DenseLayer` does, caches a view of ``x``: its
+    its input, as a :class:`DenseLayer` does, saves a view of ``x``: its
     last block, or all of it when it fits one block. That view keeps the
     whole of ``x`` alive after this returns, so a caller that drops ``x``
     still pays for it until the network's next forward.

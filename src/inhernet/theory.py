@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DegenerateInputError, RangeError, ShapeError
+from .errors import DegenerateInputError, RangeError, ShapeError, require_index
 from .inherit import GatedMixture, factor_matrix
 from .linalg import condition_number
 from .nn import Network
@@ -32,9 +32,7 @@ def compression_ratio_paper(m: int, n: int, r: int, h: int) -> float:
 
 def spectral_energy(full_spectrum, r: int) -> float:
     """Fraction of squared singular values kept by a rank-r truncation."""
-    s = _check_spectrum(full_spectrum)
-    if not 1 <= r <= s.size:
-        raise RangeError(f"rank {r} out of range [1, {s.size}]")
+    s = _check_spectrum(full_spectrum, r)
     sq = s * s
     return float(sq[:r].sum() / sq.sum())
 
@@ -51,12 +49,9 @@ def rank_for_energy(full_spectrum, epsilon: float) -> int:
 
 
 def eckart_young_error(full_spectrum, r: int) -> float:
-    """Frobenius error of the optimal rank-r approximation: sqrt tail energy."""
-    s = np.asarray(full_spectrum, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ShapeError(f"spectrum must be a nonempty vector, got shape {s.shape}")
-    if not 1 <= r <= s.size:
-        raise RangeError(f"rank {r} out of range [1, {s.size}]")
+    """Frobenius error of the optimal rank-r approximation: sqrt tail energy,
+    0.0 for an all-zero spectrum."""
+    s = _check_spectrum(full_spectrum, r, zero_ok=True)
     return float(np.sqrt(np.sum(s[r:] * s[r:])))
 
 
@@ -75,9 +70,12 @@ class LayerInfluence:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError("influence weights must be a nonempty vector")
-        if np.any(w < 0):
-            raise RangeError("influence weights must be nonnegative")
-        total = w.sum()
+        if not np.isfinite(w).all() or np.any(w < 0):
+            raise RangeError(f"influence weights must be finite and nonnegative, got {w.tolist()}")
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise RangeError(f"influence weights {w.tolist()} sum past the float64 range")
         if total == 0:
             raise DegenerateInputError("influence weights are all zero")
         return cls(alpha=tuple(float(v) for v in w / total))
@@ -224,12 +222,20 @@ def output_cosine_similarity(net_a: Network, net_b: Network, x: np.ndarray) -> f
     return float(np.mean(num[ok] / den[ok]))
 
 
-def _check_spectrum(full_spectrum) -> np.ndarray:
+def _check_spectrum(full_spectrum, r: int | None = None, zero_ok: bool = False) -> np.ndarray:
+    """``full_spectrum`` as a float64 vector: nonempty, nonnegative and
+    nonincreasing, with a finite sum of squares, and not all zero unless
+    ``zero_ok``. A rank ``r``, when given, must be an integer in [1, size]."""
     s = np.asarray(full_spectrum, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ShapeError(f"spectrum must be a nonempty vector, got shape {s.shape}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(s @ s):
+            raise RangeError("spectrum holds NaN or Inf, or its squares sum past float64")
     if np.any(s < 0) or np.any(s[:-1] < s[1:]):
         raise RangeError("spectrum must be nonnegative and nonincreasing")
-    if s[0] == 0.0:
+    if s[0] == 0.0 and not zero_ok:
         raise DegenerateInputError("spectral energy of an all-zero spectrum")
+    if r is not None and not 1 <= require_index("rank", r) <= s.size:
+        raise RangeError(f"rank {r} out of range [1, {s.size}]")
     return s

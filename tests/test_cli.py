@@ -263,6 +263,13 @@ class TestAnalyzeCommand:
         assert "rho_paper" in payload and "per_layer_breakdown" in payload
         assert "empirical_output_cosine_diagnostic" in payload
 
+    def test_non_finite_alphas_are_a_user_error(self, tmp_path, teacher_ckpt, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--teacher", str(teacher_ckpt), "--rank", "3",
+                       "--alphas", "nan,1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: influence weights must be finite") and not out.exists()
+
 
 @pytest.fixture(scope="module")
 def conv_teacher_ckpt(tmp_path_factory):

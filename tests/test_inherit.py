@@ -371,9 +371,10 @@ class TestConvHeadStage:
         for bias, channels in ((None, 2), (gen.standard_normal(6), 3)):
             layer = inherit_conv(gen.standard_normal((6, 5, 3, 3)), 2, 3, padding=1, bias=bias)
             layer.forward(gen.standard_normal((2, 5, 4, 4)))
-            assert layer._z.shape == (2, channels, 16)
+            z = layer.saved[2]
+            assert z.shape == (2, channels, 16)
             if bias is not None:
-                assert np.all(layer._z[:, 2] == 1.0)
+                assert np.all(z[:, 2] == 1.0)
 
 
 class TestGateWeighted:

@@ -6,10 +6,10 @@ import itertools
 import pickle
 import tracemalloc
 
-from inhernet import nn
+from inhernet import io, nn
 from inhernet.errors import RangeError, ShapeError, StateError
 from inhernet.experiments import perturb_heads
-from inhernet.inherit import inherit_conv, inherit_dense
+from inhernet.inherit import inherit_conv, inherit_dense, inherit_layer
 from inhernet.nn import (Conv2DLayer, DenseLayer, Network, ReluLayer, accuracy, col2im,
                          cross_entropy, cross_entropy_value, finite_difference_grad,
                          forward_in_blocks, im2col, kn2row, kn2row_backward, make_mlp,
@@ -152,6 +152,60 @@ FIRST_LAYERS = {
                            bias=gen.standard_normal(4)), gen),
         gen.standard_normal((2, 3, 7, 7))),
 }
+
+
+# manifest kind -> (layer, input batch): one layer of every kind a checkpoint holds
+EVERY_KIND = {
+    "dense": lambda gen: (DenseLayer(gen.standard_normal((5, 4)), gen.standard_normal(4)),
+                          gen.standard_normal((6, 5))),
+    "relu": lambda gen: (ReluLayer(), gen.standard_normal((6, 5))),
+    "conv2d": FIRST_LAYERS["conv2d"],
+    "inherit_dense": FIRST_LAYERS["inherit_dense_code"],
+    "inverse": lambda gen: (gated(inherit_layer(DenseLayer(gen.standard_normal((5, 4)),
+                                                           gen.standard_normal(4)), 2, 3,
+                                                "inverse"), gen), gen.standard_normal((6, 5))),
+    "symmetric": lambda gen: (gated(inherit_layer(DenseLayer(gen.standard_normal((5, 4)),
+                                                             gen.standard_normal(4)), 2, 3,
+                                                  "symmetric"), gen), gen.standard_normal((6, 5))),
+    "inherit_conv": FIRST_LAYERS["inherit_conv_im2col"],
+}
+
+
+class TestSavedSlot:
+    """A layer's forward-to-backward state is its ``saved`` slot, which copies
+    and pickles drop."""
+
+    def test_every_manifest_kind_is_built(self):
+        assert EVERY_KIND.keys() == io.LAYER_KINDS.keys()
+
+    @pytest.mark.parametrize("kind", list(io.LAYER_KINDS))
+    def test_a_backward_needs_a_forward_of_the_same_layer(self, kind):
+        gen = philox(38, 0)
+        layer, x = EVERY_KIND[kind](gen)
+        assert layer.kind == kind
+        with pytest.raises(StateError, match="backward called before forward"):
+            layer.backward(np.ones(1))
+        gy = gen.standard_normal(layer.forward(x).shape)
+        dx = layer.backward(gy)
+        for twin in (copy.deepcopy(layer), pickle.loads(pickle.dumps(layer))):
+            assert twin.saved is None
+            with pytest.raises(StateError, match="backward called before forward"):
+                twin.backward(gy)
+            twin.forward(x)
+            assert np.array_equal(twin.backward(gy), dx)
+
+    @pytest.mark.parametrize("kind", list(io.LAYER_KINDS))
+    def test_a_network_pickles_to_the_same_bytes_after_a_step(self, kind):
+        gen = philox(39, 0)
+        layer, x = EVERY_KIND[kind](gen)
+        net = Network([layer])
+        before = pickle.dumps(net)
+        net.zero_grads()
+        net.backward(gen.standard_normal(net.forward(x).shape))
+        net.zero_grads()
+        assert layer.saved is not None and pickle.dumps(net) == before
+        with pytest.raises(StateError):
+            copy.deepcopy(net).backward(np.ones(1))
 
 
 class TestFirstLayerBackward:
@@ -364,7 +418,7 @@ class TestKn2row:
         for layer in (Conv2DLayer(gen.standard_normal((2, 6, 3, 3)), padding=1),
                       inherit_conv(gen.standard_normal((6, 6, 3, 3)), 2, 3, padding=1)):
             layer.forward(x)
-            assert layer._kept is x
+            assert layer.saved[0] is x
 
     def test_inherited_conv_caches_no_patch_matrix(self):
         """One 256-image forward at r=4 on 16 channels, which lowers through
@@ -374,7 +428,7 @@ class TestKn2row:
         x = gen.standard_normal((256, 16, 16, 16))
         layer = inherit_conv(gen.standard_normal((16, 16, 3, 3)), 4, 3, padding=1)
         layer.forward(x)
-        cached = sum(v.nbytes for v in vars(layer).values()
+        cached = sum(v.nbytes for v in (*vars(layer).values(), *layer.saved)
                      if isinstance(v, np.ndarray) and v is not x)
         assert cached < 2 * x.nbytes
 
@@ -404,7 +458,7 @@ class TestBlockedIm2col:
         y = layer.forward(x)
         gy = gen.standard_normal(y.shape)
         dx = layer.backward(gy)
-        assert layer._kept is x
+        assert layer.saved[0] is x
         cols = im2col(x, 3, 3, stride, 1)
         g = gy.reshape(len(x), 16, -1)
         assert np.array_equal(y, (k.reshape(16, -1) @ cols).reshape(y.shape) + bias[:, None, None])
@@ -428,7 +482,7 @@ class TestBlockedIm2col:
             monkeypatch.setattr(nn, "LOWER_BLOCK_BYTES", budget)
             layer.zero_grads()
             y = layer.forward(x)
-            runs.append((y, layer.backward(gy), layer.grad_flat.copy(), layer._kept is x))
+            runs.append((y, layer.backward(gy), layer.grad_flat.copy(), layer.saved[0] is x))
         (y, dx, grads, kept_x), (y1, dx1, grads1, kept_x1) = runs
         assert kept_x and not kept_x1
         assert np.array_equal(y, y1) and np.array_equal(dx, dx1)
@@ -444,10 +498,26 @@ class TestBlockedIm2col:
         n = images_per_block(3, 3, 3, 16, 16)
         small = gen.standard_normal((n, 3, 16, 16))
         layer.forward(small)
-        assert np.array_equal(layer._kept, im2col(small, 3, 3, 1, 1))
+        assert np.array_equal(layer.saved[0], im2col(small, 3, 3, 1, 1))
         large = gen.standard_normal((n + 1, 3, 16, 16))
         layer.forward(large)
-        assert layer._kept is large
+        assert layer.saved[0] is large
+
+    @pytest.mark.parametrize("channels,budget,kept_shape", [
+        (6, None, (0, 6, 5, 5)), (2, None, (0, 18, 25)), (2, 1, (0, 18, 25))],
+        ids=["kn2row", "im2col-one-block", "im2col-one-image-blocks"])
+    def test_an_empty_batch_lowers_once(self, monkeypatch, channels, budget, kept_shape):
+        """A 0-image batch still unfolds once: the forward returns and keeps
+        empty arrays of a batch's shapes, and the backward a zero kernel
+        gradient and an empty dL/dx."""
+        if budget is not None:
+            monkeypatch.setattr(nn, "LOWER_BLOCK_BYTES", budget)
+        kernel = philox(23, 0).standard_normal((4, channels, 3, 3))
+        x = np.zeros((0, channels, 5, 5))
+        y, kept = nn.conv_lowered(x, kernel, 1, 1)
+        assert y.shape == (0, 4, 5, 5) and y.flags.c_contiguous and kept.shape == kept_shape
+        dk, dx = nn.conv_lowered_backward(np.zeros(y.shape), kept, x.shape, kernel, 1, 1, True)
+        assert dk.shape == kernel.shape and not dk.any() and dx.shape == x.shape
 
     def test_peak_memory_follows_the_block_not_the_batch(self):
         """A 64-image forward of a 16->16 3x3 conv on 16x16 images: its whole-

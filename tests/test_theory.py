@@ -97,6 +97,36 @@ class TestSpectralEnergy:
             assert abs(err * err - tail) <= 1e-12 * total
 
 
+class TestSpectrumChecks:
+    """Every spectrum function takes a finite, nonnegative, nonincreasing
+    spectrum whose squares sum inside the float64 range, or raises."""
+
+    @pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]],
+                             ids=["nan", "inf", "squares-overflow"])
+    @pytest.mark.parametrize("fn", [spectral_energy, eckart_young_error,
+                                    lambda s, r: rank_for_energy(s, 0.1)],
+                             ids=["spectral_energy", "eckart_young_error", "rank_for_energy"])
+    def test_a_non_finite_energy_is_a_range_error(self, fn, spectrum):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                fn(spectrum, 1)
+
+    def test_eckart_young_takes_only_a_sorted_spectrum(self):
+        with pytest.raises(RangeError, match="nonincreasing"):
+            eckart_young_error([1.0, 3.0], 1)
+        with pytest.raises(ShapeError):
+            eckart_young_error([[3.0, 1.0]], 1)
+
+    @pytest.mark.parametrize("fn", [spectral_energy, eckart_young_error])
+    def test_a_fractional_rank_is_a_range_error(self, fn):
+        with pytest.raises(RangeError, match="rank must be an integer"):
+            fn([3.0, 2.0, 1.0], 1.5)
+
+    def test_an_all_zero_spectrum_has_no_truncation_error(self):
+        assert eckart_young_error([0.0, 0.0], 1) == 0.0
+
+
 class TestEckartYoungError:
     def test_full_rank_zero(self):
         assert eckart_young_error([3.0, 2.0, 1.0], 3) == 0.0
@@ -140,6 +170,15 @@ class TestPreservationBound:
         inf = LayerInfluence.normalized([2.0, 6.0])
         assert abs(sum(inf.alpha) - 1.0) < 1e-12
         assert inf.alpha == (0.25, 0.75)
+
+    @pytest.mark.parametrize("weights,message", [
+        ([np.nan, 1.0], "finite and nonnegative"), ([np.inf, 1.0], "finite and nonnegative"),
+        ([1.0, -1.0], "finite and nonnegative"), ([1e308, 1e308], "sum past the float64 range")])
+    def test_influences_are_finite_with_a_finite_sum(self, weights, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=message):
+                LayerInfluence.normalized(weights)
 
 
 class TestAnalyzeNetwork:

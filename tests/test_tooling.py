@@ -126,8 +126,7 @@ def test_training_engine_imports_no_builder_or_harness():
 
 
 # the functions behind nn.conv_lowered and nn.conv_lowered_backward
-LOWERING_INTERNALS = {"im2col", "col2im", "kn2row", "kn2row_backward", "sum_of_products",
-                      "conv_output_size"}
+LOWERING_INTERNALS = {"im2col", "col2im", "kn2row", "kn2row_backward", "conv_output_size"}
 
 
 def names_imported_from(source: str, module: str) -> set[str]:
@@ -158,6 +157,28 @@ def test_only_nn_and_inherit_read_the_stacked_view_names():
     readers = sorted(path.name for path in SRC.glob("*.py")
                      if "stacked" in attributes_read(path.read_text()))
     assert readers == ["inherit.py", "nn.py"]
+
+
+def forward_state_writes(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each ``self.<name>`` that a method named ``forward`` assigns."""
+    return sorted((node.lineno, node.attr) for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "forward"
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def test_forward_keeps_its_state_in_the_saved_slot():
+    """What a forward keeps for its backward is one tuple, ``saved``, which
+    copies and pickles drop; any other attribute it wrote would ride along
+    with them and let a copy's backward run on the original's activations."""
+    source = ("class A:\n    def forward(self, x):\n        y, self._k = f(x)\n"
+              "        self.saved = (x,)\n        self.n += 1\n        other.z = x\n"
+              "    def backward(self, g):\n        self._g = g\n")
+    assert forward_state_writes(source) == [(3, "_k"), (4, "saved"), (5, "n")]
+    found = {path.name: writes for path in sorted(SRC.glob("*.py"))
+             if (writes := [w for w in forward_state_writes(path.read_text()) if w[1] != "saved"])}
+    assert found == {}
 
 
 @pytest.mark.parametrize("build,lowering", [
