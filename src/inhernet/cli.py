@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the named property suite")
-    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
     p.add_argument("--checkpoint", default=None,
                    help="additionally validate this checkpoint file")
     p.set_defaults(func=cmd_verify)

@@ -90,7 +90,7 @@ def perturb_heads(net: Network, seed: int, gate_scale: float = 0.0) -> None:
     """Break the head replica symmetry of freshly inherited layers in place: jitter
     every entry of the down and up blocks a layer holds per head (not the bias)
     with Gaussian noise at ``HEAD_JITTER`` times its RMS."""
-    gen = _rng.philox(seed, 7)
+    gen = _rng.philox(seed, _rng.STREAM_JITTER)
     for layer in net.layers:
         if not isinstance(layer, GatedMixture):
             continue

@@ -5,36 +5,29 @@ Every gated layer computes one map, a mixture of H low-rank experts
 ``g = softmax(gate_in @ gate_weight + gate_bias)`` (the factorised mixture
 of sparsely-gated MoE layers and of low-rank adapters). D, U and b are
 stacks whose leading axis is 1 (shared by every head) or H (one per head);
-which side is per head is all that separates the variants. Every gated
-layer stores the three stacks as the blocks ``down``, ``up`` and ``bias``;
-its manifest kind fixes which of them are per head and the array names
-they are saved and exposed under (:data:`KINDS`):
+which side is per head is all that separates the kinds. A gated layer
+stores the stacks as the blocks ``down``, ``up`` and ``bias``; the one kind
+table :data:`KINDS` gives each kind's class and the array names its stacks
+are saved and exposed under. ``inherit_dense`` shares D and gates on the
+code ``x @ D`` or the input; ``inverse`` shares U and b; ``symmetric`` has
+two (D, U) branches and a shared b; both gate on the input. ``inherit_conv``
+is the conv twin of ``inherit_dense`` (a dense layer is its one-pixel
+case): D is a spatial kernel of r filters, run through the teacher conv's
+code :func:`~inhernet.nn.conv_lowered`, each U_h a 1x1 convolution, and
+the gate reads the spatial mean of the code map.
 
-* ``inherit_dense``: shared ``w_down``, per-head ``head_{h}`` and
-  ``head_bias_{h}``; the gate reads the code ``x @ w_down`` or the input.
-* ``inverse``: per-head ``down_{h}``, shared ``w_up`` and ``bias``.
-* ``symmetric``: two branches ``down_{i}``/``up_{i}``, shared ``bias``.
-* ``inherit_conv``: the down stack is a shared spatial kernel
-  ``shared_kernel`` (r filters), the up stack per-head 1x1 expansions
-  ``head_{h}`` (N, r) with biases ``head_bias_{h}``; the gate reads the
-  spatial mean of the code map. A dense layer is the one-pixel case of
-  this layer. The shared stage is a convolution with r filters, and it
-  runs the teacher conv's code, :func:`~inhernet.nn.conv_lowered`, which
-  picks the cheaper lowering for those few output channels.
-
-The ablation kinds gate on the input; a frozen gate (``no-gate``) is
-exactly uniform and has no parameters. Each layer mixes its heads in the
-space that is cheaper for its shape, and no step loops over heads in
-Python. A dense layer has one code per sample, so it mixes codes, and its
-whole output stage is one GEMM. The gate-weighted codes of all heads
-(summed over heads first when U is shared) and the bias's gate columns (g
-itself for per-head biases, its row sum for a shared one) fill one
-(B, H_up*r + H_bias) buffer. That buffer multiplies the ``up`` and
-``bias`` blocks read as one (H_up*r + H_bias, n) matrix ``[up; bias]``,
-a view of the flat parameter vector, where the blocks sit side by side.
-The backward draws both blocks' gradients from ``buffer.T @ grad_out``,
-and the code gradient and the bias's share of the gate scores from
-``grad_out @ [up; bias].T``.
+A frozen gate (``no-gate``) is exactly uniform and has no parameters. Each
+layer mixes its heads in the space that is cheaper for its shape, and no
+step loops over heads in Python. A dense layer has one code per sample, so
+it mixes codes, and its whole output stage is one GEMM. The gate-weighted
+codes of all heads (summed over heads first when U is shared) and the
+bias's gate columns (g itself for per-head biases, its row sum for a
+shared one) fill one (B, H_up*r + H_bias) buffer. That buffer multiplies
+the ``up`` and ``bias`` blocks read as one (H_up*r + H_bias, n) matrix
+``[up; bias]``, a view of the flat parameter vector, where the blocks sit
+side by side. The backward draws both blocks' gradients from
+``buffer.T @ grad_out``, and the code gradient and the bias's share of the
+gate scores from ``grad_out @ [up; bias].T``.
 
 A convolution has one code per output pixel, so it mixes weights: each
 sample's gate sums the heads into one matrix, as CondConv routes expert
@@ -47,14 +40,16 @@ backward draws the heads' rows, the bias column and the gate scores from
 one product ``grad_out @ code^T``. Its output is NCHW without a transpose,
 and no per-head copy of the code map exists on either pass.
 
-Inheritance starts every head from the teacher's truncated SVD: D =
-``U_r sqrt(S_r)``, U = ``sqrt(S_r) V_r^T`` (a conv kernel, reshaped to
-(N, c*kh*kw), is the transpose of W).
-In ``convex`` mode (default) each head holds the full factor, so any
-convex gating of identical heads reproduces the rank-r teacher exactly; in
-``paper`` mode each holds one H-th of it, so uniform gating reproduces only
-``W_r / H``. Gate parameters start at zero, so gating starts uniform; code
-gating has the ``H*(r+1)`` gate parameters the compression accounting counts.
+:func:`inherit_layer` builds every student from one start factor pair,
+the teacher's truncated SVD D = ``U_r sqrt(S_r)``, U = ``sqrt(S_r) V_r^T``
+(a conv kernel, reshaped to (N, c*kh*kw), is the transpose of W) or Kaiming
+draws for ``no-svd``, and tiles each stack as its kind holds it. In
+``convex`` mode (default) every head holds the full factor, so any convex
+gating of identical heads reproduces the rank-r teacher exactly; in
+``paper`` mode the per-head factor (``up`` where it is per head, else
+``down``) holds one H-th, so uniform gating reproduces only ``W_r / H``.
+Gates start at zero, that is uniform; code gating has the ``H*(r+1)`` gate
+parameters the compression accounting counts.
 
 Only this module knows which teacher layers decompose: :func:`factor_matrix`
 gives the matrix a teacher layer's SVD factors, :func:`inherit_layer` builds
@@ -63,13 +58,15 @@ its student.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import rng as _rng
 from .errors import RangeError, ShapeError, require_index
 from .linalg import softmax, sum_rows, truncated_svd
-from .nn import (Layer, Network, ReluLayer, check_conv_geometry, conv_lowered,
-                 conv_lowered_backward, kaiming_uniform)
+from .nn import (Conv2DLayer, DenseLayer, Layer, Network, ReluLayer, check_conv_geometry,
+                 conv_lowered, conv_lowered_backward, kaiming_uniform)
 
 COMBINER_MODES = ("convex", "paper")
 GATE_INPUTS = ("code", "input")
@@ -77,20 +74,19 @@ VARIANTS = ("standard", "no-svd", "no-gate", "symmetric", "inverse")
 
 STACKS = ("down", "up", "bias")
 
-# Manifest kind -> array names of the down, up and bias blocks, which checkpoint
-# format v1 fixes. A name with "{}" makes the block per head, one array per
-# head; any other names the one entry of a shared block.
-KINDS = {
-    "inherit_dense": ("w_down", "head_{}", "head_bias_{}"),
-    "inverse": ("down_{}", "w_up", "bias"),
-    "symmetric": ("down_{}", "up_{}", "bias"),
-    "inherit_conv": ("shared_kernel", "head_{}", "head_bias_{}"),
-}
 
+class GatedKind(NamedTuple):
+    """A gated manifest kind: its class and the array names of its down, up
+    and bias stacks, which format v1 fixes. A name with "{}" makes a stack
+    per head (``head_{}`` gives ``head_0``, ``head_1``, ...)."""
 
-def _tile(a: np.ndarray | None, h: int) -> np.ndarray | None:
-    """``h`` copies of ``a`` stacked along a new leading axis (None stays None)."""
-    return None if a is None else np.repeat(np.asarray(a, dtype=np.float64)[None], h, axis=0)
+    layer: type
+    stacked: tuple[str, str, str]
+
+    @property
+    def per_head(self) -> tuple[str, ...]:
+        """The stacks that hold one entry per head."""
+        return tuple(block for block, name in zip(STACKS, self.stacked) if "{}" in name)
 
 
 def _stack(arrays: dict[str, np.ndarray], name: str, h: int) -> np.ndarray:
@@ -98,6 +94,19 @@ def _stack(arrays: dict[str, np.ndarray], name: str, h: int) -> np.ndarray:
     if "{}" in name:
         return np.stack([arrays[name.format(i)] for i in range(h)])
     return arrays[name][None]
+
+
+def _named(blocks: dict[str, np.ndarray], stacked: dict[str, str]) -> dict[str, np.ndarray]:
+    """``blocks`` under their array names: a stack named in ``stacked`` as one
+    view per entry, or as its one entry; the gate blocks under their own names."""
+    out: dict[str, np.ndarray] = {}
+    for block, a in blocks.items():
+        name = stacked.get(block, block)
+        if "{}" in name:
+            out.update((name.format(i), entry) for i, entry in enumerate(a))
+        else:
+            out[name] = a[0] if block in stacked else a
+    return out
 
 
 def _gate_weighted(g: np.ndarray, a: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -118,9 +127,10 @@ class GatedMixture(Layer):
     A subclass stores its down, up and bias stacks through
     ``_store_stacks`` as the blocks ``down``, ``up`` and ``bias`` (absent
     without a bias); ``per_head`` names those of them that hold one entry
-    per head, and the others hold one shared entry. It draws its
-    per-sample gate (B, H) from ``_gate`` and mixes its heads in the form
-    its shape makes cheaper. Its backward
+    per head, and the others hold one shared entry. ``params`` and
+    ``grads`` expose the stacks under their kind's array names
+    (:data:`KINDS`). It draws its per-sample gate (B, H) from ``_gate``
+    and mixes its heads in the form its shape makes cheaper. Its backward
     reduces the output gradient to the gate scores ``s = dL/dg`` (B, H) and
     hands them to ``_gate_backward``, the one place the softmax-gate
     backward is written.
@@ -133,8 +143,7 @@ class GatedMixture(Layer):
         Without ``gate_weight`` the gate is frozen at uniform and has no
         parameters.
         """
-        self.kind, self.stacked = kind, dict(zip(STACKS, KINDS[kind]))
-        self.per_head = tuple(name for name, view in self.stacked.items() if "{}" in view)
+        self.kind, self.per_head = kind, KINDS[kind].per_head
         blocks = {name: np.asarray(a, dtype=np.float64)
                   for name, a in zip(STACKS, (down, up, bias)) if a is not None}
         h = len(blocks[self.per_head[0]])
@@ -155,6 +164,10 @@ class GatedMixture(Layer):
         self.gate_frozen = gate_weight is None
         self.has_head_bias = bias is not None
 
+    def _expose(self) -> None:
+        stacked = dict(zip(STACKS, KINDS[self.kind].stacked))
+        self.params, self.grads = _named(self.blocks, stacked), _named(self.grad_blocks, stacked)
+
     @classmethod
     def from_config(cls, config: dict, arrays: dict[str, np.ndarray]) -> "GatedMixture":
         fields = dict(config)
@@ -164,7 +177,7 @@ class GatedMixture(Layer):
                                ("has_head_bias", "bias" in arrays), ("n_heads", 2)):
                 fields.setdefault(key, value)
         h = fields["n_heads"]
-        down, up, bias = KINDS[fields["kind"]]
+        down, up, bias = KINDS[fields["kind"]].stacked
         gate = {} if fields["gate_frozen"] else {
             "gate_weight": arrays["gate_weight"], "gate_bias": arrays["gate_bias"]}
         return cls(_stack(arrays, down, h), _stack(arrays, up, h),
@@ -174,10 +187,6 @@ class GatedMixture(Layer):
     def config(self) -> dict:
         return {**super().config(), "n_heads": self.n_heads, "has_head_bias": self.has_head_bias,
                 "gate_frozen": self.gate_frozen}
-
-    def ungated(self) -> "GatedMixture":
-        """This layer's ``no-gate`` form: copies of its arrays, the gate frozen at uniform."""
-        return type(self).from_config({**self.config(), "gate_frozen": True}, self.params)
 
     def _gate(self, gate_in: np.ndarray) -> np.ndarray:
         """Per-sample gate weights (B, H); exactly uniform when the gate is frozen."""
@@ -226,7 +235,7 @@ class InherNetLayer(GatedMixture):
                  gate_weight: np.ndarray | None = None, gate_bias: np.ndarray | None = None,
                  gate_input: str = "code", kind: str = "inherit_dense"):
         super().__init__()
-        if kind not in ("inherit_dense", "inverse", "symmetric"):
+        if kind not in KINDS or KINDS[kind].layer is not InherNetLayer:
             raise RangeError(f"unknown dense kind {kind!r}")
         if gate_input not in GATE_INPUTS or (gate_input == "code" and kind != "inherit_dense"):
             raise RangeError(f"gate_input must be one of {GATE_INPUTS} (only 'input' for "
@@ -401,65 +410,31 @@ class InherConv2DLayer(GatedMixture):
         return dx
 
 
-def _svd_start(w: np.ndarray, r: int, h: int, mode: str, gate_input: str):
-    """Check a builder's arguments; returns the sqrt factors of the rank-r SVD
-    of ``w``, ``U_r sqrt(S_r)`` and ``sqrt(S_r) V_r^T``, and the divisor of
-    the per-head factor (H in ``paper`` mode, else 1)."""
-    if mode not in COMBINER_MODES:
-        raise RangeError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
-    if gate_input not in GATE_INPUTS:
-        raise RangeError(f"gate_input must be one of {GATE_INPUTS}, got {gate_input!r}")
-    require_index("rank", r)
-    require_index("head count", h)
-    if h < 1:
-        raise RangeError(f"head count must be >= 1, got {h}")
-    f = truncated_svd(w, r)
-    sq = np.sqrt(f.sigma)
-    return f.u * sq, sq[:, None] * f.v.T, h if mode == "paper" else 1
+# Manifest kind -> class and array names; one entry per gated kind.
+KINDS = {
+    "inherit_dense": GatedKind(InherNetLayer, ("w_down", "head_{}", "head_bias_{}")),
+    "inverse": GatedKind(InherNetLayer, ("down_{}", "w_up", "bias")),
+    "symmetric": GatedKind(InherNetLayer, ("down_{}", "up_{}", "bias")),
+    "inherit_conv": GatedKind(InherConv2DLayer, ("shared_kernel", "head_{}", "head_bias_{}")),
+}
 
 
 def inherit_dense(w: np.ndarray, r: int, h: int, mode: str = "convex",
                   gate_input: str = "code",
                   bias: np.ndarray | None = None) -> InherNetLayer:
-    """Build an inherited layer from a dense teacher weight matrix.
-
-    ``w_down`` is ``U_r sqrt(S_r)``; every head starts at
-    ``sqrt(S_r) V_r^T`` (mode ``convex``) or at one H-th of that (mode
-    ``paper``). Gate parameters start at zero so gating is uniform, and a
-    teacher bias, if present, is copied into every head's output stage.
-    """
-    w_down, head_base, div = _svd_start(w, r, h, mode, gate_input)
-    gdim = r if gate_input == "code" else w.shape[0]
-    return InherNetLayer(w_down[None], _tile(head_base / div, h), _tile(bias, h),
-                         np.zeros((gdim, h)), np.zeros(h), gate_input)
+    """The ``standard`` student of the dense teacher ``x @ w + bias``:
+    ``w_down`` is ``U_r sqrt(S_r)``, every head ``sqrt(S_r) V_r^T`` (one H-th
+    of it in ``paper`` mode) and a copy of the bias, and the gate is uniform."""
+    return inherit_layer(DenseLayer(w, bias), r, h, mode=mode, gate_input=gate_input)
 
 
 def inherit_conv(k: np.ndarray, r: int, h: int, mode: str = "convex",
                  stride: int = 1, padding: int = 0,
                  bias: np.ndarray | None = None) -> InherConv2DLayer:
-    """Build an inherited convolution from a 4-D teacher kernel.
-
-    ``k`` of shape (N, c, kh, kw) is reshaped to (N, c*kh*kw) and
-    factorized; ``sqrt(S_r) V_r^T`` becomes the shared spatial kernel
-    (r, c, kh, kw) and ``U_r sqrt(S_r)`` the (N, r) expert heads realized
-    as 1x1 convolutions.
-    """
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 4:
-        raise ShapeError(f"conv kernel must be 4-D, got {k.shape}")
-    n, c, kh, kw = k.shape
-    head_base, shared_flat, div = _svd_start(k.reshape(n, c * kh * kw), r, h, mode, "code")
-    return InherConv2DLayer(shared_flat.reshape(1, r, c, kh, kw), _tile(head_base / div, h),
-                            _tile(bias, h), np.zeros((r, h)), np.zeros(h), stride, padding)
-
-
-def symmetric_rank_for(m: int, n: int, budget: int, bias: bool) -> int:
-    """Largest branch rank whose two-branch parameter total fits the budget:
-    two (m, r) downs, two (r, n) ups, an (m, 2) input gate with its 2 biases,
-    and one shared (1, n) bias."""
-    fixed = 2 * m + 2 + (n if bias else 0)
-    r = (budget - fixed) // (2 * (m + n))
-    return max(1, int(r))
+    """The ``standard`` student of a teacher convolution with kernel ``k``
+    (N, c, kh, kw), factorized as (N, c*kh*kw): ``sqrt(S_r) V_r^T`` becomes the
+    shared spatial kernel (r, c, kh, kw), ``U_r sqrt(S_r)`` the (N, r) 1x1 heads."""
+    return inherit_layer(Conv2DLayer(k, stride, padding, bias), r, h, mode=mode)
 
 
 def factor_matrix(layer: Layer) -> np.ndarray | None:
@@ -478,58 +453,99 @@ def factor_matrix(layer: Layer) -> np.ndarray | None:
     raise RangeError(f"cannot inherit layer kind {layer.kind!r}")
 
 
+def _build(kind: str, down: np.ndarray, up: np.ndarray, bias: np.ndarray | None, h: int,
+           gate_width: int | None, **settings) -> GatedMixture:
+    """A ``kind`` layer of ``h`` heads from the stacks ``down``, ``up`` and
+    ``bias`` (None without a bias), each one-entry stack the kind holds per
+    head tiled ``h`` times, and the class's other ``settings``. The gate
+    reads ``gate_width`` values and starts at zero; it is frozen for None."""
+    per_head = KINDS[kind].per_head
+    down, up, bias = (np.repeat(a, h, axis=0) if a is not None and name in per_head
+                      and len(a) != h else a for name, a in zip(STACKS, (down, up, bias)))
+    gate = () if gate_width is None else (np.zeros((gate_width, h)), np.zeros(h))
+    cls, fields = KINDS[kind].layer, {"kind": kind, **settings}
+    return cls(down, up, bias, *gate, **{k: fields[k] for k in cls.settings})
+
+
+def _symmetric_rank(m: int, n: int, budget: int, bias: np.ndarray | None) -> int:
+    """The largest branch rank, at most min(m, n), whose two-branch
+    ``symmetric`` layer has at most ``budget`` parameters; 1 when none has.
+    The count grows with the rank, so halving the range finds it."""
+    lo, hi = 1, min(m, n)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        sym = _build("symmetric", np.zeros((1, m, mid)), np.zeros((1, mid, n)), bias, 2, m,
+                     gate_input="input")
+        lo, hi = (mid, hi) if sym.param_count() <= budget else (lo, mid - 1)
+    return lo
+
+
 def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
                   mode: str = "convex", gate_input: str = "code", seed: int = 0) -> Layer:
     """The student of one teacher layer: a gated ``variant`` of a dense or conv
     layer, a new ReLU for a ReLU.
 
-    ``no-gate`` freezes the gate at uniform; ``no-svd`` redraws the shared
+    Every variant starts from one factor pair of the teacher matrix
+    (:func:`factor_matrix`), and each stack is tiled as often as its kind
+    (:data:`KINDS`) holds entries. ``standard``, ``no-gate`` and ``no-svd``
+    build ``inherit_dense`` or ``inherit_conv``: ``no-gate`` freezes the
+    gate at uniform, and ``no-svd`` takes no SVD but draws the shared
     factor and every head Kaiming-uniform from the streams (seed, init, 0)
-    and (seed, init, h + 1). The dense-only ``inverse`` mirrors the
-    projections (H gated downs, one shared up), and ``symmetric`` uses two
-    (down, up) branches of the largest rank that fits the standard
-    variant's parameter budget, counted from the standard student itself
-    (rank 1 when even that does not fit, and at most min(m, n)).
-    A conv layer gates on its pooled code, so it takes only ``gate_input="code"``.
+    and (seed, init, h + 1), which ``paper`` mode leaves unscaled. The
+    dense-only ``inverse`` mirrors the projections (H gated downs, one
+    shared up), and ``symmetric`` uses two (down, up) branches of the
+    largest rank, at most min(m, n), whose layer fits the ``standard``
+    student's parameter count (rank 1 when none does); in ``paper`` mode
+    each branch's up is halved. Both gate on the input. A conv layer gates
+    on its pooled code, so it takes only ``gate_input="code"``.
     """
     w, bias = factor_matrix(layer), layer.params.get("bias")
     if w is None:
         return ReluLayer()
+    conv = layer.kind == "conv2d"
     if variant not in VARIANTS:
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant in ("symmetric", "inverse") and layer.kind != "dense":
+    if variant in ("symmetric", "inverse") and conv:
         raise RangeError(f"variant {variant!r} is dense-only")
-    if gate_input != "code" and layer.kind != "dense":
+    if gate_input != "code" and conv:
         raise RangeError(f"a conv layer gates on its pooled code: gate_input must be "
                          f"'code', got {gate_input!r}")
-    if variant == "inverse":
-        down, up, div = _svd_start(w, r, h, mode, "input")
-        return InherNetLayer(_tile(down / div, h), up[None], _tile(bias, 1),
-                             np.zeros((w.shape[0], h)), np.zeros(h), "input", "inverse")
-    if variant == "symmetric":
-        # two SVD-initialized branches, budget-matched to standard, whose
-        # build also checks r, h, mode and gate
-        m, n = w.shape
-        budget = inherit_dense(w, r, h, mode, gate_input, bias).param_count()
-        r_sym = min(symmetric_rank_for(m, n, budget, bias is not None), m, n)
-        down, up, _ = _svd_start(w, r_sym, h, mode, gate_input)
-        return InherNetLayer(_tile(down, 2), _tile(up, 2), _tile(bias, 1),
-                             np.zeros((m, 2)), np.zeros(2), "input", "symmetric")
-    if layer.kind == "dense":
-        student = inherit_dense(w, r, h, mode, gate_input, bias)
+    if mode not in COMBINER_MODES:
+        raise RangeError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
+    if gate_input not in GATE_INPUTS:
+        raise RangeError(f"gate_input must be one of {GATE_INPUTS}, got {gate_input!r}")
+    require_index("rank", r)
+    if require_index("head count", h) < 1:
+        raise RangeError(f"head count must be >= 1, got {h}")
+    m, n = w.shape
+    if not 1 <= r <= min(m, n):
+        raise RangeError(f"rank {r} out of range [1, {min(m, n)}] for shape {w.shape}")
+    bias = None if bias is None else bias[None]
+    if conv:
+        kind, settings = "inherit_conv", {"stride": layer.stride, "padding": layer.padding}
     else:
-        student = inherit_conv(layer.params["kernel"], r, h, mode, layer.stride,
-                               layer.padding, bias)
-    if variant == "no-gate":
-        return student.ungated()
+        kind = variant if variant in ("symmetric", "inverse") else "inherit_dense"
+        settings = {"gate_input": gate_input if kind == "inherit_dense" else "input"}
+    if kind == "symmetric":
+        budget = _build("inherit_dense", np.zeros((1, m, r)), np.zeros((1, r, n)), bias, h,
+                        r if gate_input == "code" else m, gate_input=gate_input).param_count()
+        r, h = _symmetric_rank(m, n, budget, bias), 2
+    shapes = ((r, *layer.params["kernel"].shape[1:]), (m, r)) if conv else ((m, r), (r, n))
     if variant == "no-svd":
-        down, up = student.blocks["down"], student.blocks["up"]
-        down[0] = kaiming_uniform(down.shape[1:], fan_in=down[0].size // student.rank,
-                                  gen=_rng.philox(seed, _rng.STREAM_INIT, 0))
-        for j in range(student.n_heads):
-            up[j] = kaiming_uniform(up.shape[1:], fan_in=student.rank,
-                                    gen=_rng.philox(seed, _rng.STREAM_INIT, j + 1))
-    return student
+        gens = [_rng.philox(seed, _rng.STREAM_INIT, j) for j in range(h + 1)]
+        down = kaiming_uniform(shapes[0], fan_in=n if conv else m, gen=gens[0])[None]
+        up = np.stack([kaiming_uniform(shapes[1], fan_in=r, gen=gen) for gen in gens[1:]])
+    else:
+        f = truncated_svd(w, r)
+        sq = np.sqrt(f.sigma)
+        left, right = f.u * sq, sq[:, None] * f.v.T        # W_r = left @ right
+        down, up = (a.reshape(shape)[None] for a, shape in
+                    zip((right, left) if conv else (left, right), shapes))
+        if mode == "paper":      # the per-head factor holds one H-th
+            (up if "up" in KINDS[kind].per_head else down)[...] /= h
+    gate_width = m if settings.get("gate_input") == "input" else r
+    return _build(kind, down, up, bias, h, None if variant == "no-gate" else gate_width,
+                  **settings)
 
 
 def inherit_network(net: Network, r: int, h: int, variant: str = "standard",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import CorruptionError, FormatError, RangeError, require_index
-from .inherit import InherConv2DLayer, InherNetLayer
+from .inherit import KINDS
 from .nn import (ROW_BLOCK, Conv2DLayer, DenseLayer, Layer, Network, ReluLayer,
                  require_finite_output)
 
@@ -160,16 +160,13 @@ def _mimic_blocks(task: SyntheticTask, teacher: Network, gen: np.random.Generato
 # --- checkpoint serialization ------------------------------------------------
 
 # Manifest kind -> layer class. A layer's ``config()`` plus its arrays rebuild
-# it through the class's ``from_config``; the InherNetLayer kinds differ only
-# in which stacks are per head and in their array names.
+# it through the class's ``from_config``; the gated kinds come from
+# ``inherit.KINDS``, which also fixes their array names.
 LAYER_KINDS: dict[str, type[Layer]] = {
     "dense": DenseLayer,
     "relu": ReluLayer,
     "conv2d": Conv2DLayer,
-    "inherit_dense": InherNetLayer,
-    "inverse": InherNetLayer,
-    "symmetric": InherNetLayer,
-    "inherit_conv": InherConv2DLayer,
+    **{kind: gated.layer for kind, gated in KINDS.items()},
 }
 
 

@@ -159,8 +159,12 @@ def condition_number(w) -> float:
     Singular values below ``RANK_CUTOFF * sigma_max`` count as zero, so
     rank-deficient matrices report the conditioning of their nonzero part.
     """
-    w = as_matrix(w)
-    s = np.linalg.svd(w, compute_uv=False)
+    return spectrum_condition(np.linalg.svd(as_matrix(w), compute_uv=False))
+
+
+def spectrum_condition(s: np.ndarray) -> float:
+    """:func:`condition_number` of a matrix whose singular values, largest
+    first, are ``s``."""
     smax = float(s[0])
     if smax == 0.0:
         raise DegenerateInputError("condition number of an all-zero matrix")

@@ -53,14 +53,10 @@ class Layer:
     gradient blocks views of one flat gradient vector, ``grad_flat``, laid
     out block after block in that order. A standalone layer allocates the
     two vectors itself; the one :class:`Network` that wraps it moves them
-    into slices of its own, once. A block named in ``stacked`` holds
-    same-shaped arrays along its leading axis: a view name with ``{}``
-    exposes one view per index (``head_{}`` gives ``head_0``, ``head_1``,
-    ...), any other name the block's one entry. Every other block is
-    exposed under its own name.
-    ``params`` and ``grads`` are therefore views of the blocks, in the same
-    order. A subclass that reads several adjacent blocks as one matrix
-    builds that view in ``_expose``, which runs whenever the blocks move.
+    into slices of its own, once. ``params`` and ``grads`` are the blocks
+    themselves; ``_expose``, which runs whenever the blocks move, is where
+    a subclass names them otherwise or builds a view that reads several
+    adjacent blocks as one matrix.
 
     ``saved`` holds what the last ``forward`` kept for ``backward``, one
     tuple (None before the first forward); ``_saved()`` raises
@@ -73,7 +69,6 @@ class Layer:
 
     kind: str | None = None
     settings: tuple[str, ...] = ()
-    stacked: dict[str, str] = {}     # block name -> view name, "{}" marking the index
     # False while Network.backward runs this layer as its first: backward
     # then forms parameter gradients only and returns None.
     input_grad = True
@@ -116,21 +111,8 @@ class Layer:
         self.flat, self.grad_flat = flat, grad_flat
         self._expose()
 
-    def _views(self, blocks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name, block in blocks.items():
-            view = self.stacked.get(name)
-            if view is None:
-                out[name] = block
-            elif "{}" in view:
-                out.update((view.format(i), a) for i, a in enumerate(block))
-            else:
-                out[view] = block[0]
-        return out
-
     def _expose(self) -> None:
-        self.params = self._views(self.blocks)
-        self.grads = self._views(self.grad_blocks)
+        self.params, self.grads = self.blocks, self.grad_blocks
 
     def bind(self, params: np.ndarray, grads: np.ndarray, offset: int) -> int:
         """Move the blocks into ``params``/``grads`` from ``offset`` on.

@@ -18,6 +18,7 @@ STREAM_DATA = 0
 STREAM_SPLIT = 1
 STREAM_SHUFFLE = 2
 STREAM_INIT = 3
+STREAM_JITTER = 7
 
 
 def philox(seed: int, stream: int = 0, index: int = 0) -> np.random.Generator:

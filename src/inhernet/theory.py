@@ -19,12 +19,15 @@ import numpy as np
 
 from .errors import DegenerateInputError, RangeError, ShapeError, require_index
 from .inherit import GatedMixture, factor_matrix
-from .linalg import condition_number
+from .linalg import condition_number, spectrum_condition
 from .nn import Network
 
 
 def compression_ratio_paper(m: int, n: int, r: int, h: int) -> float:
-    """Closed-form ratio with per-head down-projection accounting."""
+    """Closed-form ratio with per-head down-projection accounting; every count
+    must be an integer of at least 1."""
+    for name, value in (("m", m), ("n", n), ("rank", r), ("head count", h)):
+        require_index(name, value)
     if min(m, n, r, h) < 1:
         raise RangeError(f"dimensions must be positive, got {(m, n, r, h)}")
     return (m * n) / (h * r * (m + n) + h * (r + 1))
@@ -176,7 +179,7 @@ def analyze_network(teacher: Network, inherited: Network,
                 "energy_ratio": energy,
                 "epsilon": 1.0 - energy,
                 "ey_error": eckart_young_error(s, r_l),
-                "kappa": condition_number(w),
+                "kappa": spectrum_condition(s),
                 "kappa_down": None if "down" in b_layer.per_head else condition_number(
                     down.reshape(len(down), -1)),
             })

@@ -27,9 +27,6 @@ from .theory import (compression_ratio_paper, eckart_young_error, preservation_b
                      rank_for_energy, LayerInfluence)
 from .train import TrainConfig, kd_loss, learning_rate, train
 
-SUITES = ("svd", "gradients", "theory")
-
-
 @dataclass
 class CheckResult:
     suite: str
@@ -426,17 +423,14 @@ def check_checkpoint_file(path) -> CheckResult:
                        f"{len(net.layers)} layers, {net.param_count()} parameters")
 
 
+SUITES = {"svd": suite_svd, "gradients": suite_gradients, "theory": suite_theory}
+
+
 def run_suites(which: str, checkpoint=None) -> list[CheckResult]:
     if which not in SUITES and which != "all":
-        raise RangeError(f"unknown suite {which!r}; expected one of "
-                         f"{SUITES + ('all',)}")
-    results = []
-    if which in ("svd", "all"):
-        results += suite_svd()
-    if which in ("gradients", "all"):
-        results += suite_gradients()
-    if which in ("theory", "all"):
-        results += suite_theory()
+        raise RangeError(f"unknown suite {which!r}; expected one of {(*SUITES, 'all')}")
+    results = [result for name, suite in SUITES.items() if which in (name, "all")
+               for result in suite()]
     if checkpoint is not None:
         results.append(check_checkpoint_file(checkpoint))
     return results

@@ -392,7 +392,7 @@ class TestInsightCommand:
     ("train-teacher", "--schedule", SCHEDULES), ("train", "--schedule", SCHEDULES),
     ("distill", "--schedule", SCHEDULES), ("inherit", "--mode", COMBINER_MODES),
     ("inherit", "--gate", GATE_INPUTS), ("analyze", "--gate", GATE_INPUTS),
-    ("verify", "--suite", SUITES + ("all",)), ("insight", "--which", tuple(experiments.INSIGHTS))])
+    ("verify", "--suite", (*SUITES, "all")), ("insight", "--which", tuple(experiments.INSIGHTS))])
 def test_flag_choices_are_the_package_tuples(command, flag, values):
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices

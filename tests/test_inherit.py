@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inhernet import inherit
 from inhernet.errors import RangeError, ShapeError
 from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, KINDS, STACKS, VARIANTS,
                               InherConv2DLayer, InherNetLayer, _gate_weighted,
@@ -345,11 +346,10 @@ class TestConvHeadStage:
             "one-head-frozen-no-bias-stride-2", "im2col", "im2col-no-bias-stride-2"])
     def test_forward_and_backward_match_the_oracle(self, c, r, h, bias, frozen, stride, padding):
         gen = philox(19, 10 * c + h)
-        layer = inherit_conv(gen.standard_normal((6, c, 3, 3)), r, h, stride=stride,
-                             padding=padding, bias=gen.standard_normal(6) if bias else None)
+        teacher = Conv2DLayer(gen.standard_normal((6, c, 3, 3)), stride, padding,
+                              gen.standard_normal(6) if bias else None)
+        layer = inherit_layer(teacher, r, h, "no-gate" if frozen else "standard")
         jitter(layer, gen)
-        if frozen:
-            layer = layer.ungated()
         x = gen.standard_normal((3, c, 7, 7))
         y = layer.forward(x)
         gy = gen.standard_normal(y.shape)
@@ -537,7 +537,8 @@ class TestBlockVocabulary:
     def test_every_array_name_is_an_entry_of_its_block(self, kind):
         layer = BUILD_KIND[kind](philox(43, 0))
         assert layer.kind == kind and set(STACKS) <= set(layer.blocks)
-        for block, name in zip(STACKS, KINDS[kind]):
+        assert isinstance(layer, KINDS[kind].layer)
+        for block, name in zip(STACKS, KINDS[kind].stacked):
             names = [name.format(i) for i in range(layer.n_heads)] if "{}" in name else [name]
             assert len(layer.blocks[block]) == len(names)
             for i, view in enumerate(names):
@@ -750,16 +751,33 @@ class TestVariants:
         assert abs(sym.param_count() - budget) / budget < 0.02
 
     def test_symmetric_init_reconstructs_budgeted_truncation(self):
-        from inhernet.inherit import symmetric_rank_for
+        """Uniform gating of the two branches gives W_{r_sym} in convex mode;
+        in paper mode each branch's up holds one half, so it gives W_{r_sym} / 2."""
         gen = philox(26, 0)
         w = gen.standard_normal((8, 6))
-        std = inherit_layer(DenseLayer(w), 2, 2, "standard")
-        sym = inherit_layer(DenseLayer(w), 2, 2, "symmetric")
-        r_sym = sym.rank
-        assert r_sym == symmetric_rank_for(8, 6, std.param_count(), bias=False)
         x = gen.standard_normal((5, 8))
-        rank_r = truncated_svd(w, r_sym).reconstruct()
-        assert np.max(np.abs(sym.forward(x) - x @ rank_r)) < 1e-8
+        for mode, scale in (("convex", 1.0), ("paper", 0.5)):
+            sym = inherit_layer(DenseLayer(w), 4, 3, "symmetric", mode)
+            assert sym.rank == 3 and sym.n_heads == 2
+            want = x @ truncated_svd(w, sym.rank).reconstruct() * scale
+            assert np.max(np.abs(sym.forward(x) - want)) < 1e-8, mode
+            for i in range(2):
+                assert np.array_equal(sym.params[f"down_{i}"], sym.params["down_0"])
+                assert np.array_equal(sym.params[f"up_{i}"], sym.params["up_0"])
+
+    @pytest.mark.parametrize("variant,conv", [(v, False) for v in VARIANTS] + [
+        (v, True) for v in ("standard", "no-svd", "no-gate")])
+    def test_one_factorization_per_build(self, variant, conv, monkeypatch):
+        """Every SVD variant factors its teacher once; no-svd never does."""
+        calls = []
+        monkeypatch.setattr(inherit, "truncated_svd",
+                            lambda w, r: calls.append(r) or truncated_svd(w, r))
+        gen = philox(27, 1)
+        teacher = (Conv2DLayer(gen.standard_normal((5, 3, 3, 3)), bias=gen.standard_normal(5))
+                   if conv else DenseLayer(gen.standard_normal((9, 6)), gen.standard_normal(6)))
+        student = inherit_layer(teacher, 3, 2, variant, "paper")
+        assert len(calls) == (0 if variant == "no-svd" else 1)
+        assert calls == ([] if variant == "no-svd" else [student.rank])
 
     def test_unknown_variant(self):
         with pytest.raises(RangeError):

@@ -6,7 +6,7 @@ import pytest
 from inhernet.errors import DegenerateInputError, RangeError, ShapeError
 from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_layer, inherit_network
 from inhernet.io import SyntheticTask
-from inhernet.linalg import frobenius_norm, truncated_svd
+from inhernet.linalg import condition_number, frobenius_norm, truncated_svd
 from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
 from inhernet.theory import (LayerInfluence, analyze_network,
@@ -31,6 +31,13 @@ class TestCompressionRatio:
     def test_positive_inputs_required(self):
         with pytest.raises(RangeError):
             compression_ratio_paper(0, 5, 1, 1)
+
+    @pytest.mark.parametrize("counts,name", [((4.0, 4, 2, 2), "m"), ((4, 4.5, 2, 2), "n"),
+                                             ((4, 4, 1.5, 2), "rank"),
+                                             ((4, 4, 2, 2.0), "head count")])
+    def test_fractional_counts_are_named(self, counts, name):
+        with pytest.raises(RangeError, match=f"^{name} must be an integer"):
+            compression_ratio_paper(*counts)
 
 
 class TestParamCount:
@@ -208,6 +215,21 @@ class TestAnalyzeNetwork:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateInputError, match=r"^layer 2: "):
                 analyze_network(teacher, student)
+
+    def test_one_spectrum_per_teacher_layer(self, monkeypatch):
+        """kappa comes from the spectrum the report already took, bit for bit
+        condition_number's; only a shared down factor takes a second SVD."""
+        teacher = spectral_mlp([10, 16, 4], seed=3, decay=0.6)
+        svd, calls, reports = np.linalg.svd, [], []
+        for variant, want in (("inverse", 2), ("standard", 4)):
+            student = inherit_network(teacher, r=3, h=2, variant=variant)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+                reports.append(analyze_network(teacher, student))
+            assert len(calls) == want, variant
+        for e in reports[0].per_layer_breakdown:
+            assert e["kappa"] == condition_number(teacher.layers[e["layer"]].params["weight"])
 
     def test_cosine_diagnostic_of_identical_nets(self):
         teacher = spectral_mlp([6, 8, 3], seed=4)

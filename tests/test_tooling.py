@@ -151,12 +151,12 @@ def attributes_read(source: str) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
 
 
-def test_only_nn_and_inherit_read_the_stacked_view_names():
+def test_only_inherit_reads_the_stacked_view_names():
     """``stacked`` holds checkpoint format v1's array names, "{}" marking a
     per-head block; other modules ask a gated layer's ``per_head`` instead."""
     readers = sorted(path.name for path in SRC.glob("*.py")
                      if "stacked" in attributes_read(path.read_text()))
-    assert readers == ["inherit.py", "nn.py"]
+    assert readers == ["inherit.py"]
 
 
 def forward_state_writes(source: str) -> list[tuple[int, str]]:
