@@ -20,7 +20,6 @@ from .theory import (LayerInfluence, TheoryReport, analyze_network,
                      output_cosine_similarity, preservation_bound,
                      rank_for_energy, spectral_energy)
 from .io import Dataset, SyntheticTask, gen_synthetic, load_checkpoint, save_checkpoint
-from .experiments import HeadGainsReport, head_marginal_gains
 from .verify import gradient_decomposition_check
 
 __version__ = "0.1.0"

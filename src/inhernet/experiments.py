@@ -14,10 +14,6 @@ Each ``run_insight{n}`` returns its rows, a summary line and its chart's
 series; :func:`run_insight` runs one of them by number (:data:`INSIGHTS`)
 and is the one place that writes their CSV and SVG files.
 
-:func:`head_marginal_gains` checks a fourth trend on one fine-tuned layer:
-each added head lowers the approximation error by no more than the one
-before it.
-
 All experiments are bit-deterministic given their seed list. Seed sweeps
 use every CPU the process may run on (``taskset`` or a cpuset narrows
 that set), one spawned worker process each, or run in-process on one CPU;
@@ -27,9 +23,8 @@ module, so a script that runs a sweep does so under ``__main__``.
 Symmetry note: freshly inherited expert heads are exact copies, and exact
 copies receive identical gradients forever, so gating can never
 differentiate them. The harness therefore applies a small documented
-jitter to heads (and, where routing must emerge quickly, to the gate
-weights) after construction. Fidelity tests always run on unjittered
-layers.
+jitter to heads after construction. Fidelity tests always run on
+unjittered layers.
 """
 
 from __future__ import annotations
@@ -37,13 +32,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as _rng
 from .errors import RangeError
-from .inherit import GatedMixture, inherit_dense, inherit_network
+from .inherit import GatedMixture, inherit_network
 from .io import Dataset, SyntheticTask, atomic_write, gen_synthetic, write_csv
 from .nn import DenseLayer, Network, ReluLayer, make_mlp
 from .train import TrainConfig, evaluate, train
@@ -62,7 +56,6 @@ INSIGHT2_HEADS = (1, 2, 3)
 INSIGHT2_MID_RANK = 4
 
 HEAD_JITTER = 0.3
-GATE_JITTER = 0.5
 
 
 def _cpus() -> int:
@@ -86,7 +79,7 @@ def _check_seeds(seeds: int) -> None:
         raise RangeError(f"seeds must be >= 1, got {seeds}")
 
 
-def perturb_heads(net: Network, seed: int, gate_scale: float = 0.0) -> None:
+def perturb_heads(net: Network, seed: int) -> None:
     """Break the head replica symmetry of freshly inherited layers in place: jitter
     every entry of the down and up blocks a layer holds per head (not the bias)
     with Gaussian noise at ``HEAD_JITTER`` times its RMS."""
@@ -98,9 +91,6 @@ def perturb_heads(net: Network, seed: int, gate_scale: float = 0.0) -> None:
             for p in layer.blocks[block] if block in layer.per_head else ():
                 p += HEAD_JITTER * np.linalg.norm(p) / np.sqrt(p.size) * \
                     gen.standard_normal(p.shape)
-        if gate_scale > 0.0 and not layer.gate_frozen:
-            gw = layer.params["gate_weight"]
-            gw += gate_scale / np.sqrt(gw.shape[0]) * gen.standard_normal(gw.shape)
 
 
 def toy_classification_data():
@@ -288,64 +278,6 @@ def run_insight(which: int, seeds: int = 5, out_dir=None, plot: bool = False) ->
         if plot:
             write_svg_lines(os.path.join(out_dir, f"insight{which}.svg"), **result["chart"])
     return result
-
-
-# --- head count: marginal gain of each added head -----------------------------
-
-def _head_gain_job(args) -> float:
-    """Final eval loss of one input-gated, jittered ``h``-head layer fine-tuned on ``task``."""
-    w, r, h, task, cfg = args
-    data = gen_synthetic(task)
-    net = Network([inherit_dense(w, r, h, gate_input="input", bias=np.zeros(w.shape[1]))])
-    perturb_heads(net, cfg.seed, gate_scale=GATE_JITTER)
-    return train(net, data, cfg).eval_loss[-1]
-
-
-@dataclass
-class HeadGainsReport:
-    """Approximation error per head count with a marginal-gain trend flag."""
-
-    rank: int
-    head_counts: list[int]
-    errors_by_seed: list[list[float]]     # [seed][head index]
-    median_errors: list[float]
-    diminishing_by_seed: list[bool]
-    diminishing_majority: bool
-
-
-def head_marginal_gains(w: np.ndarray, r: int, h_max: int, task: SyntheticTask,
-                        config: TrainConfig, seeds: int = 5) -> HeadGainsReport:
-    """Train inherited layers for H = 1..h_max and report error trends.
-
-    Each (seed, H) run fine-tunes a freshly inherited layer on the task
-    with an identical schedule and budget; the report flags, per seed,
-    whether the marginal error reductions are nonincreasing in H. A trend
-    check only; no constant is estimated.
-
-    Layers gate on the raw input and carry head biases, and the harness
-    jitter breaks the replica symmetry of freshly copied heads; exact
-    copies would receive identical gradients and could never specialize.
-    """
-    if h_max < 2:
-        raise RangeError(f"h_max must be >= 2, got {h_max}")
-    _check_seeds(seeds)
-    head_counts = list(range(1, h_max + 1))
-    jobs = [(w, r, h, replace(task, seed=task.seed + s), replace(config, seed=config.seed + s))
-            for s in range(seeds) for h in head_counts]
-    errors = _map_jobs(_head_gain_job, jobs)
-    errors_by_seed = [errors[i:i + h_max] for i in range(0, len(errors), h_max)]
-    gains = [[row[i] - row[i + 1] for i in range(h_max - 1)] for row in errors_by_seed]
-    diminishing = [all(a >= b - 1e-12 for a, b in zip(g, g[1:])) for g in gains]
-    med = [float(np.median([errs[i] for errs in errors_by_seed]))
-           for i in range(len(head_counts))]
-    return HeadGainsReport(
-        rank=r,
-        head_counts=head_counts,
-        errors_by_seed=errors_by_seed,
-        median_errors=med,
-        diminishing_by_seed=diminishing,
-        diminishing_majority=sum(diminishing) * 2 > len(diminishing),
-    )
 
 
 # --- plain-text report writers -------------------------------------------------

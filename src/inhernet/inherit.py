@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .errors import RangeError, ShapeError, require_index
+from .errors import NumericalError, RangeError, ShapeError, require_index
 from .linalg import softmax, sum_rows, truncated_svd
 from .nn import (Conv2DLayer, DenseLayer, Layer, Network, ReluLayer, check_conv_geometry,
                  conv_lowered, conv_lowered_backward, kaiming_uniform)
@@ -491,17 +491,22 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
     build ``inherit_dense`` or ``inherit_conv``: ``no-gate`` freezes the
     gate at uniform, and ``no-svd`` takes no SVD but draws the shared
     factor and every head Kaiming-uniform from the streams (seed, init, 0)
-    and (seed, init, h + 1), which ``paper`` mode leaves unscaled. The
-    dense-only ``inverse`` mirrors the projections (H gated downs, one
-    shared up), and ``symmetric`` uses two (down, up) branches of the
-    largest rank, at most min(m, n), whose layer fits the ``standard``
-    student's parameter count (rank 1 when none does); in ``paper`` mode
-    each branch's up is halved. Both gate on the input. A conv layer gates
-    on its pooled code, so it takes only ``gate_input="code"``.
+    and (seed, init, h + 1); it holds no factor for ``paper`` mode to
+    scale, so it takes only ``mode="convex"``. The dense-only ``inverse``
+    mirrors the projections (H gated downs, one shared up), and
+    ``symmetric`` uses two (down, up) branches of the largest rank, at most
+    min(m, n), whose layer fits the ``standard`` student's parameter count
+    (rank 1 when none does); in ``paper`` mode each branch's up is halved.
+    Both gate on the input. A conv layer gates on its pooled code, so it
+    takes only ``gate_input="code"``. A NaN or Inf teacher weight, kernel or
+    bias raises :class:`NumericalError` naming it.
     """
     w, bias = factor_matrix(layer), layer.params.get("bias")
     if w is None:
         return ReluLayer()
+    for name, p in layer.params.items():
+        if not np.isfinite(p).all():
+            raise NumericalError(f"teacher {name} holds NaN or Inf")
     conv = layer.kind == "conv2d"
     if variant not in VARIANTS:
         raise RangeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -512,6 +517,9 @@ def inherit_layer(layer: Layer, r: int, h: int, variant: str = "standard",
                          f"'code', got {gate_input!r}")
     if mode not in COMBINER_MODES:
         raise RangeError(f"unknown combiner mode {mode!r}; expected one of {COMBINER_MODES}")
+    if variant == "no-svd" and mode == "paper":
+        raise RangeError("variant 'no-svd' draws no factor for mode 'paper' to scale; "
+                         "use mode 'convex'")
     if gate_input not in GATE_INPUTS:
         raise RangeError(f"gate_input must be one of {GATE_INPUTS}, got {gate_input!r}")
     require_index("rank", r)
@@ -555,7 +563,8 @@ def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
 
     Layer ``i`` draws its ``no-svd`` factors from seed ``seed + i``. With
     ``cap_rank`` the per-layer rank is clamped to its maximum; otherwise an
-    out-of-range rank raises. Every error names the offending layer.
+    out-of-range rank raises. A range or numerical error names the offending
+    layer.
     """
     layers: list[Layer] = []
     for i, layer in enumerate(net.layers):
@@ -563,6 +572,6 @@ def inherit_network(net: Network, r: int, h: int, variant: str = "standard",
             w = factor_matrix(layer)
             r_l = min(r, *w.shape) if cap_rank and w is not None else r
             layers.append(inherit_layer(layer, r_l, h, variant, mode, gate_input, seed + i))
-        except RangeError as exc:
-            raise RangeError(f"layer {i}: {exc}") from exc
+        except (RangeError, NumericalError) as exc:
+            raise type(exc)(f"layer {i}: {exc}") from exc
     return Network(layers)

@@ -177,6 +177,27 @@ class TestInheritCommand:
         assert "written" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,flags,message", [
+        ("weight", (), "layer 0: teacher weight holds NaN or Inf"),
+        ("bias", ("--variant", "no-svd"), "layer 2: teacher bias holds NaN or Inf"),
+        (None, ("--variant", "no-svd", "--mode", "paper"), "layer 0: variant 'no-svd'")])
+    def test_refused_teacher_or_settings_write_nothing(self, tmp_path, capsys, field, flags,
+                                                      message):
+        """A NaN teacher field, or the no-svd/paper pair, fails the command
+        before it writes the student."""
+        teacher = make_mlp([5, 7, 6, 3], seed=4)
+        if field is not None:
+            teacher.layers[0 if field == "weight" else 2].params[field][1] = np.nan
+        save_checkpoint(teacher, tmp_path / "teacher.ckpt")
+        out = tmp_path / "student.ckpt"
+        code = run_cli("inherit", "--teacher", str(tmp_path / "teacher.ckpt"), "--rank", "2",
+                       "--heads", "2", "--out", str(out), *flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {message}" in captured.err
+        assert "written" not in captured.out
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_zero_batch_size_is_a_user_error(self, teacher_ckpt, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inhernet import inherit
-from inhernet.errors import RangeError, ShapeError
+from inhernet.errors import NumericalError, RangeError, ShapeError
 from inhernet.inherit import (COMBINER_MODES, GATE_INPUTS, KINDS, STACKS, VARIANTS,
                               InherConv2DLayer, InherNetLayer, _gate_weighted,
                               factor_matrix,
@@ -662,7 +662,8 @@ class TestGradientGrid:
         r = data.draw(st.integers(1, min(m, n)), "r")
         h = data.draw(st.integers(1, 3), "h")
         variant = data.draw(st.sampled_from(VARIANTS), "variant")
-        mode = data.draw(st.sampled_from(COMBINER_MODES), "mode")
+        mode = "convex" if variant == "no-svd" else data.draw(st.sampled_from(COMBINER_MODES),
+                                                                "mode")
         gate_input = data.draw(st.sampled_from(GATE_INPUTS), "gate_input")
         bias = data.draw(st.booleans(), "bias")
         gen = philox(data.draw(st.integers(0, 2**16), "seed"), 0)
@@ -775,9 +776,22 @@ class TestVariants:
         gen = philox(27, 1)
         teacher = (Conv2DLayer(gen.standard_normal((5, 3, 3, 3)), bias=gen.standard_normal(5))
                    if conv else DenseLayer(gen.standard_normal((9, 6)), gen.standard_normal(6)))
-        student = inherit_layer(teacher, 3, 2, variant, "paper")
+        student = inherit_layer(teacher, 3, 2, variant,
+                                "convex" if variant == "no-svd" else "paper")
         assert len(calls) == (0 if variant == "no-svd" else 1)
         assert calls == ([] if variant == "no-svd" else [student.rank])
+
+    @pytest.mark.parametrize("conv", [False, True], ids=["dense", "conv"])
+    def test_no_svd_refuses_paper_mode(self, conv):
+        """``no-svd`` draws no SVD factor for ``paper`` mode to divide by H, so
+        the pair would build the ``convex`` student under the other mode's name."""
+        gen = philox(68, 0)
+        teacher = (Conv2DLayer(gen.standard_normal((5, 2, 3, 3))) if conv
+                   else DenseLayer(gen.standard_normal((6, 4))))
+        with pytest.raises(RangeError, match="variant 'no-svd' .* mode 'paper'"):
+            inherit_layer(teacher, 2, 2, "no-svd", "paper")
+        with pytest.raises(RangeError, match="^layer 1: variant 'no-svd'"):
+            inherit_network(Network([ReluLayer(), teacher]), 2, 2, "no-svd", "paper")
 
     def test_unknown_variant(self):
         with pytest.raises(RangeError):
@@ -898,3 +912,34 @@ class TestInheritNetwork:
         student = inherit_network(teacher, r=6, h=3, cap_rank=True)
         x = gen.standard_normal((20, 6))
         assert np.max(np.abs(student.forward(x) - teacher.forward(x))) < 1e-8
+
+
+class TestNonFiniteTeacher:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("field,value", [("weight", np.nan), ("bias", np.nan),
+                                             ("weight", np.inf), ("bias", -np.inf)])
+    def test_dense_field_is_named(self, variant, field, value):
+        """Every variant, ``no-svd`` too, which takes no SVD, refuses the
+        teacher before it builds a student whose forward would be NaN."""
+        teacher = DenseLayer(np.eye(4)[:, :3], np.array([0.0, 1.0, 1.0]))
+        teacher.params[field][1] = value
+        with pytest.raises(NumericalError, match=f"^teacher {field} holds NaN or Inf$"):
+            inherit_layer(teacher, 2, 2, variant)
+
+    @pytest.mark.parametrize("variant", ["standard", "no-gate", "no-svd"])
+    @pytest.mark.parametrize("field", ["kernel", "bias"])
+    def test_conv_field_is_named(self, variant, field):
+        gen = philox(69, 0)
+        teacher = Conv2DLayer(gen.standard_normal((5, 2, 3, 3)), bias=gen.standard_normal(5))
+        teacher.params[field].flat[3] = np.nan
+        with pytest.raises(NumericalError, match=f"^teacher {field} holds NaN or Inf$"):
+            inherit_layer(teacher, 2, 2, variant)
+
+    def test_network_error_names_the_layer(self):
+        gen = philox(69, 1)
+        teacher = Network([DenseLayer(gen.standard_normal((6, 8)), gen.standard_normal(8)),
+                           ReluLayer(),
+                           DenseLayer(gen.standard_normal((8, 3)), gen.standard_normal(3))])
+        teacher.layers[2].params["bias"][0] = np.nan
+        with pytest.raises(NumericalError, match="^layer 2: teacher bias holds NaN or Inf$"):
+            inherit_network(teacher, 2, 2)

@@ -5,7 +5,6 @@ import pytest
 
 from inhernet.errors import DegenerateInputError, RangeError, ShapeError
 from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_layer, inherit_network
-from inhernet.io import SyntheticTask
 from inhernet.linalg import condition_number, frobenius_norm, truncated_svd
 from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
@@ -13,9 +12,8 @@ from inhernet.theory import (LayerInfluence, analyze_network,
                              compression_ratio_paper, eckart_young_error,
                              output_cosine_similarity, preservation_bound,
                              rank_for_energy, spectral_energy)
-from inhernet.train import TrainConfig
 from inhernet.verify import inherit_by_energy
-from inhernet.experiments import head_marginal_gains, spectral_mlp
+from inhernet.experiments import spectral_mlp
 
 
 class TestCompressionRatio:
@@ -278,32 +276,3 @@ class TestUniversalityProxy:
             mse = float(np.mean((student.forward(x) - teacher.forward(x)) ** 2))
             assert mse <= 1e-4
             assert student.param_count() < teacher.param_count()
-
-
-class TestHeadMarginalGains:
-    def test_linear_task_all_head_counts_tie(self):
-        # globally linear target: one expert suffices, extra heads tie
-        w = philox(10, 0).standard_normal((6, 3))
-        task = SyntheticTask(kind="piecewise", seed=30, n=400, dim=6,
-                             classes=1, out_dim=3, separation=0.3, map_rank=2)
-        config = TrainConfig(base_lr=0.02, epochs=150, batch_size=32, seed=0,
-                             schedule="constant", loss="mse")
-        report = head_marginal_gains(w, 2, 3, task, config, seeds=2)
-        med = report.median_errors
-        # the rank-2 realizable target leaves no room for specialization:
-        # every head count reaches the same near-zero floor
-        assert max(med) < 0.02
-        assert max(med) - min(med) < 0.01
-
-    def test_two_cluster_task_benefits_from_second_head(self):
-        w = philox(99, 3).standard_normal((8, 4))
-        task = SyntheticTask(kind="piecewise", seed=500, n=1000, dim=8,
-                             classes=2, out_dim=4, separation=2.5, map_rank=1)
-        config = TrainConfig(base_lr=0.02, epochs=200, batch_size=32, seed=0,
-                             schedule="constant", loss="mse")
-        report = head_marginal_gains(w, 2, 4, task, config, seeds=5)
-        wins = sum(errs[1] < errs[0] for errs in report.errors_by_seed)
-        assert wins >= 4
-        trend = sum((errs[2] - errs[3]) <= (errs[0] - errs[1])
-                    for errs in report.errors_by_seed)
-        assert trend >= 4

@@ -159,6 +159,27 @@ def test_only_inherit_reads_the_stacked_view_names():
     assert readers == ["inherit.py"]
 
 
+def names_read(source: str) -> set[str]:
+    """The names a module reads, bare (``Name``) or off an object (``Attribute``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_package_export_has_a_reader():
+    """Each name the package re-exports is read by some package module, its own
+    included, or by the benchmark harness; a name that only tests read is
+    code that no command, experiment or benchmark runs."""
+    assert names_read("a = b.c\nd.e = f(g)\n") == {"b", "c", "d", "f", "g"}
+    exported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [path for path in SRC.glob("*.py") if path.name != "__init__.py"] + \
+        [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    assert sorted(exported - read) == []
+
+
 def forward_state_writes(source: str) -> list[tuple[int, str]]:
     """(line, name) of each ``self.<name>`` that a method named ``forward`` assigns."""
     return sorted((node.lineno, node.attr) for fn in ast.walk(ast.parse(source))
