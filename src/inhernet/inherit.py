@@ -200,7 +200,7 @@ class GatedMixture(Layer):
                        input_grad: bool = True) -> np.ndarray | None:
         """Backward of the softmax gate for the scores ``s = dL/dg`` (B, H).
 
-        Adds the gate's gradients; returns dL/d ``gate_in``, zero for a
+        Writes the gate's gradients; returns dL/d ``gate_in``, zero for a
         frozen gate, or None when ``input_grad`` is false and nothing reads it.
         The logits' gradient is formed in place in ``s``.
         """
@@ -209,8 +209,8 @@ class GatedMixture(Layer):
         dlogits = s
         dlogits -= sum_rows(g * s)
         dlogits *= g
-        self.grads["gate_weight"] += gate_in.T @ dlogits
-        self.grads["gate_bias"] += dlogits.sum(axis=0)
+        np.matmul(gate_in.T, dlogits, out=self.grads["gate_weight"])
+        np.add.reduce(dlogits, axis=0, out=self.grads["gate_bias"])
         return dlogits @ self.params["gate_weight"].T if input_grad else None
 
 
@@ -303,7 +303,7 @@ class InherNetLayer(GatedMixture):
         from one GEMM against the ``[up; bias]`` matrix."""
         x, z, g, mix = self._saved()
         b, hd, hu, r = len(x), len(self.blocks["down"]), len(self.blocks["up"]), self.rank
-        self._out_grad += mix.T @ grad_out
+        np.matmul(mix.T, grad_out, out=self._out_grad)
         dmix = grad_out @ self._out.T
         dz_mix = dmix[:, :hu * r].reshape(b, hu, r)                 # grad_out @ up_h^T
         s = np.einsum("bhr,bhr->bh", z.reshape(b, hd, r), dz_mix)
@@ -315,8 +315,7 @@ class InherNetLayer(GatedMixture):
         dz = _gate_weighted(g, dz_mix, hd).reshape(b, -1)
         if code:
             dz += dgate
-        d_down = self.grad_blocks["down"]
-        d_down += (x.T @ dz).reshape(x.shape[1], hd, r).transpose(1, 0, 2)
+        self.grad_blocks["down"][...] = (x.T @ dz).reshape(x.shape[1], hd, r).transpose(1, 0, 2)
         if not self.input_grad:
             return None
         gx = dz @ self._down_matrix().T
@@ -398,15 +397,15 @@ class InherConv2DLayer(GatedMixture):
         gy = grad_out.reshape(b, -1, p)                           # (B, N, OH*OW)
         c = (gy @ z.transpose(0, 2, 1)).reshape(b, -1)            # (B, N*(r[+1]))
         dheads = (g.T @ c).reshape(self.n_heads, -1, ra)
-        self.grad_blocks["up"] += dheads[:, :, :r]
+        self.grad_blocks["up"][...] = dheads[:, :, :r]
         if self.has_head_bias:
-            self.grad_blocks["bias"] += dheads[:, :, r]
+            self.grad_blocks["bias"][...] = dheads[:, :, r]
         s = c @ heads.T
         dz = m[:, :, :r].transpose(0, 2, 1) @ gy
         dz += self._gate_backward(g, pooled, s)[:, :, None] / p
         dk, dx = conv_lowered_backward(dz, kept, x_shape, self.blocks["down"][0],
                                        self.stride, self.padding, self.input_grad)
-        self.grad_blocks["down"] += dk[None]
+        self.grad_blocks["down"][0] = dk
         return dx
 
 

@@ -159,7 +159,20 @@ def condition_number(w) -> float:
     Singular values below ``RANK_CUTOFF * sigma_max`` count as zero, so
     rank-deficient matrices report the conditioning of their nonzero part.
     """
-    return spectrum_condition(np.linalg.svd(as_matrix(w), compute_uv=False))
+    return spectrum_condition(singular_values(w))
+
+
+def singular_values(w) -> np.ndarray:
+    """Every singular value of ``w``, largest first.
+
+    ``w`` passes :func:`as_matrix`'s checks, so a NaN or Inf entry raises
+    :class:`NumericalError`, as does an SVD that fails to converge.
+    """
+    w = as_matrix(w)
+    try:
+        return np.linalg.svd(w, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge for shape {w.shape}: {exc}") from exc
 
 
 def spectrum_condition(s: np.ndarray) -> float:

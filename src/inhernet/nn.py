@@ -3,13 +3,14 @@
 Layers operate on float64 batches with samples along the leading axis
 (row-vector convention, ``y = x @ W + b``). Each forward saves what its
 backward needs as one tuple, ``Layer.saved``, which copies and pickles
-drop; gradients accumulate until ``zero_grads``. A :class:`Network` packs
-every trainable array of its layers into one contiguous parameter vector
-and one gradient vector: each layer's ``params`` and ``grads`` entries are
-views of those two vectors, so zeroing, norming and stepping the whole
-network are single vector operations. A central-difference oracle
-(:func:`finite_difference_grad`) provides the independent check for every
-analytic gradient in the package.
+drop. Each backward writes every parameter gradient of its layer rather
+than adding to it, so a training step needs no zeroing. A
+:class:`Network` packs every trainable array of its layers into one
+contiguous parameter vector and one gradient vector: each layer's
+``params`` and ``grads`` entries are views of those two vectors, so
+norming and stepping the whole network are single vector operations. A
+central-difference oracle (:func:`finite_difference_grad`) provides the
+independent check for every analytic gradient in the package.
 
 Image batches are C-contiguous NCHW arrays, (B, C, H, W), and every conv
 layer returns one. Every convolution, a teacher :class:`Conv2DLayer` and
@@ -117,9 +118,8 @@ class Layer:
     def bind(self, params: np.ndarray, grads: np.ndarray, offset: int) -> int:
         """Move the blocks into ``params``/``grads`` from ``offset`` on.
 
-        Current values and accumulated gradients are copied, and every
-        block becomes a view of the two vectors. Returns the offset just
-        past this layer.
+        Current values and gradients are copied, and every block becomes a
+        view of the two vectors. Returns the offset just past this layer.
         """
         end = offset + self.flat.size
         self._place(self.blocks, self.grad_blocks, params[offset:end], grads[offset:end])
@@ -201,14 +201,14 @@ class DenseLayer(Layer):
         self.saved = (x,)
         y = x @ w
         if "bias" in self.params:
-            y = y + self.params["bias"]
+            y += self.params["bias"]
         return y
 
     def backward(self, grad_out):
         (x,) = self._saved()
-        self.grads["weight"] += x.T @ grad_out
+        np.matmul(x.T, grad_out, out=self.grads["weight"])
         if "bias" in self.params:
-            self.grads["bias"] += grad_out.sum(axis=0)
+            np.add.reduce(grad_out, axis=0, out=self.grads["bias"])
         return grad_out @ self.weight.T if self.input_grad else None
 
 
@@ -526,9 +526,9 @@ class Conv2DLayer(Layer):
         kept, x_shape = self._saved()
         dk, dx = conv_lowered_backward(grad_out, kept, x_shape, self.kernel,
                                        self.stride, self.padding, self.input_grad)
-        self.grads["kernel"] += dk
+        self.grads["kernel"][...] = dk
         if "bias" in self.params:
-            self.grads["bias"] += grad_out.sum(axis=(0, 2, 3))
+            np.add.reduce(grad_out, axis=(0, 2, 3), out=self.grads["bias"])
         return dx
 
 
@@ -577,7 +577,10 @@ class Network:
         return x
 
     def backward(self, grad_out: np.ndarray) -> None:
-        """Add every layer's parameter gradients for ``grad_out``, dL/d(output).
+        """Write every layer's parameter gradients for ``grad_out``, dL/d(output).
+
+        Every entry of ``grad_vector`` is overwritten, so nothing needs
+        zeroing first.
 
         Each layer but the first hands dL/d(its input) to the layer before
         it. The first runs with ``input_grad`` cleared, so it skips forming

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DegenerateInputError, RangeError, ShapeError, require_index
+from .errors import DegenerateInputError, NumericalError, RangeError, ShapeError, require_index
 from .inherit import GatedMixture, factor_matrix
-from .linalg import condition_number, spectrum_condition
+from .linalg import condition_number, singular_values, spectrum_condition
 from .nn import Network
 
 
@@ -155,7 +155,9 @@ def analyze_network(teacher: Network, inherited: Network,
     count are read off the built layer, so a capped rank reports its
     effective value and a ``symmetric`` layer its two branches.
     ``kappa_down`` is the condition number of a layer's shared down factor
-    (``None``, JSON ``null``, when every head has its own).
+    (``None``, JSON ``null``, when every head has its own). A layer's
+    shape, range, degenerate-input or numerical error (a NaN or Inf teacher
+    matrix, say) is raised prefixed ``layer {i}:``.
     """
     matrices = [(i, factor_matrix(l)) for i, l in enumerate(teacher.layers)]
     decomposed = [(i, w) for i, w in matrices if w is not None]
@@ -167,9 +169,9 @@ def analyze_network(teacher: Network, inherited: Network,
     for (i, w), b_layer in zip(decomposed, built):
         m, n = w.shape
         r_l, h = b_layer.rank, b_layer.n_heads
-        s = np.linalg.svd(w, compute_uv=False)
         down = b_layer.blocks["down"][0]
         try:
+            s = singular_values(w)
             energy = spectral_energy(s, r_l)
             breakdown.append({
                 "layer": i, "m": m, "n": n, "r": r_l, "h": h,
@@ -183,7 +185,7 @@ def analyze_network(teacher: Network, inherited: Network,
                 "kappa_down": None if "down" in b_layer.per_head else condition_number(
                     down.reshape(len(down), -1)),
             })
-        except (ShapeError, RangeError, DegenerateInputError) as exc:
+        except (ShapeError, RangeError, DegenerateInputError, NumericalError) as exc:
             raise type(exc)(f"layer {i}: {exc}") from exc
         spectra.append(s)
     ranks = [e["r"] for e in breakdown]

@@ -8,12 +8,13 @@ produce bit-identical loss trajectories. A step that meets NaN or Inf, in
 a layer, the network output, the loss or the gradient, raises
 :class:`~inhernet.errors.NumericalError` prefixed ``at epoch E, step T:``.
 
-Each step works on the network's flat vectors (see :class:`~inhernet.nn.Network`):
-zeroing the gradients is one fill, the gradient norm one dot product and
-the SGD update one finiteness check plus one axpy. For distillation the
-frozen teacher runs once per ``train`` call, over the whole training
-split, and so does its log-softmax at the distillation temperature; every
-step takes that log-softmax's rows at the batch indices.
+Each step works on the network's flat vectors (see :class:`~inhernet.nn.Network`).
+The backward writes every gradient entry, so nothing is zeroed, and the
+SGD update is one gradient norm, which is also its finiteness check, plus
+one axpy. For distillation the frozen teacher runs once per ``train``
+call, over the whole training split, and so does its log-softmax at the
+distillation temperature; every step takes that log-softmax's rows at the
+batch indices.
 """
 
 from __future__ import annotations
@@ -103,24 +104,25 @@ def learning_rate(config: TrainConfig, t: int) -> float:
     return config.base_lr / np.sqrt(t)
 
 
-def sgd_step(net: Network, t: int, config: TrainConfig) -> None:
+def sgd_step(net: Network, t: int, config: TrainConfig) -> float:
     """In-place update ``theta <- theta - eta_t * g`` of every parameter of ``net``.
 
-    One finiteness check and one axpy over the network's flat vectors. The
-    check is the squared norm ``g @ g``, one BLAS pass with no boolean
-    temporary. Only when that is not finite, from a NaN or Inf or from
-    entries so large that their squares overflow (numpy then warns of the
-    overflow), does it scan entry by entry. A non-finite gradient raises
-    before any parameter is touched, naming the first offending
-    ``{layer}.{name}`` key.
+    Returns the gradient norm, :func:`grad_norm`, which is also the
+    finiteness check: one BLAS pass with no boolean temporary. Only when
+    the norm is not finite does it scan entry by entry. A NaN or Inf
+    entry raises before any parameter is touched, naming the first
+    offending ``{layer}.{name}`` key; finite entries whose norm overflows
+    float64 still step, and the norm comes back as inf.
     """
     eta = learning_rate(config, t)
-    g = net.grad_vector()
-    if not np.isfinite(np.dot(g, g)) and not np.all(np.isfinite(g)):
-        key = next(k for k, v in net.grad_items().items() if not np.all(np.isfinite(v)))
-        raise NumericalError(f"non-finite gradient in {key!r} at step {t}")
+    norm = grad_norm(net)
+    if not norm < math.inf:
+        key = next((k for k, v in net.grad_items().items() if not np.all(np.isfinite(v))), None)
+        if key is not None:
+            raise NumericalError(f"non-finite gradient in {key!r} at step {t}")
     theta = net.param_vector()
-    theta -= eta * g
+    theta -= eta * net.grad_vector()
+    return norm
 
 
 def kd_loss(student_logits: np.ndarray, teacher_log_probs: np.ndarray,
@@ -268,29 +270,27 @@ def train(net: Network, data, config: TrainConfig,
         perm = _rng.philox(config.seed, _rng.STREAM_SHUFFLE, epoch).permutation(n)
         epoch_losses = []
         step_norms = []
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo:lo + config.batch_size]
-            xb, yb = train_ds.x[idx], train_ds.y[idx]
-            t += 1
-            kd_rows = None if teacher_log_probs is None else teacher_log_probs[idx]
-            try:
-                # no numpy overflow or invalid-value warnings: a non-finite
-                # output, loss or gradient raises below, and both dots fall
-                # back when a finite gradient's g @ g overflows
-                with np.errstate(over="ignore", invalid="ignore"):
+        # no numpy overflow or invalid-value warnings: a non-finite output,
+        # loss or gradient raises below, and the norm falls back when a
+        # finite gradient's g @ g overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, config.batch_size):
+                idx = perm[lo:lo + config.batch_size]
+                xb, yb = train_ds.x[idx], train_ds.y[idx]
+                t += 1
+                kd_rows = None if teacher_log_probs is None else teacher_log_probs[idx]
+                try:
                     loss, grad = _batch_loss(net, xb, yb, config, kd_rows)
                     if not np.isfinite(loss):
                         raise NumericalError(f"loss became non-finite; batch indices "
                                              f"{idx[:4].tolist()}...")
-                    net.zero_grads()
                     net.backward(grad)
-                    step_norms.append(grad_norm(net))
-                    sgd_step(net, t, config)
-            except NumericalError as exc:
-                # the prefix names the step, which sgd_step's own message ends with
-                detail = str(exc).removesuffix(f" at step {t}")
-                raise NumericalError(f"at epoch {epoch + 1}, step {t}: {detail}") from exc
-            epoch_losses.append(loss)
+                    step_norms.append(sgd_step(net, t, config))
+                except NumericalError as exc:
+                    # the prefix names the step, which sgd_step's own message ends with
+                    detail = str(exc).removesuffix(f" at step {t}")
+                    raise NumericalError(f"at epoch {epoch + 1}, step {t}: {detail}") from exc
+                epoch_losses.append(loss)
         ev_loss, ev_acc = evaluate(net, eval_ds.x, eval_ds.y, config)
         log.train_loss.append(float(np.mean(epoch_losses)))
         log.eval_loss.append(ev_loss)

@@ -21,7 +21,8 @@ from .errors import CorruptionError, FormatError, RangeError
 from .experiments import spectral_mlp
 from .inherit import InherNetLayer, factor_matrix, inherit_conv, inherit_dense, inherit_layer
 from .io import SyntheticTask, gen_synthetic, load_checkpoint, save_checkpoint
-from .linalg import frobenius_norm, log_softmax, softmax, truncated_svd, condition_number
+from .linalg import (condition_number, frobenius_norm, log_softmax, singular_values, softmax,
+                     truncated_svd)
 from .nn import Conv2DLayer, DenseLayer, Network, finite_difference_grad, make_mlp, mse_loss
 from .theory import (compression_ratio_paper, eckart_young_error, preservation_bound,
                      rank_for_energy, LayerInfluence)
@@ -38,7 +39,6 @@ class CheckResult:
 def _fd_relative_dev(net: Network, loss_fn, x, y) -> float:
     out = net.forward(x)
     _, grad = loss_fn(out, y)
-    net.zero_grads()
     net.backward(grad)
     fd = finite_difference_grad(net, loss_fn, x, y)
     worst = 0.0
@@ -65,7 +65,6 @@ def gradient_decomposition_check(layer: InherNetLayer, x: np.ndarray,
     """
     out = layer.forward(x)
     _, gy = loss_fn(out, y)
-    layer.zero_grads()
     layer.backward(gy)
     lhs = {k: layer.grads[k].copy() for k in layer.params}
 
@@ -372,7 +371,7 @@ def inherit_by_energy(teacher: Network, epsilon: float) -> Network:
     """Inherit every dense and conv layer at H=1 and the least rank keeping 1 - epsilon energy."""
     def rank(layer) -> int:      # a ReLU's is never read: inherit_layer gives it a new ReLU
         w = factor_matrix(layer)
-        return 0 if w is None else rank_for_energy(np.linalg.svd(w, compute_uv=False), epsilon)
+        return 0 if w is None else rank_for_energy(singular_values(w), epsilon)
 
     return Network([inherit_layer(layer, rank(layer), 1) for layer in teacher.layers])
 

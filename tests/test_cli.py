@@ -11,7 +11,7 @@ from inhernet.cli import build_parser, main
 from inhernet.errors import (CorruptionError, DegenerateInputError, FormatError, NumericalError,
                              RangeError, ShapeError, StateError)
 from inhernet.experiments import spectral_mlp
-from inhernet.inherit import COMBINER_MODES, GATE_INPUTS
+from inhernet.inherit import COMBINER_MODES, GATE_INPUTS, inherit_network
 from inhernet.io import load_checkpoint, save_checkpoint
 from inhernet.nn import Conv2DLayer, Network, ReluLayer, make_mlp
 from inhernet.rng import philox
@@ -362,6 +362,18 @@ class TestAnalyzeStudent:
             run_cli("analyze", "--teacher", str(teacher_ckpt))
         assert exc.value.code == 2
         assert "required without --student: --rank" in capsys.readouterr().err
+
+    def test_a_nan_teacher_layer_is_named(self, tmp_path, capsys):
+        teacher = make_mlp([5, 7, 6, 3], seed=1)
+        student = tmp_path / "student.ckpt"
+        save_checkpoint(inherit_network(teacher, 3, 2), student)
+        teacher.layers[2].params["weight"][1, 1] = np.nan
+        save_checkpoint(teacher, tmp_path / "teacher.ckpt")
+        code = run_cli("analyze", "--teacher", str(tmp_path / "teacher.ckpt"),
+                       "--student", str(student))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: layer 2: matrix contains NaN or Inf")
 
     def test_rank_and_heads_come_from_the_student(self, tmp_path):
         """``--rank`` and ``--heads`` shape a fresh inheritance only; a given

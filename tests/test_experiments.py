@@ -86,8 +86,9 @@ class TestPerturbHeads:
 
 class TestRunInsight:
     def test_unknown_insight_is_a_range_error(self):
-        with pytest.raises(RangeError, match="unknown insight 4"):
-            experiments.run_insight(4, seeds=1)
+        unknown = max(experiments.INSIGHTS) + 1
+        with pytest.raises(RangeError, match=f"unknown insight {unknown};"):
+            experiments.run_insight(unknown, seeds=1)
 
 
 class TestSeedCount:

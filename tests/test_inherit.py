@@ -654,6 +654,48 @@ class TestFusedOutputStage:
             net.forward(x)
 
 
+WRITE_CASES = {
+    "dense": lambda gen: _teacher(gen),
+    "conv2d": lambda gen: Conv2DLayer(gen.standard_normal((4, 2, 3, 3)), padding=1,
+                                      bias=gen.standard_normal(4)),
+    "inherit_dense, code gate": DENSE_CASES["code gate"],
+    "inherit_dense, input gate": DENSE_CASES["input gate"],
+    "no-gate": DENSE_CASES["frozen gate"],
+    "inverse": DENSE_CASES["inverse"],
+    "symmetric": DENSE_CASES["symmetric"],
+    "inherit_conv": lambda gen: inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 3,
+                                             padding=1, bias=gen.standard_normal(4)),
+    "inherit_conv, no bias": lambda gen: inherit_conv(gen.standard_normal((4, 2, 3, 3)), 2, 3,
+                                                      padding=1),
+}
+
+
+class TestBackwardWritesGradients:
+    """A backward writes every parameter gradient; it never adds to what was there."""
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["layer", "network"])
+    @pytest.mark.parametrize("case", list(WRITE_CASES))
+    def test_a_nan_poisoned_gradient_is_overwritten(self, case, bound):
+        gen = philox(50, 0)
+        layer = WRITE_CASES[case](gen)
+        jitter(layer, gen)
+        conv = layer.kind in ("conv2d", "inherit_conv")
+        x = gen.standard_normal((3, 2, 5, 5) if conv else (4, 6))
+        # bound, the layer is its network's first, so it runs with input_grad cleared
+        net = Network([layer]) if bound else None
+        step = net.backward if bound else layer.backward
+        out = net.forward(x) if bound else layer.forward(x)
+        gy = gen.standard_normal(out.shape)
+        grads = net.grad_vector() if bound else layer.grad_flat
+        grads.fill(0.0)
+        assert (step(gy) is None) == bound
+        want = grads.copy()
+        grads.fill(np.nan)
+        step(gy)
+        assert np.isfinite(grads).all()
+        assert grads.tobytes() == want.tobytes()
+
+
 class TestGradientGrid:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())

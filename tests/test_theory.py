@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from inhernet.errors import DegenerateInputError, RangeError, ShapeError
+from inhernet.errors import DegenerateInputError, NumericalError, RangeError, ShapeError
 from inhernet.inherit import InherConv2DLayer, inherit_dense, inherit_layer, inherit_network
 from inhernet.linalg import condition_number, frobenius_norm, truncated_svd
 from inhernet.nn import Conv2DLayer, DenseLayer, Network, ReluLayer, make_mlp
@@ -213,6 +213,13 @@ class TestAnalyzeNetwork:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateInputError, match=r"^layer 2: "):
                 analyze_network(teacher, student)
+
+    def test_a_nan_teacher_layer_is_named(self):
+        teacher = make_mlp([5, 7, 6, 3], seed=1)
+        student = inherit_network(teacher, 3, 2)
+        teacher.layers[2].params["weight"][1, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"^layer 2: matrix contains NaN or Inf"):
+            analyze_network(teacher, student)
 
     def test_one_spectrum_per_teacher_layer(self, monkeypatch):
         """kappa comes from the spectrum the report already took, bit for bit

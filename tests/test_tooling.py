@@ -82,12 +82,16 @@ def test_no_import_inside_a_function_body(path):
     assert nested_imports(path.read_text()) == []
 
 
-def generator_constructions(source: str) -> list[int]:
-    """Line numbers of calls to ``Generator``, ``Philox`` or ``default_rng``, by any path."""
-    names = {"Generator", "Philox", "default_rng"}
+def calls_to(source: str, names: set[str]) -> list[int]:
+    """Line numbers of calls to any of ``names``, by any path."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
+def generator_constructions(source: str) -> list[int]:
+    """Line numbers of calls to ``Generator``, ``Philox`` or ``default_rng``, by any path."""
+    return calls_to(source, {"Generator", "Philox", "default_rng"})
 
 
 def test_only_rng_constructs_a_generator():
@@ -99,6 +103,21 @@ def test_only_rng_constructs_a_generator():
     found = {path.name: lines for path in sorted(SRC.glob("*.py"))
              if (lines := generator_constructions(path.read_text()))}
     assert list(found) == ["rng.py"]
+
+
+def test_no_package_module_zeroes_gradients():
+    """Every backward writes its parameter gradients instead of adding to them,
+    so nothing in the package zeroes them before one; ``zero_grads`` stays
+    defined, on ``Layer`` and ``Network``, for callers outside it."""
+    assert calls_to("net.zero_grads()\nzero_grads(g)\ndef zero_grads(self): pass\n",
+                    {"zero_grads"}) == [1, 2]
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := calls_to(path.read_text(), {"zero_grads"}))}
+    assert found == {}
+    defined = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "zero_grads"]
+    assert [name for name, _ in defined] == ["nn.py", "nn.py"]
 
 
 def test_package_reads_no_environment_variables():
