@@ -94,8 +94,16 @@ class TestSgdStep:
         g[...] = philox(43, 0).uniform(-2e160, 2e160, size=g.size)
         expected = net.param_vector() - 0.1 / np.sqrt(5) * g
         with pytest.warns(RuntimeWarning, match="overflow"):   # numpy's, from g @ g
-            sgd_step(net, 5, cfg(base_lr=0.1))
+            norm = sgd_step(net, 5, cfg(base_lr=0.1))
+            assert norm == grad_norm(net) < np.inf
         assert net.param_vector().tobytes() == expected.tobytes()
+
+    def test_finite_gradient_whose_norm_overflows_steps_and_returns_inf(self):
+        net = Network([DenseLayer(np.zeros((1, 2)))])
+        net.grad_vector()[...] = 1.5e308            # the norm, 2.1e308, is past float64
+        with np.errstate(over="ignore"):
+            assert sgd_step(net, 1, cfg(base_lr=1e-300, schedule="constant")) == np.inf
+        assert np.array_equal(net.param_vector(), [-1.5e8, -1.5e8])
 
 
 class TestGradNorm:
